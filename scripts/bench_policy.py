@@ -230,12 +230,12 @@ def main(argv=None) -> int:
     report["campaign_event_table_s"] = time.perf_counter() - t0
     check("campaign_identical_table_event", table_event == plain_event)
     check("campaign_identical_table_vector",
-          campaign(True, sim_mode="vector") == plain_event)
+          campaign(True, sim_mode="auto") == plain_event)
 
-    print("campaign bit-identity (micro-batching, event vs vector)...")
+    print("campaign bit-identity (micro-batching, event vs fast path)...")
     batched_event = campaign(True, sim_mode="event", batch_window_s=0.02,
                              dispatch_overhead_s=0.002)
-    batched_vector = campaign(True, sim_mode="vector",
+    batched_vector = campaign(True, sim_mode="auto",
                               batch_window_s=0.02,
                               dispatch_overhead_s=0.002)
     check("campaign_batched_engines_identical",
@@ -243,11 +243,11 @@ def main(argv=None) -> int:
     check("campaign_batching_changes_accounting",
           batched_event != plain_event)
 
-    print("campaign bit-identity (partial reconfig, event vs vector)...")
+    print("campaign bit-identity (partial reconfig, event vs fast path)...")
     pr = PartialReconfigModel()
     check("campaign_partial_engines_identical",
           campaign(True, sim_mode="event", partial_reconfig=pr)
-          == campaign(True, sim_mode="vector", partial_reconfig=pr))
+          == campaign(True, sim_mode="auto", partial_reconfig=pr))
 
     # ------------------------------------------------------------------
     # report

@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Serving-stack benchmark: vectorized fast path vs the event loop.
+"""Serving-stack benchmark: the serving fast path vs the event loop.
 
 Measures, on a hand-built library shaped like the quick-profile sweep
 (three pruning rates x three confidence thresholds plus backbones):
 
 1. **Campaign speedup** — a ``simulate_policy`` campaign with
-   ``sim_mode="vector"`` vs ``sim_mode="event"``. The two must produce
+   ``sim_mode="auto"`` vs ``sim_mode="event"``. The two must produce
    **bit-identical** ``RunMetrics`` (every field, every trace array) and
    the fast path must be at least ``REPRO_BENCH_MIN_SERVING_SPEEDUP``
    (default 10) times faster.
 2. **Selection speedup** — ``RuntimeManager.select`` through the
-   throughput-sorted index vs the historical linear
-   ``Library.feasible`` rescan, on a 200-entry library. Same winners on
+   throughput-sorted index vs a linear rescan of the library
+   (``linear_select``), on a 200-entry library. Same winners on
    every query, at least ``REPRO_BENCH_MIN_SELECT_SPEEDUP`` (default 3)
    times faster.
 
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     event_s, (event_agg, event_runs) = best_of(
         lambda: campaign("event"), args.repeats)
     vector_s, (vector_agg, vector_runs) = best_of(
-        lambda: campaign("vector"), args.repeats)
+        lambda: campaign("auto"), args.repeats)
     identical = all(metrics_key(a) == metrics_key(b)
                     for a, b in zip(event_runs, vector_runs))
     check("campaign_bit_identical",

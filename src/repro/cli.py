@@ -25,7 +25,7 @@ from .core.errors import IntegrityError
 from .core.halving import HalvingConfig, HalvingSearch
 from .core.instrument import PhaseTimer
 from .core.supervise import SuperviseConfig
-from .edge.server import ServerConfig, simulate_policy
+from .edge.server import SIM_MODES, ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
                     FleetFaultSpec, ReconfigCoordinator, make_tenants,
                     simulate_fleet)
@@ -332,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "'regions=8,exit_regions=2,overhead_ms=10'; "
                          "also installs the model as the policies' "
                          "switch-cost calculus")
-    ev.add_argument("--sim-mode", default="auto",
-                    choices=("auto", "event", "vector"),
+    ev.add_argument("--sim-mode", default="auto", choices=SIM_MODES,
                     help="serving-simulator engine: 'auto' (default) "
-                         "uses the vectorized fast path when bit-exact "
-                         "equivalence is provable and falls back to the "
-                         "event loop otherwise; 'event'/'vector' force "
-                         "one engine (metrics are identical either way)")
+                         "uses the fast path when bit-exact equivalence "
+                         "is provable and falls back to the event loop "
+                         "otherwise; 'event' forces the event loop "
+                         "(metrics are identical either way)")
     ev.add_argument("--timing-json", metavar="PATH",
                     help="write the per-phase timing report to PATH")
 
@@ -421,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shard servers over N worker processes "
                          "(0 = serial; campaigns are byte-identical "
                          "either way)")
-    fl.add_argument("--sim-mode", default="auto",
-                    choices=("auto", "event", "vector"))
+    fl.add_argument("--sim-mode", default="auto", choices=SIM_MODES)
     fl.add_argument("--timing-json", metavar="PATH",
                     help="write the per-phase timing report to PATH")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..edge.fastsim import SIM_MODES
 from ..finn.device import FPGADevice, ZCU104
 from ..finn.power import PowerModel
 from ..models.exits import ExitsConfiguration
@@ -93,9 +94,9 @@ class AdaPExConfig:
     # memory traffic and doubles BLAS throughput at a small accuracy delta.
     compute_dtype: str = "float64"
     # Serving-simulator engine for evaluate_at_edge: "auto" uses the
-    # vectorized fast path when provably bit-identical to the event loop
-    # and falls back otherwise; "event"/"vector" force one engine. Not
-    # part of the cache key — both engines produce identical metrics.
+    # fast path when provably bit-identical to the event loop and falls
+    # back otherwise; "event" forces the event loop. Not part of the
+    # cache key — both engines produce identical metrics.
     sim_mode: str = "auto"
 
     def __post_init__(self):
@@ -113,9 +114,9 @@ class AdaPExConfig:
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', "
                 f"got {self.compute_dtype!r}")
-        if self.sim_mode not in ("auto", "event", "vector"):
+        if self.sim_mode not in SIM_MODES:
             raise ValueError(
-                f"sim_mode must be one of 'auto', 'event', 'vector', "
+                f"sim_mode must be one of {SIM_MODES}, "
                 f"got {self.sim_mode!r}")
         if not self.precisions:
             raise ValueError("need at least one precision")

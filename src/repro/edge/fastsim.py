@@ -1,32 +1,50 @@
-"""Vectorized fast path for the edge serving simulator.
+"""Segment-batched fast path for the edge serving simulator.
 
 :class:`~repro.edge.server.EdgeServerSimulator` models every frame as a
 pair of :class:`~repro.edge.events.EventLoop` callbacks, which makes
 100-run serving campaigns the dominant wall-clock cost of the paper's
 evaluation. Between policy decision ticks the server's evolution is
-closed-form per segment, so this module replays the exact same dynamics
-as chunked NumPy work:
+closed-form per segment, so :func:`run_fast` replays the exact same
+dynamics, unbatched or micro-batched, as one kernel:
 
-* all per-frame RNG draws for a run are materialized with **one**
-  ``Generator.random`` call (the event loop's ``rng.choice`` /
-  ``rng.random`` pairs consume one uniform each, in service order, so a
-  flat pre-drawn array indexed by served-frame number reproduces the
-  stream bit-for-bit — over-drawing is harmless because the generator is
-  private to the run);
-* per-segment exit sampling, service-latency lookup and correctness
-  sampling are batched array operations (``searchsorted`` over the exit
-  CDF, ``take`` over the exit latencies, a vectorized threshold compare);
+* all RNG draws for a run are materialized with **one**
+  ``Generator.random`` call. The event loop draws one uniform per frame
+  when a service starts (the exit choice) and one per frame when it
+  completes (the correctness sample), and no other draw falls in
+  between, because the single server starts its next service only from
+  the completion callback. A service of ``k`` frames that starts at
+  stream position ``p`` therefore reads its exit draws at ``p .. p+k-1``
+  and its correctness draws at ``p+k .. p+2k-1``; an unbatched frame is
+  ``k = 1``. Over-drawing is harmless because the generator is private
+  to the run;
+* per segment (one deployed entry between two ticks), exit sampling,
+  service-latency lookup and correctness sampling are array operations
+  over the slice of the stream the segment can consume, indexed by
+  stream position (``searchsorted`` over the exit CDF, ``take`` over
+  the exit latencies, a vectorized threshold compare);
 * arrival-window sampling feeds the :class:`WorkloadMonitor` in one
   ``observe_many`` call per decision tick;
 * latency accumulation uses ``np.cumsum`` (sequential left-to-right
   accumulation, bit-identical to the event loop's ``+=`` chain), and
-  power integration stays per-tick scalar work exactly as before.
+  power integration is per-tick scalar work, as in the event loop.
 
 The only irreducibly sequential part — the bounded-queue admission /
-single-server start-time recursion — runs as a slim scalar kernel over
+single-server start-time recursion — runs as a slim scalar loop over
 plain Python floats using the *same* float operations (``max`` and one
 addition per frame) as the event loop, so completions, queue-full
 losses, and end-of-run in-flight frames are decided identically.
+
+Only the service start depends on ``ServerConfig.batching``, and it is
+picked once per run. ``start_batch`` takes the queue head plus every
+queued frame that arrived within ``batch_window_s`` of it, so with
+batching on the kernel also keeps a deque of the queued arrival times,
+and it charges one dispatch overhead per batch. ``start_frame`` reads
+the same draws as ``start_batch`` would at ``k = 1`` but needs neither
+the deque, the batch loop nor the overhead arithmetic: unbatched
+traffic, such as the paper's Table I workload, spends most of the
+kernel's time in it. Serving that traffic through ``start_batch``
+instead roughly doubled the kernel's CPU time (CPython 3.11 on one
+core of a 2-vCPU Xeon VM).
 
 The event loop remains the semantics oracle (the same relationship as
 :mod:`repro.ir.executors` vs :mod:`repro.ir.engine`): ``run_fast``
@@ -40,8 +58,8 @@ falls back to event mode. That covers
   where the outcome depends on event-loop scheduling order).
 
 ``SIM_MODES`` enumerates the ``ServerConfig.sim_mode`` values:
-``"auto"``/``"vector"`` use this fast path when sound, ``"event"``
-forces the oracle.
+``"auto"`` uses this fast path when sound, ``"event"`` forces the
+oracle.
 """
 
 from __future__ import annotations
@@ -54,25 +72,15 @@ from ..runtime.monitor import WorkloadMonitor
 from ..runtime.reconfig import ReconfigurationController
 from .metrics import RunMetrics
 
-__all__ = ["SIM_MODES", "run_fast", "vectorizable"]
+__all__ = ["SIM_MODES", "run_fast"]
 
 #: Accepted ``ServerConfig.sim_mode`` values.
-SIM_MODES = ("auto", "event", "vector")
+SIM_MODES = ("auto", "event")
 
 #: numpy's probability-sum tolerance for ``Generator.choice``.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _NEG_INF = float("-inf")
-
-
-def vectorizable(sim) -> bool:
-    """Whether a run of ``sim`` is eligible for the fast path.
-
-    Fault campaigns route to the event loop: retries and per-event fault
-    decisions interleave with the service RNG stream, which the
-    segment-batched replay cannot reproduce.
-    """
-    return sim.faults is None
 
 
 def _exit_cdf(exit_rates) -> np.ndarray:
@@ -99,14 +107,11 @@ def run_fast(sim):
     clock update, same trace values. See the module docstring for the
     fallback conditions.
     """
-    if not vectorizable(sim):
+    if sim.faults is not None:
+        # Retries and per-event fault decisions interleave with the
+        # service RNG stream, which the segment replay cannot reproduce.
         return None
     cfg = sim.config
-    if cfg.batching:
-        # Micro-batched admission changes the dequeue/RNG structure:
-        # a parallel kernel (same segment framework, batch-granular
-        # draws) replays the batched event path bit-for-bit.
-        return _run_fast_batched(sim)
     workload = sim.workload
     duration = workload.duration_s
     policy = sim.policy
@@ -114,13 +119,8 @@ def run_fast(sim):
     rng = np.random.default_rng(sim.seed + 777)
     arrivals = sim._arrival_times()
     n = len(arrivals)
-    # The event loop draws one uniform at each service start (the exit
-    # choice) and one at each completion (the correctness sample),
-    # strictly alternating in service order; at most ``n`` frames are
-    # ever served, so 2n uniforms cover every draw it can consume.
+    # At most ``n`` frames are ever served, two uniforms each.
     draws = rng.random(2 * n + 2)
-    u_choice = draws[0::2]
-    u_correct = draws[1::2]
     arr_list = arrivals.tolist()
 
     monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
@@ -147,6 +147,8 @@ def run_fast(sim):
                 break
 
     capacity = cfg.queue_capacity
+    batch_window = cfg.batch_window_s
+    overhead = cfg.dispatch_overhead_s
     record_trace = cfg.record_trace
     trace: dict = {"t": [], "workload_ips": [], "pruning_rate": [],
                    "confidence_threshold": [], "accuracy": [],
@@ -162,12 +164,13 @@ def run_fast(sim):
     base_floor = getattr(policy, "min_accuracy", None)
     ladder = brownout and select_at is not None and base_floor is not None
 
-    # --- run state (plain Python floats/ints: the scalar kernel below
+    # --- run state (plain Python floats/ints: the scalar loop below
     # must use the exact float ops of the event loop) -----------------
     qlen = 0              # admitted frames waiting (excludes in-service)
-    c_last = _NEG_INF     # completion time of the last *started* frame
+    pend: deque = deque()  # their arrival times, kept only for batching
+    c_last = _NEG_INF     # completion time of the last *started* service
     reconfig_until = 0.0
-    started = 0           # frames started == RNG pairs consumed
+    p = 0                 # next unconsumed position in the draw stream
     processed = 0
     lost = 0
     shed = 0
@@ -176,60 +179,90 @@ def run_fast(sim):
     brownout_time_s = 0.0
     brownout_since = 0.0
     correct = 0           # integer-exact accuracy_sum
+    batches = 0
     served_latencies: list[float] = []  # in completion (== start) order
     energy_j = 0.0
     last_power_t = 0.0
     ai = 0                # next arrival index to admit
     fed = 0               # arrivals already fed to the monitor
 
-    # Per-segment batched draw tables, rebuilt whenever the deployed
-    # entry can change (i.e. at decision ticks).
+    # Per-segment draw tables for the deployed entry, indexed by stream
+    # position minus ``seg_base``: the service latency an exit draw at
+    # that position gives, and whether a correctness draw there hits.
     seg_base = 0
     seg_services: list[float] = []
     seg_correct: list[bool] = []
 
     def build_tables(hi: int) -> None:
-        """Batch-sample exits / services / correctness for every frame
-        that could start in this segment (current queue + new arrivals).
-        Unused tail entries are recomputed by the next segment with its
-        own entry; the underlying uniforms are position-indexed, so
-        overcomputation has no RNG side effects."""
+        """Tables over every draw this segment can consume: two per
+        frame that could start in it (current queue + new arrivals).
+        The next segment rebuilds from the first unconsumed position
+        with its own entry, so over-computing has no RNG side effects."""
         nonlocal seg_base, seg_services, seg_correct
-        seg_base = started
-        m = qlen + (hi - ai)
+        seg_base = p
+        m = 2 * (qlen + (hi - ai))
         if m <= 0:
             seg_services = []
             seg_correct = []
             return
-        uc = u_choice[seg_base:seg_base + m]
+        u = draws[p:p + m]
+        cdf = _exit_cdf(entry.exit_rates)  # same validation as choice
         if entry.exit_latencies_s:
-            cdf = _exit_cdf(entry.exit_rates)
-            idx = cdf.searchsorted(uc, side="right")
             latencies = np.asarray(entry.exit_latencies_s,
                                    dtype=np.float64)
-            seg_services = latencies[idx].tolist()
+            seg_services = latencies[
+                cdf.searchsorted(u, side="right")].tolist()
         else:
-            _exit_cdf(entry.exit_rates)  # same validation as choice
             seg_services = [entry.latency_s] * m
-        seg_correct = (u_correct[seg_base:seg_base + m]
-                       < entry.accuracy).tolist()
+        seg_correct = (u < entry.accuracy).tolist()
 
     def start_frame(sigma: float) -> None:
-        """Start one service at time ``sigma`` (consumes one RNG pair)."""
-        nonlocal c_last, started, processed, correct
-        service = seg_services[started - seg_base]
-        hit = seg_correct[started - seg_base]
-        started += 1
+        """Start the queue head alone at time ``sigma``."""
+        nonlocal qlen, c_last, p, processed, correct
+        qlen -= 1
+        i = p - seg_base
+        p += 2
+        service = seg_services[i]
         c_last = sigma + service
         if c_last <= duration:
             # Completion events at or before the horizon always fire.
             processed += 1
             served_latencies.append(service)
-            if hit:
+            if seg_correct[i + 1]:
                 correct += 1
         # else: in flight at the end of the run — the exit draw was
         # consumed at the start but the frame is neither processed nor
-        # lost, exactly like the event loop's still-busy server.
+        # lost, exactly like the event loop's still-busy server. No
+        # later service starts, so ``p`` may skip the unused draw.
+
+    def start_batch(sigma: float) -> None:
+        """Start one plan invocation at ``sigma``: the queue head plus
+        every queued frame within ``batch_window`` of its arrival."""
+        nonlocal qlen, c_last, p, processed, correct, batches
+        window_end = pend.popleft() + batch_window
+        k = 1
+        while pend and pend[0] <= window_end:
+            pend.popleft()
+            k += 1
+        qlen -= k
+        i = p - seg_base
+        p += 2 * k
+        services = seg_services[i:i + k]
+        total = overhead
+        for service in services:
+            total += service
+        c_last = sigma + total
+        if c_last <= duration:
+            batches += 1
+            processed += k
+            share = overhead / k
+            served_latencies.extend([s + share for s in services])
+            correct += seg_correct[i + k:i + 2 * k].count(True)
+
+    # The only batching-specific pieces: the start function and the
+    # arrival-time deque it reads.
+    batching = cfg.batching
+    start = start_batch if batching else start_frame
 
     def serve_segment(t_end: float, is_tick: bool) -> bool:
         """Admit arrivals and run services with start times <= t_end.
@@ -241,9 +274,7 @@ def run_fast(sim):
         nonlocal qlen, lost, shed, ai
         hi = int(np.searchsorted(arrivals, t_end, side="right"))
         build_tables(hi)
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
+        for t_arr in arr_list[ai:hi]:
             # Queued frames whose service begins strictly before this
             # arrival have left the queue by the time it is admitted
             # (starts *at* t_arr are triggered by completion events that
@@ -253,17 +284,19 @@ def run_fast(sim):
                     else reconfig_until
                 if sigma >= t_arr:
                     break
-                qlen -= 1
-                start_frame(sigma)
+                start(sigma)
             if brownout and rung == bottom_rung and qlen >= shed_len:
                 shed += 1  # bottom-rung admission control
             elif qlen >= capacity:
                 lost += 1
-            elif qlen == 0 and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                start_frame(t_arr)  # idle, unblocked: serve immediately
             else:
                 qlen += 1
+                if batching:
+                    pend.append(t_arr)
+                if qlen == 1 and c_last < t_arr \
+                        and reconfig_until <= t_arr:
+                    start(t_arr)  # idle, unblocked: serve immediately
+        ai = hi
         # Services starting up to the segment boundary. At a decision
         # tick, a start exactly *on* the boundary comes from a
         # completion/resume event tied with the decision event; at the
@@ -273,8 +306,7 @@ def run_fast(sim):
             sigma = c_last if c_last >= reconfig_until else reconfig_until
             if sigma > t_end or (is_tick and sigma == t_end):
                 break
-            qlen -= 1
-            start_frame(sigma)
+            start(sigma)
         if is_tick and qlen and sigma == t_end:
             return False  # tie: start ordering depends on event seqs
         return True
@@ -347,265 +379,6 @@ def run_fast(sim):
 
     # cumsum is a sequential left-to-right accumulation, bit-identical
     # to the event loop's `latency_sum += service` chain.
-    if served_latencies:
-        latency_sum = float(np.cumsum(np.asarray(served_latencies))[-1])
-    else:
-        latency_sum = 0.0
-    accuracy_sum = float(correct)
-
-    post = controller.events[initial_events:]
-    return RunMetrics(
-        policy=getattr(policy, "name", type(policy).__name__),
-        duration_s=duration,
-        total_requests=n,
-        processed=processed,
-        lost=lost,
-        accuracy=accuracy_sum / processed if processed else 0.0,
-        avg_latency_s=latency_sum / processed if processed else 0.0,
-        energy_j=energy_j,
-        reconfigurations=sum(1 for e in post if e.success),
-        reconfig_dead_time_s=sum(e.duration_s for e in post if e.success),
-        shed=shed,
-        brownout_steps=brownout_steps,
-        brownout_time_s=brownout_time_s,
-        trace=trace if record_trace else {},
-    )
-
-
-def _run_fast_batched(sim):
-    """Fast path for micro-batched admission; ``None`` = use events.
-
-    Same segment framework as :func:`run_fast`, but the queue keeps
-    arrival *times* (batch membership is an arrival-window condition)
-    and the RNG stream is consumed batch-granularly: a batch of ``k``
-    frames draws ``k`` exit uniforms at its start and — only if its
-    completion event fires within the horizon — ``k`` correctness
-    uniforms at its completion, exactly the order the batched event
-    path consumes them (no other draw interleaves between a batch's
-    start and its completion, because the single server starts the next
-    batch only from the completion callback).
-    """
-    cfg = sim.config
-    workload = sim.workload
-    duration = workload.duration_s
-    policy = sim.policy
-
-    rng = np.random.default_rng(sim.seed + 777)
-    arrivals = sim._arrival_times()
-    n = len(arrivals)
-    draws = rng.random(2 * n + 2)
-    arr_list = arrivals.tolist()
-
-    monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
-    controller = ReconfigurationController(
-        reconfig_time_s=cfg.reconfig_time_s,
-        cost_model=cfg.partial_reconfig)
-
-    entry = policy.select(workload.nominal_ips)
-    controller.switch(entry.accelerator, now_s=0.0)
-    initial_events = controller.count
-
-    ticks: list[float] = []
-    t = 0.0 + (cfg.decision_offset_s + cfg.decision_interval_s)
-    if t <= duration:
-        while True:
-            ticks.append(t)
-            if t + cfg.decision_interval_s < duration:
-                t = t + cfg.decision_interval_s
-            else:
-                break
-
-    capacity = cfg.queue_capacity
-    batch_window = cfg.batch_window_s
-    overhead = cfg.dispatch_overhead_s
-    record_trace = cfg.record_trace
-    trace: dict = {"t": [], "workload_ips": [], "pruning_rate": [],
-                   "confidence_threshold": [], "accuracy": [],
-                   "serving_ips": []}
-
-    brownout = cfg.brownout
-    brown_levels = cfg.brownout_levels
-    bottom_rung = len(brown_levels)
-    shed_len = cfg.shed_queue_len
-    select_at = getattr(policy, "select_at", None)
-    base_floor = getattr(policy, "min_accuracy", None)
-    ladder = brownout and select_at is not None and base_floor is not None
-
-    pend: deque = deque()  # arrival times of queued frames
-    c_last = _NEG_INF     # completion time of the last *started* batch
-    reconfig_until = 0.0
-    p = 0                 # next unconsumed position in the draw stream
-    processed = 0
-    lost = 0
-    shed = 0
-    rung = 0
-    brownout_steps = 0
-    brownout_time_s = 0.0
-    brownout_since = 0.0
-    correct = 0
-    batches = 0
-    served_latencies: list[float] = []
-    energy_j = 0.0
-    last_power_t = 0.0
-    ai = 0
-    fed = 0
-
-    # Per-segment sampling tables for the deployed entry, built lazily
-    # at the first batch start of the segment — the same moment the
-    # event path first validates the entry's exit distribution.
-    seg_cdf = None
-    seg_lat = None
-    seg_const = 0.0
-    seg_acc = 0.0
-    tables_ready = False
-
-    def ensure_tables() -> None:
-        nonlocal seg_cdf, seg_lat, seg_const, seg_acc, tables_ready
-        if tables_ready:
-            return
-        if entry.exit_latencies_s:
-            seg_cdf = _exit_cdf(entry.exit_rates)
-            seg_lat = np.asarray(entry.exit_latencies_s, dtype=np.float64)
-        else:
-            _exit_cdf(entry.exit_rates)  # same validation as choice
-            seg_cdf = None
-            seg_const = entry.latency_s
-        seg_acc = entry.accuracy
-        tables_ready = True
-
-    def start_batch(sigma: float) -> None:
-        """Start one plan invocation at ``sigma``: the queue head plus
-        every queued frame within ``batch_window`` of its arrival."""
-        nonlocal c_last, p, processed, correct, batches
-        ensure_tables()
-        head = pend.popleft()
-        window_end = head + batch_window
-        k = 1
-        while pend and pend[0] <= window_end:
-            pend.popleft()
-            k += 1
-        uc = draws[p:p + k]
-        p += k
-        if seg_cdf is not None:
-            idx = seg_cdf.searchsorted(uc, side="right")
-            services = seg_lat[idx].tolist()
-        else:
-            services = [seg_const] * k
-        total = overhead
-        for service in services:
-            total += service
-        c_last = sigma + total
-        if c_last <= duration:
-            # The completion event fires: count the whole batch. The
-            # correctness draws sit right after the exit draws in the
-            # stream, as the event path's completion callback consumes
-            # them.
-            batches += 1
-            share = overhead / k
-            ur = draws[p:p + k]
-            p += k
-            for i in range(k):
-                processed += 1
-                served_latencies.append(services[i] + share)
-                if ur[i] < seg_acc:
-                    correct += 1
-        # else: in flight at the horizon — exit draws consumed, no
-        # completion, frames neither processed nor lost.
-
-    def serve_segment(t_end: float, is_tick: bool) -> bool:
-        nonlocal lost, shed, ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
-        while ai < hi:
-            t_arr = arr_list[ai]
-            ai += 1
-            while pend:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                start_batch(sigma)
-            if brownout and rung == bottom_rung \
-                    and len(pend) >= shed_len:
-                shed += 1  # bottom-rung admission control
-            elif len(pend) >= capacity:
-                lost += 1
-            elif not pend and c_last < t_arr \
-                    and reconfig_until <= t_arr:
-                pend.append(t_arr)
-                start_batch(t_arr)  # idle, unblocked: a batch of itself
-            else:
-                pend.append(t_arr)
-        while pend:
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            start_batch(sigma)
-        if is_tick and pend and sigma == t_end:
-            return False  # tie: start ordering depends on event seqs
-        return True
-
-    for tick in ticks:
-        if not serve_segment(tick, is_tick=True):
-            return None
-        if c_last == tick or reconfig_until == tick:
-            return None  # completion/resume tied with the decision
-        hi = int(np.searchsorted(arrivals, tick, side="right"))
-        if hi > fed:
-            monitor.observe_many(arr_list[fed:hi])
-            fed = hi
-        ips = monitor.sampled_ips(tick)
-        dt = tick - last_power_t
-        if dt > 0:
-            energy_j += entry.power_at(ips) * dt
-            last_power_t = tick
-        if brownout:
-            occ = len(pend) / capacity
-            new_rung = rung
-            if occ >= cfg.brownout_high and new_rung < bottom_rung:
-                new_rung += 1
-            elif occ <= cfg.brownout_low and new_rung > 0:
-                new_rung -= 1
-            if new_rung != rung:
-                brownout_steps += 1
-                if rung == 0:
-                    brownout_since = tick
-                elif new_rung == 0:
-                    brownout_time_s += tick - brownout_since
-                rung = new_rung
-        if ladder and rung > 0:
-            selected = select_at(
-                base_floor - brown_levels[rung - 1], ips, current=entry)
-        else:
-            selected = policy.select(ips, current=entry)
-        if controller.needs_switch(selected.accelerator):
-            dead = controller.switch(selected.accelerator, now_s=tick)
-            reconfig_until = tick + dead
-        entry = selected
-        tables_ready = False
-        monitor.acknowledge(tick)
-        if record_trace:
-            trace["t"].append(tick)
-            trace["workload_ips"].append(ips)
-            trace["pruning_rate"].append(entry.accelerator.pruning_rate)
-            trace["confidence_threshold"].append(
-                entry.confidence_threshold)
-            trace["accuracy"].append(entry.accuracy)
-            trace["serving_ips"].append(entry.serving_ips)
-
-    if not serve_segment(duration, is_tick=False):  # pragma: no cover
-        return None
-    lost += len(pend)
-    if rung > 0:
-        brownout_time_s += duration - brownout_since
-
-    hi_end = int(np.searchsorted(arrivals, duration, side="right"))
-    if hi_end > fed:
-        monitor.observe_many(arr_list[fed:hi_end])
-    final_ips = monitor.sampled_ips(duration)
-    dt = duration - last_power_t
-    if dt > 0:
-        energy_j += entry.power_at(final_ips) * dt
-
     if served_latencies:
         latency_sum = float(np.cumsum(np.asarray(served_latencies))[-1])
     else:

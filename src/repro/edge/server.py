@@ -51,11 +51,11 @@ __all__ = ["ServerConfig", "EdgeServerSimulator", "simulate_policy",
 class ServerConfig:
     """Serving parameters.
 
-    ``sim_mode`` picks the simulation engine: ``"event"`` is the
-    discrete-event oracle, ``"vector"`` the segment-batched fast path
-    (:mod:`repro.edge.fastsim`, bit-identical, ~10-50x faster, falling
-    back to events whenever vectorization would be unsound), and
-    ``"auto"`` (default) uses the fast path when eligible.
+    ``sim_mode`` picks the simulation engine: ``"auto"`` (default) runs
+    the segment-batched fast path (:func:`repro.edge.fastsim.run_fast`,
+    bit-identical, ~10-50x faster) and falls back to the discrete-event
+    oracle whenever the fast path cannot prove equivalence; ``"event"``
+    always runs the oracle.
 
     ``batch_window_s``/``dispatch_overhead_s`` enable micro-batched
     admission: when the server picks up the head of the queue, every
@@ -64,7 +64,8 @@ class ServerConfig:
     over the batch (each frame's recorded latency is its own exit-path
     service time plus ``overhead / batch_size``). Both default to 0,
     which keeps the historical one-frame-per-invocation path
-    bit-identical.
+    bit-identical: frames with tied arrival times then stay separate
+    services.
 
     ``partial_reconfig`` installs a
     :class:`~repro.runtime.reconfig.PartialReconfigModel`: swap dead
@@ -191,13 +192,13 @@ class EdgeServerSimulator:
     def run(self) -> RunMetrics:
         """Simulate one run, dispatching on ``config.sim_mode``.
 
-        ``auto``/``vector`` use the segment-batched fast path
+        ``auto`` uses the segment-batched fast path
         (:mod:`repro.edge.fastsim`) when the run is eligible; fault
         campaigns and exact event-time ties fall back to the event
         loop, which remains the semantics oracle. Results are
         bit-identical either way.
         """
-        if self.config.sim_mode in ("auto", "vector"):
+        if self.config.sim_mode == "auto":
             metrics = fastsim.run_fast(self)
             if metrics is not None:
                 return metrics

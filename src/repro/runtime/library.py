@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import re
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from ..core.errors import IntegrityError
@@ -278,24 +277,6 @@ class Library:
         if not self.entries:
             raise ValueError("library is empty")
         return max(e.accuracy for e in self.entries)
-
-    def feasible(self, min_accuracy: float, required_ips: float) -> list:
-        """Entries meeting both the accuracy bound and the workload.
-
-        .. deprecated::
-            Linear scan allocating a fresh list per call. Selection
-            answers the same query from ``RuntimeManager``'s
-            throughput-sorted index (or its compiled policy table);
-            callers that want the raw candidate set should filter
-            ``library.entries`` directly.
-        """
-        warnings.warn(
-            "Library.feasible is deprecated: selection goes through "
-            "RuntimeManager's throughput-sorted index / compiled policy "
-            "table; filter library.entries directly for offline analysis",
-            DeprecationWarning, stacklevel=2)
-        return [e for e in self.entries
-                if e.accuracy >= min_accuracy and e.serving_ips >= required_ips]
 
     def quarantine(self, predicate, reason: str = "quarantined") -> int:
         """Remove entries matching ``predicate``, recording the gaps.

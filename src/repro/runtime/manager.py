@@ -59,9 +59,9 @@ class _SelectionIndex:
     """Precomputed search structure behind :meth:`RuntimeManager.select`.
 
     ``select`` runs every decision tick of every simulated run, and a
-    linear rescan of ``Library.feasible`` per tick dominated selection
-    cost. This index makes a query a ``searchsorted`` plus a scan of
-    one accuracy-tie group:
+    linear rescan of the library per tick dominated selection cost.
+    This index makes a query a ``searchsorted`` plus a scan of one
+    accuracy-tie group:
 
     * accuracy-qualified entries sorted by ``serving_ips`` (stable, so
       library order is preserved within equal throughput) — feasibility
@@ -252,8 +252,9 @@ class RuntimeManager:
         ``current`` is the currently deployed entry (used to break ties in
         favour of avoiding a reconfiguration).
 
-        Equivalent to filtering ``Library.feasible(min_accuracy,
-        required)`` and taking ``max`` by ``(rounded accuracy, stability,
+        Equivalent to filtering ``library.entries`` for accuracy at
+        least ``min_accuracy`` and throughput at least ``required``,
+        then taking ``max`` by ``(rounded accuracy, stability,
         -energy)`` — with degraded-mode fallback to the fastest
         accuracy-honouring entry when nothing covers the workload — but
         answered from the precomputed throughput-sorted index in

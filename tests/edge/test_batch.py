@@ -50,29 +50,28 @@ class TestEnginesBitIdentical:
         knobs = dict(batch_window_s=window_ms / 1e3,
                      dispatch_overhead_s=overhead_ms / 1e3)
         event = run_once("event", seed=seed, workload=workload, **knobs)
-        vector = run_once("vector", seed=seed, workload=workload,
-                          **knobs)
-        assert_identical(event, vector)
+        fast = run_once("auto", seed=seed, workload=workload, **knobs)
+        assert_identical(event, fast)
 
     def test_overhead_only_batches(self):
         """dispatch_overhead alone (window 0) batches one frame at a
         time but still goes through the batched path in both engines."""
         event = run_once("event", dispatch_overhead_s=0.002)
-        vector = run_once("vector", dispatch_overhead_s=0.002)
-        assert_identical(event, vector)
+        fast = run_once("auto", dispatch_overhead_s=0.002)
+        assert_identical(event, fast)
         assert event.batches == event.processed  # k=1 per dispatch
 
     def test_partial_reconfig_event_vs_vector(self):
         pr = PartialReconfigModel()
         event = run_once("event", partial_reconfig=pr)
-        vector = run_once("vector", partial_reconfig=pr)
-        assert_identical(event, vector)
+        fast = run_once("auto", partial_reconfig=pr)
+        assert_identical(event, fast)
 
     def test_batching_plus_partial_reconfig(self):
         knobs = dict(batch_window_s=0.03, dispatch_overhead_s=0.001,
                      partial_reconfig=PartialReconfigModel())
         assert_identical(run_once("event", **knobs),
-                         run_once("vector", **knobs))
+                         run_once("auto", **knobs))
 
 
 class TestLegacyPathUntouched:
@@ -120,8 +119,8 @@ class TestAccounting:
     def test_batches_counter_consistent_across_engines(self):
         knobs = dict(batch_window_s=0.04, dispatch_overhead_s=0.001)
         event = run_once("event", **knobs)
-        vector = run_once("vector", **knobs)
-        assert event.batches == vector.batches > 0
+        fast = run_once("auto", **knobs)
+        assert event.batches == fast.batches > 0
 
 
 class TestFaultsRouteToEventLoop:

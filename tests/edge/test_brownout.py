@@ -126,7 +126,7 @@ class TestEngineBitIdentity:
         wl = WorkloadSpec(num_cameras=4, ips_per_camera=ips / 4,
                           duration_s=5.0)
         results = []
-        for mode in ("event", "vector"):
+        for mode in ("event", "auto"):
             cfg = brownout_config(queue_capacity=capacity,
                                   brownout_shed_occupancy=shed_occ,
                                   sim_mode=mode, record_trace=True)
@@ -137,7 +137,7 @@ class TestEngineBitIdentity:
         lib = build_library()
         wl = overload_workload()
         results = []
-        for mode in ("event", "vector"):
+        for mode in ("event", "auto"):
             cfg = brownout_config(sim_mode=mode, record_trace=True,
                                   batch_window_s=0.01,
                                   dispatch_overhead_s=0.002)

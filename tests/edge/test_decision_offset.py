@@ -35,8 +35,8 @@ class TestDecisionOffset:
         policy = make_policy("adapex", toy_library)
         for seed in (0, 1, 2):
             event = run_with(policy, offset, "event", seed=seed)
-            vector = run_with(policy, offset, "vector", seed=seed)
-            assert vector == event  # dataclass eq: exact float equality
+            fast = run_with(policy, offset, "auto", seed=seed)
+            assert fast == event  # dataclass eq: exact float equality
 
     def test_default_offset_is_the_historical_schedule(self, toy_library):
         policy = make_policy("adapex", toy_library)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edge import (
     SIM_MODES,
+    CameraFleet,
     ServerConfig,
     WorkloadSpec,
     simulate_policy,
@@ -91,16 +93,15 @@ class TestBitIdentity:
                    record_trace=True)
         event = run_metrics(lib, workload,
                             ServerConfig(sim_mode="event", **cfg), seed)
-        vector = run_metrics(lib, workload,
-                             ServerConfig(sim_mode="vector", **cfg), seed)
-        assert_identical(event, vector)
+        fast = run_metrics(lib, workload,
+                           ServerConfig(sim_mode="auto", **cfg), seed)
+        assert_identical(event, fast)
 
     def test_fast_path_actually_engages(self):
-        """The eligibility predicate accepts the default fault-free
-        setup — guards against the fast path silently never running."""
+        """The fast path accepts the default fault-free setup — guards
+        against it silently never running."""
         sim = EdgeServerSimulator(
             make_policy("adapex", build_library()), WorkloadSpec())
-        assert fastsim.vectorizable(sim)
         assert fastsim.run_fast(sim) is not None
 
     def test_golden_conditions(self):
@@ -120,7 +121,7 @@ class TestBitIdentity:
     def test_campaign_aggregates_identical(self):
         lib = build_library()
         out = {}
-        for mode in ("event", "vector"):
+        for mode in ("event", "auto"):
             agg, runs = simulate_policy(
                 make_policy("adapex", lib), runs=4,
                 workload=WorkloadSpec(num_cameras=4, ips_per_camera=50.0,
@@ -128,7 +129,59 @@ class TestBitIdentity:
                 config=ServerConfig(sim_mode=mode), base_seed=3)
             out[mode] = (dataclasses.asdict(agg),
                          [dataclasses.asdict(r) for r in runs])
-        assert out["event"] == out["vector"]
+        assert out["event"] == out["auto"]
+
+
+class TiedTrace:
+    """Camera traffic with arrivals rounded to the millisecond, so frames
+    from different cameras share timestamps."""
+
+    def __init__(self, spec: WorkloadSpec):
+        self.spec = spec
+        self.duration_s = spec.duration_s
+        self.nominal_ips = spec.nominal_ips
+
+    def arrival_times(self, seed):
+        return np.round(CameraFleet(self.spec, seed=seed).arrival_times(), 3)
+
+
+class TestTiedArrivals:
+    """Tied arrival times through both engines: without batching they
+    stay separate services; with it they may share one."""
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        dict(dispatch_overhead_s=0.002),
+        dict(batch_window_s=0.02, dispatch_overhead_s=0.0005),
+    ], ids=["unbatched", "overhead-only", "window"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cameras=st.integers(6, 12),
+        ips=st.floats(60.0, 120.0, allow_nan=False),
+        duration=st.floats(2.0, 8.0, allow_nan=False),
+        seed=st.integers(0, 2**20),
+        capacity=st.sampled_from([2, 8, 32]),
+    )
+    def test_event_vs_fast(self, knobs, cameras, ips, duration, seed,
+                           capacity):
+        trace = TiedTrace(WorkloadSpec(
+            num_cameras=cameras, ips_per_camera=ips, duration_s=duration,
+            deviation=0.3, deviation_interval_s=1.0))
+        arrivals = trace.arrival_times(seed)
+        assert len(np.unique(arrivals)) < len(arrivals)
+        # Arrivals sit on a 1 ms grid and exit latencies on a 0.5 ms
+        # one; an interval off that grid keeps completions off the
+        # ticks, so the fast path never has to decline the run.
+        cfg = ServerConfig(queue_capacity=capacity,
+                           decision_interval_s=0.7071067811865476,
+                           record_trace=True, **knobs)
+        sim = EdgeServerSimulator(make_policy("adapex", build_library()),
+                                  trace, config=cfg, seed=seed)
+        fast = fastsim.run_fast(sim)
+        assert fast is not None
+        assert_identical(sim._run_event(), fast)
+        if not cfg.batching:
+            assert fast.batches == 0
 
 
 class TestFallback:
@@ -144,9 +197,8 @@ class TestFallback:
         faults = FaultSpec.parse(preset)
         sim = EdgeServerSimulator(
             make_policy("adapex", lib), workload,
-            config=ServerConfig(sim_mode="vector"), seed=seed,
+            config=ServerConfig(sim_mode="auto"), seed=seed,
             faults=faults)
-        assert not fastsim.vectorizable(sim)
         assert fastsim.run_fast(sim) is None
         auto = run_metrics(lib, workload, ServerConfig(sim_mode="auto"),
                            seed, faults=faults)
@@ -181,7 +233,7 @@ class TestFallback:
                 import numpy as np
                 return np.array([0.0, 0.1])
 
-        cfg_v = ServerConfig(sim_mode="vector", decision_interval_s=0.25)
+        cfg_v = ServerConfig(sim_mode="auto", decision_interval_s=0.25)
         sim = EdgeServerSimulator(make_policy("adapex", lib), TieTrace(),
                                   config=cfg_v, seed=0)
         assert fastsim.run_fast(sim) is None
@@ -213,7 +265,7 @@ class TestChaos:
                 faults=faults, fault_seed=7)
             results[mode] = (dataclasses.asdict(agg),
                              [dataclasses.asdict(r) for r in runs])
-        assert results["auto"] == results["event"] == results["vector"]
+        assert results["auto"] == results["event"]
 
 
 class TestConfig:
@@ -222,4 +274,4 @@ class TestConfig:
             ServerConfig(sim_mode="warp")
 
     def test_sim_modes_exported(self):
-        assert SIM_MODES == ("auto", "event", "vector")
+        assert SIM_MODES == ("auto", "event")

@@ -72,8 +72,8 @@ class TestLibrary:
             Library().best_accuracy()
 
     def test_feasibility_through_the_indexed_path(self, toy_library):
-        """The semantics the deprecated ``Library.feasible`` used to
-        pin, expressed through the manager's indexed selection."""
+        """Every pick meets both the accuracy floor and the workload
+        when some entry can."""
         mgr = RuntimeManager(
             toy_library,
             SelectionPolicy(accuracy_loss_threshold=0.10))
@@ -90,16 +90,6 @@ class TestLibrary:
         assert chosen.serving_ips == max(
             e.serving_ips for e in toy_library
             if e.accuracy >= mgr.min_accuracy)
-
-    def test_feasible_is_deprecated_but_correct(self, toy_library):
-        """The one sanctioned caller of the deprecated scan: pins both
-        the DeprecationWarning contract and the legacy semantics."""
-        with pytest.warns(DeprecationWarning, match="feasible"):
-            feasible = toy_library.feasible(min_accuracy=0.80,
-                                            required_ips=700.0)
-        assert feasible
-        assert all(e.accuracy >= 0.80 and e.serving_ips >= 700.0
-                   for e in feasible)
 
     def test_quarantine_removes_and_records(self, toy_library):
         n = len(toy_library)
