@@ -9,7 +9,11 @@ Measures, on a hand-built library shaped like the quick-profile sweep
    **bit-identical** ``RunMetrics`` (every field, every trace array) and
    the fast path must be at least ``REPRO_BENCH_MIN_SERVING_SPEEDUP``
    (default 10) times faster.
-2. **Selection speedup** — ``RuntimeManager.select`` through the
+2. **Fault-campaign speedup** — the same campaign under the ``heavy``
+   fault preset (failed and jittered reconfigurations, inference
+   retries, ingress drops, spikes). ``auto`` must be bit-identical to
+   ``event`` and at least ``MIN_FAULT_SPEEDUP`` (5) times faster.
+3. **Selection speedup** — ``RuntimeManager.select`` through the
    throughput-sorted index vs a linear rescan of the library
    (``linear_select``), on a 200-entry library. Same winners on
    every query, at least ``REPRO_BENCH_MIN_SELECT_SPEEDUP`` (default 3)
@@ -37,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.edge import ServerConfig, WorkloadSpec, simulate_policy  # noqa: E402
 from repro.runtime import (                                  # noqa: E402
     AcceleratorId,
+    FaultSpec,
     Library,
     LibraryEntry,
     make_policy,
@@ -45,6 +50,7 @@ from repro.runtime.manager import RuntimeManager             # noqa: E402
 
 MIN_SERVING_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SERVING_SPEEDUP", "10"))
+MIN_FAULT_SPEEDUP = 5.0
 MIN_SELECT_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SELECT_SPEEDUP", "3"))
 
@@ -147,6 +153,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "queries": args.queries,
         "min_serving_speedup": MIN_SERVING_SPEEDUP,
+        "min_fault_speedup": MIN_FAULT_SPEEDUP,
         "min_select_speedup": MIN_SELECT_SPEEDUP,
         "checks": {},
     }
@@ -169,11 +176,12 @@ def main(argv=None) -> int:
     print(f"serving campaign ({args.runs} runs x {args.duration:g}s, "
           f"adapex policy)...")
 
-    def campaign(mode):
+    def campaign(mode, faults=None):
         cfg = ServerConfig(sim_mode=mode, record_trace=True)
         return simulate_policy(make_policy("adapex", lib),
                                runs=args.runs, workload=workload,
-                               config=cfg, base_seed=0)
+                               config=cfg, base_seed=0, faults=faults,
+                               fault_seed=1)
 
     event_s, (event_agg, event_runs) = best_of(
         lambda: campaign("event"), args.repeats)
@@ -193,7 +201,27 @@ def main(argv=None) -> int:
           f"{speedup:.1f}x (need >= {MIN_SERVING_SPEEDUP:g}x)")
 
     # ------------------------------------------------------------------
-    # 2. selection micro-benchmark: sorted index vs linear rescan
+    # 2. heavy fault campaign: event loop vs fast path
+    # ------------------------------------------------------------------
+    heavy = FaultSpec.parse("heavy")
+    print("heavy fault campaign...")
+    fevent_s, (_, fevent_runs) = best_of(
+        lambda: campaign("event", heavy), args.repeats)
+    ffast_s, (_, ffast_runs) = best_of(
+        lambda: campaign("auto", heavy), args.repeats)
+    check("fault_campaign_bit_identical",
+          fevent_runs == ffast_runs,
+          f"{len(fevent_runs)} runs compared field-by-field incl. traces")
+    fspeedup = fevent_s / ffast_s if ffast_s > 0 else float("inf")
+    report["fault_campaign_event_s"] = fevent_s
+    report["fault_campaign_fast_s"] = ffast_s
+    report["fault_campaign_speedup"] = fspeedup
+    print(f"  event {fevent_s * 1e3:.0f} ms, fast {ffast_s * 1e3:.0f} ms")
+    check("fault_campaign_speedup", fspeedup >= MIN_FAULT_SPEEDUP,
+          f"{fspeedup:.1f}x (need >= {MIN_FAULT_SPEEDUP:g}x)")
+
+    # ------------------------------------------------------------------
+    # 3. selection micro-benchmark: sorted index vs linear rescan
     # ------------------------------------------------------------------
     sel_lib = selection_library()
     mgr = RuntimeManager(sel_lib)

@@ -46,16 +46,49 @@ kernel's time in it. Serving that traffic through ``start_batch``
 instead roughly doubled the kernel's CPU time (CPython 3.11 on one
 core of a 2-vCPU Xeon VM).
 
+Unbatched fault campaigns (``sim.faults`` set) get a third start
+function, also picked once per run, so fault-free runs do no fault work
+per served frame; the shared admission loop reads the pending retry
+only for an arrival that meets the queue or shedding limit. The kernel
+builds the run's :class:`~repro.runtime.faults.FaultPlan` exactly as
+the event loop does; each fault category has a private stream, so
+drawing one ahead of time in the event loop's order gives the same
+decisions:
+
+* spike arrivals are merged into the workload up front, and ingress
+  drops are decided for every arrival up to the horizon with one
+  vectorized draw (``FaultPlan.drop_mask``); dropped frames never reach
+  the monitor or the queue;
+* inference errors are decided when a service starts, against its
+  completion time and in completion order (one decision per completion
+  inside the active window, ``FaultPlan.inference_failures``). A failed
+  service burns its time and takes no correctness draw, so the stream
+  position advances by 1, not 2. Its frame goes back to the queue head
+  through a single pending-retry state: the next start serves it, and
+  it counts toward the queue length only from its failed completion on
+  (arrivals at that instant fire first; the requeue checks no
+  capacity). Out of retries, the frame is ``failed``;
+* reconfiguration attempts go through ``FaultPlan.reconfig_outcome``
+  and ``ReconfigurationController.attempt_switch`` with the event
+  loop's ``reconfig_until = max(...)``. A failed attempt with budget
+  left schedules its backoff retry as an extra segment boundary, in
+  time order with the ticks; ticks attempt no swap while a retry is
+  pending, and an exhausted budget degrades through
+  ``select_without_reconfig``.
+
 The event loop remains the semantics oracle (the same relationship as
 :mod:`repro.ir.executors` vs :mod:`repro.ir.engine`): ``run_fast``
 returns ``None`` whenever it cannot *prove* equivalence and the caller
 falls back to event mode. That covers
 
-* fault injection (retry loops and fault RNG interleave with the
-  service stream in ways segments cannot batch), and
-* exact event-time ties on a decision tick (a completion, service
-  start, or reconfiguration-resume landing on the tick's timestamp,
-  where the outcome depends on event-loop scheduling order).
+* exact event-time ties on a segment boundary: a completion, service
+  start, or reconfiguration resume landing on a decision tick or a
+  reconfiguration retry, or a retry landing on a tick or the horizon,
+  where the outcome depends on event-loop scheduling order (a zero
+  ``retry_backoff_s`` makes every retry tie with its resume), and
+* micro-batched fault campaigns. A failed batch puts several frames
+  back at the queue head at once, which the single pending-retry state
+  does not model, so those runs stay on the oracle.
 
 ``SIM_MODES`` enumerates the ``ServerConfig.sim_mode`` values:
 ``"auto"`` uses this fast path when sound, ``"event"`` forces the
@@ -107,19 +140,38 @@ def run_fast(sim):
     clock update, same trace values. See the module docstring for the
     fallback conditions.
     """
-    if sim.faults is not None:
-        # Retries and per-event fault decisions interleave with the
-        # service RNG stream, which the segment replay cannot reproduce.
-        return None
     cfg = sim.config
+    batching = cfg.batching
+    if sim.faults is not None and batching:
+        # A failed batch requeues several frames at once; see the
+        # module docstring.
+        return None
     workload = sim.workload
     duration = workload.duration_s
     policy = sim.policy
 
     rng = np.random.default_rng(sim.seed + 777)
     arrivals = sim._arrival_times()
+    plan = sim._fault_plan()
+    spec = sim.faults
+    dropped = 0
+    if plan is not None:
+        extra = plan.spike_arrivals(duration, workload.nominal_ips)
+        if len(extra):
+            arrivals = np.sort(np.concatenate([arrivals, extra]))
     n = len(arrivals)
-    # At most ``n`` frames are ever served, two uniforms each.
+    if plan is not None:
+        # Only arrival events at or before the horizon fire, and each
+        # asks for a drop decision in time order; a dropped frame never
+        # reaches the monitor or the queue.
+        arrivals = arrivals[:int(np.searchsorted(arrivals, duration,
+                                                 side="right"))]
+        drop = plan.drop_mask(arrivals)
+        dropped = int(drop.sum())
+        if dropped:
+            arrivals = arrivals[~drop]
+    # A fault-free run serves at most ``n`` frames, two uniforms each;
+    # failed services can outrun that, and ``build_tables`` draws more.
     draws = rng.random(2 * n + 2)
     arr_list = arrivals.tolist()
 
@@ -166,7 +218,7 @@ def run_fast(sim):
 
     # --- run state (plain Python floats/ints: the scalar loop below
     # must use the exact float ops of the event loop) -----------------
-    qlen = 0              # admitted frames waiting (excludes in-service)
+    qlen = 0              # frames waiting (excludes in-service)
     pend: deque = deque()  # their arrival times, kept only for batching
     c_last = _NEG_INF     # completion time of the last *started* service
     reconfig_until = 0.0
@@ -185,26 +237,48 @@ def run_fast(sim):
     last_power_t = 0.0
     ai = 0                # next arrival index to admit
     fed = 0               # arrivals already fed to the monitor
+    # Fault state. ``retry`` is the attempt count of the frame a failed
+    # inference puts back at the queue head (0 = none): the next start
+    # serves it, so at most one exists. ``qlen`` counts it from the
+    # failing start on, but the event loop's queue holds it only from
+    # the failed completion ``c_last`` on (see ``admit_frames``).
+    # ``next_retry`` is the scheduled reconfiguration retry ``(time,
+    # target entry, attempt)``; while it is pending the event loop's
+    # ``reconfig_inflight`` is set.
+    retry = 0
+    retries = 0
+    failed = 0
+    next_retry = None
+    reconfig_failures = 0
+    reconfig_retries = 0
+    fault_dead_time_s = 0.0
 
     # Per-segment draw tables for the deployed entry, indexed by stream
     # position minus ``seg_base``: the service latency an exit draw at
     # that position gives, and whether a correctness draw there hits.
     seg_base = 0
+    seg_last = 0          # seg_base + len(seg_services) - 1
     seg_services: list[float] = []
     seg_correct: list[bool] = []
 
-    def build_tables(hi: int) -> None:
-        """Tables over every draw this segment can consume: two per
-        frame that could start in it (current queue + new arrivals).
-        The next segment rebuilds from the first unconsumed position
-        with its own entry, so over-computing has no RNG side effects."""
-        nonlocal seg_base, seg_services, seg_correct
+    def build_tables(m: int) -> None:
+        """Tables over the next ``m`` draws of the stream. A segment
+        passes two per frame that could start in it (current queue + new
+        arrivals); ``start_faulted`` regrows them when inference retries
+        outrun that. The next segment rebuilds
+        from the first unconsumed position with its own entry, so
+        over-computing has no RNG side effects."""
+        nonlocal seg_base, seg_last, seg_services, seg_correct, draws
         seg_base = p
-        m = 2 * (qlen + (hi - ai))
+        seg_last = p + m - 1
         if m <= 0:
             seg_services = []
             seg_correct = []
             return
+        if p + m > len(draws):
+            # Faulted runs only: extending the private stream gives the
+            # draws one longer ``rng.random`` call would have given.
+            draws = np.concatenate([draws, rng.random(p + m - len(draws))])
         u = draws[p:p + m]
         cdf = _exit_cdf(entry.exit_rates)  # same validation as choice
         if entry.exit_latencies_s:
@@ -259,21 +333,55 @@ def run_fast(sim):
             served_latencies.extend([s + share for s in services])
             correct += seg_correct[i + k:i + 2 * k].count(True)
 
-    # The only batching-specific pieces: the start function and the
-    # arrival-time deque it reads.
-    batching = cfg.batching
-    start = start_batch if batching else start_frame
+    # Inference errors. Each failed service with budget left serves its
+    # frame once more, one draw beyond the segment's two-per-frame
+    # bound, so ``start_faulted`` regrows the tables when it runs out.
+    if plan is not None and spec.inference_error_prob > 0.0:
+        inference_fails = plan.inference_failures()
+        infer_from = spec.active_from_s
+        infer_until = spec.active_until_s
+        if infer_until is None:
+            infer_until = float("inf")
+    else:
+        inference_fails = None
+        infer_from = infer_until = float("inf")  # never active
 
-    def serve_segment(t_end: float, is_tick: bool) -> bool:
-        """Admit arrivals and run services with start times <= t_end.
+    def start_faulted(sigma: float) -> None:
+        """``start_frame`` with transient inference errors: the requeued
+        frame goes first, and a service whose completion fails burns its
+        time without a correctness draw, then requeues its frame or,
+        out of budget, counts it as failed."""
+        nonlocal qlen, retry, c_last, p, processed, correct, retries, \
+            failed
+        qlen -= 1
+        attempts = retry
+        retry = 0
+        if p >= seg_last:
+            build_tables(64)  # retries outran the segment's tables
+        i = p - seg_base
+        service = seg_services[i]
+        c_last = sigma + service
+        if c_last <= duration:
+            if infer_from <= c_last < infer_until \
+                    and next(inference_fails):
+                p += 1
+                if attempts < spec.inference_retries:
+                    retries += 1
+                    retry = attempts + 1
+                    qlen += 1
+                else:
+                    failed += 1
+                return
+            processed += 1
+            served_latencies.append(service)
+            if seg_correct[i + 1]:
+                correct += 1
+        p += 2
 
-        Returns False when an exact event-time tie on a decision tick
-        makes the event ordering scheduling-dependent (caller falls
-        back to the event loop).
-        """
-        nonlocal qlen, lost, shed, ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
-        build_tables(hi)
+    def admit_frames(hi: int) -> None:
+        """Admit arrivals ``ai .. hi-1``, starting every service that
+        begins before each one."""
+        nonlocal qlen, lost, shed
         for t_arr in arr_list[ai:hi]:
             # Queued frames whose service begins strictly before this
             # arrival have left the queue by the time it is admitted
@@ -285,17 +393,44 @@ def run_fast(sim):
                 if sigma >= t_arr:
                     break
                 start(sigma)
-            if brownout and rung == bottom_rung and qlen >= shed_len:
+            # A requeued frame whose failed completion has not fired yet
+            # (arrival events go first) is not in the event loop's queue:
+            # at a limit of exactly ``qlen`` the arrival still fits. The
+            # ``retry`` test runs only at a limit (0 on fault-free runs).
+            if brownout and rung == bottom_rung and qlen >= shed_len \
+                    and not (retry and c_last >= t_arr and qlen == shed_len):
                 shed += 1  # bottom-rung admission control
-            elif qlen >= capacity:
+            elif qlen >= capacity \
+                    and not (retry and c_last >= t_arr and qlen == capacity):
                 lost += 1
             else:
                 qlen += 1
                 if batching:
                     pend.append(t_arr)
-                if qlen == 1 and c_last < t_arr \
-                        and reconfig_until <= t_arr:
-                    start(t_arr)  # idle, unblocked: serve immediately
+                if c_last < t_arr and reconfig_until <= t_arr:
+                    # Idle and unblocked: serve the head at once. The
+                    # head is an older frame only when a resume at this
+                    # very time has not fired yet (arrivals go first).
+                    start(t_arr)
+
+    # Picked once per run: only the start function and the batching
+    # deque differ between the three kinds of run.
+    if plan is not None:
+        start = start_faulted
+    else:
+        start = start_batch if batching else start_frame
+
+    def serve_segment(t_end: float, is_tick: bool) -> bool:
+        """Admit arrivals and run services with start times <= t_end.
+
+        Returns False when an exact event-time tie on a decision tick
+        (or a reconfiguration retry) makes the event ordering
+        scheduling-dependent (caller falls back to the event loop).
+        """
+        nonlocal ai
+        hi = int(np.searchsorted(arrivals, t_end, side="right"))
+        build_tables(2 * (qlen + (hi - ai)))
+        admit_frames(hi)
         ai = hi
         # Services starting up to the segment boundary. At a decision
         # tick, a start exactly *on* the boundary comes from a
@@ -311,7 +446,49 @@ def run_fast(sim):
             return False  # tie: start ordering depends on event seqs
         return True
 
+    degrade = getattr(policy, "select_without_reconfig", None)
+
+    def reconfigure(selected, attempt: int, now: float) -> None:
+        """One reconfiguration attempt under faults, as the event loop's
+        ``attempt_reconfig``: a failure with budget left schedules the
+        next attempt as an extra segment boundary."""
+        nonlocal reconfig_until, entry, next_retry, reconfig_failures, \
+            reconfig_retries, fault_dead_time_s
+        nominal = controller.planned_duration_s(selected.accelerator)
+        fails, swap_s = plan.reconfig_outcome(now, nominal)
+        success, dead = controller.attempt_switch(
+            selected.accelerator, now_s=now, duration_s=swap_s,
+            fails=fails)
+        reconfig_until = max(reconfig_until, now + dead)
+        if success:
+            entry = selected
+            return
+        reconfig_failures += 1
+        fault_dead_time_s += dead
+        if attempt < spec.reconfig_retries:
+            reconfig_retries += 1
+            backoff = spec.retry_backoff_s * (2 ** attempt)
+            next_retry = (now + (dead + backoff), selected, attempt + 1)
+        elif degrade is not None:
+            # Out of retries: the best entry on the loaded accelerator.
+            entry = degrade(entry) or entry
+
+    def retry_reconfig(limit: float) -> bool:
+        """Run the scheduled reconfiguration retries due by ``limit``
+        (a tick or the horizon); False on an exact-time tie."""
+        nonlocal next_retry
+        while next_retry is not None and next_retry[0] <= limit:
+            r, selected, attempt = next_retry
+            if r == limit or not serve_segment(r, is_tick=True) \
+                    or c_last == r or reconfig_until == r:
+                return False
+            next_retry = None
+            reconfigure(selected, attempt, r)
+        return True
+
     for tick in ticks:
+        if not retry_reconfig(tick):
+            return None
         if not serve_segment(tick, is_tick=True):
             return None
         if c_last == tick or reconfig_until == tick:
@@ -329,7 +506,10 @@ def run_fast(sim):
             energy_j += entry.power_at(ips) * dt
             last_power_t = tick
         if brownout:
-            occ = qlen / capacity
+            # A requeued frame whose failing service is still running
+            # is not in the queue yet (c_last == tick was declined).
+            queued = qlen - 1 if retry and c_last > tick else qlen
+            occ = queued / capacity
             new_rung = rung
             if occ >= cfg.brownout_high and new_rung < bottom_rung:
                 new_rung += 1
@@ -347,10 +527,15 @@ def run_fast(sim):
                 base_floor - brown_levels[rung - 1], ips, current=entry)
         else:
             selected = policy.select(ips, current=entry)
-        if controller.needs_switch(selected.accelerator):
+        if not controller.needs_switch(selected.accelerator):
+            entry = selected
+        elif plan is None:
             dead = controller.switch(selected.accelerator, now_s=tick)
             reconfig_until = tick + dead
-        entry = selected
+            entry = selected
+        elif next_retry is None:
+            reconfigure(selected, 0, tick)
+        # else: a retry is in flight; the deployed entry stays.
         monitor.acknowledge(tick)
         if record_trace:
             trace["t"].append(tick)
@@ -361,6 +546,8 @@ def run_fast(sim):
             trace["accuracy"].append(entry.accuracy)
             trace["serving_ips"].append(entry.serving_ips)
 
+    if not retry_reconfig(duration):
+        return None
     if not serve_segment(duration, is_tick=False):  # pragma: no cover
         return None
     lost += qlen  # still queued at the horizon: never served
@@ -396,6 +583,12 @@ def run_fast(sim):
         energy_j=energy_j,
         reconfigurations=sum(1 for e in post if e.success),
         reconfig_dead_time_s=sum(e.duration_s for e in post if e.success),
+        dropped=dropped,
+        failed=failed,
+        retries=retries,
+        reconfig_failures=reconfig_failures,
+        reconfig_retries=reconfig_retries,
+        fault_dead_time_s=fault_dead_time_s,
         batches=batches,
         shed=shed,
         brownout_steps=brownout_steps,

@@ -53,9 +53,11 @@ class ServerConfig:
 
     ``sim_mode`` picks the simulation engine: ``"auto"`` (default) runs
     the segment-batched fast path (:func:`repro.edge.fastsim.run_fast`,
-    bit-identical, ~10-50x faster) and falls back to the discrete-event
-    oracle whenever the fast path cannot prove equivalence; ``"event"``
-    always runs the oracle.
+    bit-identical, ~10-50x faster), unbatched fault campaigns included,
+    and falls back to the discrete-event oracle whenever the fast path
+    cannot prove equivalence (an exact event-time tie on a segment
+    boundary, or faults with micro-batching); ``"event"`` always runs
+    the oracle.
 
     ``batch_window_s``/``dispatch_overhead_s`` enable micro-batched
     admission: when the server picks up the head of the queue, every
@@ -193,10 +195,10 @@ class EdgeServerSimulator:
         """Simulate one run, dispatching on ``config.sim_mode``.
 
         ``auto`` uses the segment-batched fast path
-        (:mod:`repro.edge.fastsim`) when the run is eligible; fault
-        campaigns and exact event-time ties fall back to the event
-        loop, which remains the semantics oracle. Results are
-        bit-identical either way.
+        (:mod:`repro.edge.fastsim`) when the run is eligible; exact
+        event-time ties on a segment boundary and micro-batched fault
+        campaigns fall back to the event loop, which remains the
+        semantics oracle. Results are bit-identical either way.
         """
         if self.config.sim_mode == "auto":
             metrics = fastsim.run_fast(self)

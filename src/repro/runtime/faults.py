@@ -17,11 +17,16 @@ campaigns are byte-reproducible and double as regression tests:
   were sampled before it. Two plans built from the same ``(spec, seed)``
   make identical decisions forever.
 
-The simulator asks the plan one question per event (``drop_request``,
-``inference_fails``, ``reconfig_outcome``) and merges ``spike_arrivals``
-into the workload before the run starts. When no spec is given the
-simulator never touches a plan, keeping fault-free runs bit-identical to
-the pre-fault code path.
+The event-loop simulator asks the plan one question per event
+(``drop_request``, ``inference_fails``, ``reconfig_outcome``) and merges
+``spike_arrivals`` into the workload before the run starts. The serving
+fast path (:mod:`repro.edge.fastsim`) asks the same questions in bulk:
+``drop_mask`` decides every arrival's drop with one draw, and
+``inference_failures`` pre-draws the inference stream, one decision per
+completion inside the active window. Because each category's stream is
+private to the plan, both give exactly the scalar calls' decisions.
+When no spec is given the simulator never touches a plan, keeping
+fault-free runs bit-identical to the pre-fault code path.
 """
 
 from __future__ import annotations
@@ -217,6 +222,43 @@ class FaultPlan:
             duration = nominal_s * float(self._reconfig_rng.uniform(
                 1.0 - s.reconfig_jitter, 1.0 + s.reconfig_jitter))
         return fails, duration
+
+    # ------------------------------------------------------------------
+    # vectorized decisions (the serving fast path)
+    # ------------------------------------------------------------------
+    def drop_mask(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`drop_request` for every time of a sorted array at once.
+
+        Draws one uniform per time inside the active window, in order,
+        so the mask equals successive scalar ``drop_request`` calls on
+        the same plan (``injected["drops"]`` included).
+        """
+        times = np.asarray(times, dtype=np.float64)
+        mask = np.zeros(times.shape, dtype=bool)
+        s = self.spec
+        if s.drop_prob == 0.0 or times.size == 0:
+            return mask
+        active = times >= s.active_from_s
+        if s.active_until_s is not None:
+            active &= times < s.active_until_s
+        hits = self._drop_rng.random(int(active.sum())) < s.drop_prob
+        mask[active] = hits
+        self.injected["drops"] += int(hits.sum())
+        return mask
+
+    def inference_failures(self):
+        """Iterator over successive :meth:`inference_fails` outcomes.
+
+        Each ``next()`` is the decision the next *active* completion
+        gets (the caller checks :meth:`active` first, as
+        ``inference_fails`` does). Uniforms are drawn 1024 at a time,
+        so the iterator owns the inference stream from then on, and
+        ``injected["inference_errors"]`` is not updated: the caller
+        knows how many decisions it consumed.
+        """
+        prob = self.spec.inference_error_prob
+        while True:
+            yield from (self._inference_rng.random(1024) < prob).tolist()
 
     # ------------------------------------------------------------------
     # workload spikes

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edge import ServerConfig, WorkloadSpec, simulate_policy
+from repro.edge import ServerConfig, WorkloadSpec, fastsim, simulate_policy
 from repro.edge.server import EdgeServerSimulator
 from repro.runtime import PartialReconfigModel, make_policy
 from repro.runtime.faults import FaultSpec
@@ -125,11 +125,19 @@ class TestAccounting:
 
 class TestFaultsRouteToEventLoop:
     def test_batched_fault_campaign_runs(self):
-        """Fault campaigns force the event engine; the batched event
-        path must handle retries (failed frames requeue in order)."""
+        """Batched fault campaigns stay on the event engine (run_fast
+        declines them); the batched event path must handle retries
+        (failed frames requeue in order)."""
         faults = FaultSpec(inference_error_prob=0.05,
                            inference_retries=2)
         for seed in range(3):
+            sim = EdgeServerSimulator(
+                make_policy("adapex", build_library()), WorkloadSpec(
+                    num_cameras=5, ips_per_camera=50.0, duration_s=6.0),
+                config=ServerConfig(batch_window_s=0.03,
+                                    dispatch_overhead_s=0.001),
+                seed=seed, faults=faults)
+            assert fastsim.run_fast(sim) is None
             m = run_once("auto", seed=seed, faults=faults,
                          batch_window_s=0.03,
                          dispatch_overhead_s=0.001)

@@ -5,9 +5,9 @@
 whole-run fallback whenever it cannot prove equivalence. These tests
 pin that contract: hypothesis drives random workloads, queue
 capacities, decision intervals and policies through both engines and
-compares every field exactly; fault campaigns must route to the
-event-loop fallback; and a chaos case checks the dispatcher end-to-end
-under the heavy fault preset.
+compares every field exactly; generated fault campaigns must either be
+declined or match the oracle too; and a chaos case checks the
+dispatcher end-to-end under the heavy fault preset.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.edge import (
 )
 from repro.edge import fastsim
 from repro.edge.server import EdgeServerSimulator
-from repro.runtime import make_policy
+from repro.runtime import PartialReconfigModel, make_policy
 from repro.runtime.faults import FaultSpec
 
 from repro.runtime import Library
@@ -184,13 +184,113 @@ class TestTiedArrivals:
             assert fast.batches == 0
 
 
-class TestFallback:
+probs = st.sampled_from([0.0, 0.1, 1.0])
+
+
+@st.composite
+def fault_specs(draw):
+    """Fault campaigns: every probability at 0, small or 1, with jitter,
+    retry budgets, backoff, spikes and active windows."""
+    window = draw(st.sampled_from([(0.0, None), (1.0, None), (0.0, 2.5),
+                                   (1.0, 2.5)]))
+    return FaultSpec(
+        reconfig_failure_prob=draw(probs),
+        reconfig_jitter=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        inference_error_prob=draw(probs),
+        drop_prob=draw(probs),
+        spike_prob=draw(probs),
+        spike_factor=draw(st.sampled_from([2.0, 4.0])),
+        spike_duration_s=draw(st.sampled_from([0.5, 2.0])),
+        reconfig_retries=draw(st.integers(0, 3)),
+        inference_retries=draw(st.integers(0, 3)),
+        retry_backoff_s=draw(st.sampled_from([0.0, 0.01, 0.05])),
+        active_from_s=window[0],
+        active_until_s=window[1],
+    )
+
+
+class SwitchingTrace:
+    """Poisson traffic alternating between a low and a high rate every
+    ``period`` seconds, so reconfiguring policies swap at most ticks and
+    the queue fills and drains."""
+
+    def __init__(self, low, high, period, duration_s):
+        self.low, self.high, self.period = low, high, period
+        self.duration_s = duration_s
+        self.nominal_ips = (low + high) / 2
+
+    def arrival_times(self, seed):
+        rng = np.random.default_rng(seed)
+        chunks, t, k = [], 0.0, 0
+        while t < self.duration_s:
+            t1 = min(t + self.period, self.duration_s)
+            rate = self.high if k % 2 else self.low
+            chunks.append(rng.uniform(t, t1, rng.poisson(rate * (t1 - t))))
+            t, k = t1, k + 1
+        return np.sort(np.concatenate(chunks))
+
+
+class TestFaultCampaigns:
+    """Unbatched fault campaigns run on the fast path and match the
+    oracle field for field; batched ones are declined."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=fault_specs(),
+        policy=st.sampled_from(["adapex", "pr-only", "ct-only", "finn"]),
+        brownout=st.booleans(),
+        partial=st.booleans(),
+        offset=st.sampled_from([0.0, 0.137]),
+        low=st.floats(100.0, 400.0, allow_nan=False),
+        high=st.floats(700.0, 1400.0, allow_nan=False),
+        period=st.sampled_from([0.5, 1.0, 1.5]),
+        duration=st.floats(2.0, 6.0, allow_nan=False),
+        capacity=st.sampled_from([1, 4, 32]),
+        interval=st.sampled_from([0.3, 1.0]),
+        seed=st.integers(0, 2**20),
+        fault_seed=st.integers(0, 100),
+    )
+    def test_event_vs_fast(self, spec, policy, brownout, partial, offset,
+                           low, high, period, duration, capacity, interval,
+                           seed, fault_seed):
+        cfg = ServerConfig(
+            queue_capacity=capacity, decision_interval_s=interval,
+            decision_offset_s=offset,
+            brownout_levels=(0.02, 0.05) if brownout else (),
+            partial_reconfig=PartialReconfigModel() if partial else None)
+        trace = SwitchingTrace(low, high, period, duration)
+
+        def sim():
+            return EdgeServerSimulator(
+                make_policy(policy, build_library()), trace, config=cfg,
+                seed=seed, faults=spec, fault_seed=fault_seed)
+
+        fast = fastsim.run_fast(sim())
+        if fast is not None:
+            assert_identical(sim()._run_event(), fast)
+
+    def test_table_one_heavy_campaign_uses_fast_path(self):
+        """Table I traffic under the heavy preset: the fast path serves
+        at least 9 of seeds 0-9 (and matches the oracle on two)."""
+        faults = FaultSpec.parse("heavy")
+        policy = make_policy("adapex", build_library())
+        served = 0
+        for seed in range(10):
+            sim = EdgeServerSimulator(policy, WorkloadSpec(), seed=seed,
+                                      faults=faults, fault_seed=5)
+            fast = fastsim.run_fast(sim)
+            if fast is not None:
+                served += 1
+                if seed < 2:
+                    assert_identical(sim._run_event(), fast)
+        assert served >= 9
+
     @settings(max_examples=10, deadline=None)
     @given(preset=st.sampled_from(["light", "heavy", "chaos"]),
            seed=st.integers(0, 1000))
-    def test_faults_route_to_event_loop(self, preset, seed):
-        """Any fault spec disqualifies the fast path: run_fast returns
-        None and the dispatcher produces the event-loop result."""
+    def test_faulted_runs_served_by_run_fast(self, preset, seed):
+        """Preset campaigns are served by run_fast (not declined) and
+        the dispatcher's result equals the event-loop oracle."""
         lib = build_library()
         workload = WorkloadSpec(num_cameras=3, ips_per_camera=30.0,
                                 duration_s=4.0)
@@ -199,13 +299,151 @@ class TestFallback:
             make_policy("adapex", lib), workload,
             config=ServerConfig(sim_mode="auto"), seed=seed,
             faults=faults)
-        assert fastsim.run_fast(sim) is None
+        fast = fastsim.run_fast(sim)
+        assert fast is not None
         auto = run_metrics(lib, workload, ServerConfig(sim_mode="auto"),
                            seed, faults=faults)
         event = run_metrics(lib, workload, ServerConfig(sim_mode="event"),
                             seed, faults=faults)
         assert_identical(auto, event)
+        assert_identical(fast, event)
 
+
+class ScriptedPolicy:
+    """Returns entries from a script, one per call: the deployment at
+    t=0, then one per decision tick (the last entry repeats)."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.calls = 0
+
+    def select(self, ips, current=None):
+        entry = self.script[min(self.calls, len(self.script) - 1)]
+        self.calls += 1
+        return entry
+
+
+class FixedTrace:
+    def __init__(self, times, duration_s):
+        self.times = np.asarray(times, dtype=np.float64)
+        self.duration_s = duration_s
+        self.nominal_ips = 10.0
+
+    def arrival_times(self, seed):
+        return self.times.copy()
+
+
+def slow_entry(rate, variant="ee"):
+    """Every exit takes 50 ms, so event times are easy to place."""
+    return _entry(rate=rate, ct=0.5, acc=0.9, ips=20.0, variant=variant,
+                  exit_lats=(0.05, 0.05, 0.05))
+
+
+class TestFaultEdgeCases:
+    """Hand-placed event sequences for the fault states a generated
+    campaign rarely makes observable in ``RunMetrics``."""
+
+    A, B, C = slow_entry(0.0), slow_entry(0.5), \
+        slow_entry(0.5, variant="backbone")
+
+    def run_both(self, script, times, duration, spec, **knobs):
+        def sim():
+            return EdgeServerSimulator(
+                ScriptedPolicy(script), FixedTrace(times, duration),
+                config=ServerConfig(**knobs), seed=0, faults=spec)
+
+        fast = fastsim.run_fast(sim())
+        assert fast is not None
+        event = sim()._run_event()
+        assert_identical(event, fast)
+        return fast
+
+    def test_requeued_frame_blocked_by_swap_takes_a_slot(self):
+        """A frame that fails while a swap is in progress waits at the
+        head until the swap ends and fills one of two queue slots."""
+        spec = FaultSpec(inference_error_prob=1.0, inference_retries=1)
+        m = self.run_both([self.A, self.B], [0.98, 1.05, 1.06], 2.0,
+                          spec, queue_capacity=2)
+        assert (m.lost, m.failed, m.retries) == (1, 2, 2)
+
+    def test_requeued_frame_at_horizon_is_lost(self):
+        spec = FaultSpec(inference_error_prob=1.0, inference_retries=1)
+        m = self.run_both([self.A, self.B], [0.98], 1.1, spec)
+        assert (m.lost, m.failed, m.retries) == (1, 0, 1)
+
+    @pytest.mark.parametrize("times, duration, knobs", [
+        ([0.0, 0.05], 1.0, dict(queue_capacity=1)),
+        # Frame 2's first service fails exactly at the third arrival,
+        # after a tick at 1.0 moved to the bottom rung (one slot).
+        ([0.96, 0.97, 0.96 + 0.05 + 0.05 + 0.05], 1.5,
+         dict(queue_capacity=2, brownout_levels=(0.05,),
+              brownout_high=0.5, brownout_shed_occupancy=0.5)),
+    ], ids=["queue-full", "bottom-rung-shed"])
+    def test_arrival_at_failed_completion_is_admitted_first(
+            self, times, duration, knobs):
+        """Arrival events fire before a completion at the same time, so
+        the requeued frame does not count against this arrival's queue
+        or shedding limit."""
+        spec = FaultSpec(inference_error_prob=1.0, inference_retries=1)
+        m = self.run_both([self.A], times, duration, spec, **knobs)
+        assert (m.lost, m.shed, m.failed) == (0, 0, len(times))
+
+    @pytest.mark.parametrize("spec", [None, FaultSpec()],
+                             ids=["fault-free", "faulted"])
+    def test_arrival_at_swap_end_starts_the_head(self, spec):
+        """Two arrivals exactly when a swap ends: the first starts the
+        queued head at once, so the second still finds a free slot."""
+        end = 1.0 + 0.145
+        m = self.run_both([self.A, self.B], [1.01, end, end], 2.0,
+                          spec, queue_capacity=2)
+        assert (m.lost, m.processed) == (0, 3)
+
+    def test_swap_dead_time_only_extends(self):
+        """Under faults a shorter partial swap started during a longer
+        one does not shorten it (``reconfig_until = max(...)``): the
+        frame waits for the first swap and is still in flight at the
+        horizon."""
+        m = self.run_both([self.A, self.B, self.C], [0.12], 0.2,
+                          FaultSpec(), decision_interval_s=0.05,
+                          partial_reconfig=PartialReconfigModel())
+        assert (m.processed, m.reconfigurations) == (0, 2)
+
+    def test_ticks_wait_for_a_pending_retry(self):
+        """Ticks attempt no swap while a backoff retry is pending; the
+        retry beyond the horizon never fires."""
+        spec = FaultSpec(reconfig_failure_prob=1.0, reconfig_retries=2,
+                         retry_backoff_s=0.25)
+        m = self.run_both([self.A] * 4 + [self.B], [0.1, 1.3, 1.6], 2.0,
+                          spec, decision_interval_s=0.25)
+        assert (m.reconfig_failures, m.reconfig_retries) == (2, 2)
+
+    def test_fault_window_is_half_open(self):
+        """A completion exactly at ``active_until_s`` takes no
+        inference decision."""
+        spec = FaultSpec(inference_error_prob=1.0, inference_retries=0,
+                         active_until_s=0.98 + 0.05)
+        m = self.run_both([self.A], [0.98], 2.0, spec)
+        assert (m.processed, m.failed) == (1, 0)
+
+    def test_arrivals_past_horizon_take_no_drop_decision(self):
+        m = self.run_both([self.A], [0.5, 2.5], 2.0,
+                          FaultSpec(drop_prob=1.0))
+        assert (m.total_requests, m.dropped) == (2, 1)
+
+    def test_zero_backoff_retry_is_declined(self):
+        """A zero backoff puts the retry on its own resume time, a tie
+        the fast path declines."""
+        spec = FaultSpec(reconfig_failure_prob=1.0, reconfig_retries=1,
+                         retry_backoff_s=0.0)
+        sim = EdgeServerSimulator(
+            ScriptedPolicy([self.A, self.B]), FixedTrace([0.5], 2.0),
+            seed=0, faults=spec)
+        assert fastsim.run_fast(sim) is None
+
+
+class TestFallback:
     def test_event_mode_forces_oracle(self, monkeypatch):
         """sim_mode='event' never consults the fast path."""
         def boom(sim):  # pragma: no cover - must not be called
@@ -251,8 +489,8 @@ class TestFallback:
 class TestChaos:
     def test_heavy_fault_campaign_matches(self):
         """End-to-end chaos: a --faults heavy campaign produces the same
-        aggregates whatever sim_mode asks for (faults always take the
-        event path, so every mode is the oracle)."""
+        aggregates whatever sim_mode asks for (``auto`` serves it on the
+        fast path, ``event`` on the oracle)."""
         lib = build_library()
         faults = FaultSpec.parse("heavy")
         results = {}

@@ -3,6 +3,8 @@ degradation helpers, and controller failure semantics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
     FAULT_PRESETS,
@@ -137,6 +139,64 @@ class TestFaultPlan:
         assert not plan.drop_request(0.0)
         assert plan.reconfig_outcome(0.0, 0.145) == (False, 0.145)
         assert len(plan.spike_arrivals(10.0, 100.0)) == 0
+
+
+windows = st.sampled_from([(0.0, None), (1.5, None), (0.0, 3.0),
+                            (1.5, 3.0)])
+
+
+@st.composite
+def sorted_times(draw):
+    """Sorted event times on a coarse grid (ties and window edges)."""
+    ticks = draw(st.lists(st.integers(0, 16), max_size=60))
+    return np.sort(np.asarray(ticks, dtype=np.float64) * 0.25)
+
+
+class TestVectorizedDecisions:
+    """The fast path's batched fault draws give exactly the decisions of
+    successive scalar calls on a plan with the same ``(spec, seed)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob=st.sampled_from([0.0, 0.05, 0.5, 1.0]), window=windows,
+           seed=st.integers(0, 2**16), times=sorted_times())
+    def test_drop_mask_matches_drop_request(self, prob, window, seed,
+                                            times):
+        spec = FaultSpec(drop_prob=prob, active_from_s=window[0],
+                         active_until_s=window[1])
+        scalar = FaultPlan(spec, seed=(seed, 1))
+        vector = FaultPlan(spec, seed=(seed, 1))
+        expected = [scalar.drop_request(float(t)) for t in times]
+        mask = vector.drop_mask(times)
+        assert mask.dtype == bool and mask.tolist() == expected
+        assert vector.injected == scalar.injected
+        # Both plans' drop streams end at the same position.
+        assert vector._drop_rng.random() == scalar._drop_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob=st.sampled_from([0.0, 0.05, 0.5, 1.0]), window=windows,
+           seed=st.integers(0, 2**16), times=sorted_times())
+    def test_inference_failures_match_inference_fails(
+            self, prob, window, seed, times):
+        """One ``next()`` per completion inside the active window, as
+        the kernel consumes it."""
+        spec = FaultSpec(inference_error_prob=prob,
+                         active_from_s=window[0], active_until_s=window[1])
+        scalar = FaultPlan(spec, seed=seed)
+        vector = FaultPlan(spec, seed=seed)
+        fails = vector.inference_failures()
+        expected = [scalar.inference_fails(float(t)) for t in times]
+        got = [vector.active(float(t)) and next(fails) for t in times]
+        assert got == expected
+        # Documented: the iterator leaves the counter to its caller.
+        assert vector.injected["inference_errors"] == 0
+
+    def test_inference_failures_span_draw_blocks(self):
+        """Thousands of decisions: block refills are seamless."""
+        spec = FaultSpec(inference_error_prob=0.3)
+        scalar = FaultPlan(spec, seed=(4, 2))
+        fails = FaultPlan(spec, seed=(4, 2)).inference_failures()
+        assert [next(fails) for _ in range(3000)] == \
+            [scalar.inference_fails(0.0) for _ in range(3000)]
 
 
 class TestSelectWithoutReconfig:
