@@ -9,11 +9,19 @@ a pooling stage, and DuplicateStreams becomes the paper's branch module.
 
 The resulting accelerator knows, per exit, which stages an input must
 traverse — the basis of the latency/throughput/energy models.
+
+A compiled design is fixed: nothing mutates an accelerator after
+:func:`compile_accelerator` returns. Each stage's ``cycles()`` and
+``resources()`` are therefore computed once, on first use, together
+with the total resources and the per-exit path cycles; the performance
+and power models read those cached costs for every confidence-threshold
+entry instead of re-estimating every stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,12 +83,32 @@ class DataflowAccelerator:
                 return m
         raise KeyError(name)
 
+    # -- stage costs (computed once; the design is fixed after compile) --
+    @cached_property
+    def stage_cycles(self) -> tuple:
+        """Busy cycles per frame of every stage, in module order."""
+        return tuple(m.cycles() for m in self.modules)
+
+    @cached_property
+    def stage_resources(self) -> tuple:
+        """Resource estimate of every stage, in module order."""
+        return tuple(m.resources() for m in self.modules)
+
+    @cached_property
+    def _total_resources(self) -> ResourceEstimate:
+        return sum(self.stage_resources, ResourceEstimate())
+
+    @cached_property
+    def _exit_cycles(self) -> tuple:
+        return tuple(sum(self.stage_cycles[i] for i in path)
+                     for path in self.exit_paths)
+
     # -- aggregates ------------------------------------------------------
     def resources(self) -> ResourceEstimate:
-        return sum((m.resources() for m in self.modules), ResourceEstimate())
+        return self._total_resources
 
     def resources_of(self, module_indices) -> ResourceEstimate:
-        return sum((self.modules[i].resources() for i in module_indices),
+        return sum((self.stage_resources[i] for i in module_indices),
                    ResourceEstimate())
 
     def exit_modules(self, exit_idx: int) -> list:
@@ -88,14 +116,14 @@ class DataflowAccelerator:
 
     def exit_cycles(self, exit_idx: int) -> int:
         """Cycles for one frame to traverse every stage to this exit."""
-        return sum(m.cycles() for m in self.exit_modules(exit_idx))
+        return self._exit_cycles[exit_idx]
 
     def exit_latency_s(self, exit_idx: int) -> float:
         return self.exit_cycles(exit_idx) / self.clock_hz
 
     def bottleneck_cycles(self) -> int:
         """Initiation interval of the full pipeline (slowest stage)."""
-        return max(m.cycles() for m in self.modules)
+        return max(self.stage_cycles)
 
     def pipelined_ips(self) -> float:
         """Steady-state throughput when frames are streamed back to back."""

@@ -101,7 +101,7 @@ class PerformanceModel:
         fractions = self.stage_visit_fractions(exit_rates)
         return [
             StageLoad(self.accel.modules[i].name,
-                      self.accel.modules[i].cycles(), frac)
+                      self.accel.stage_cycles[i], frac)
             for i, frac in sorted(fractions.items())
         ]
 
@@ -115,8 +115,10 @@ class PerformanceModel:
 
     def capacity_ips(self, exit_rates) -> float:
         """Sustainable inference rate under the gated-pipeline model."""
-        loads = self.stage_loads(exit_rates)
-        busiest = max((l.effective_cycles for l in loads), default=1.0)
+        fractions = self.stage_visit_fractions(exit_rates)
+        cycles = self.accel.stage_cycles
+        busiest = max((cycles[i] * frac for i, frac in fractions.items()),
+                      default=1.0)
         if busiest <= 0:
             return float("inf")
         return self.accel.clock_hz / busiest

@@ -13,6 +13,12 @@ Energy per inference integrates stage energies along the taken exit
 paths: a frame that exits early never toggles the gated deep stages, so
 lowering the confidence threshold saves energy on easy inputs — the
 Figure 1(b)/4 trade-off.
+
+Every query reads the accelerator's per-stage cycles and resources,
+which :class:`~repro.finn.compile.DataflowAccelerator` computes once
+(a compiled design is never mutated), so characterizing one design at
+many confidence thresholds only redoes the per-entry arithmetic: a
+sequential sum over the stages in module order.
 """
 
 from __future__ import annotations
@@ -77,16 +83,14 @@ class PowerModel:
         """
         perf = PerformanceModel(accel)
         fractions = perf.stage_visit_fractions(exit_rates)
-        total_res = accel.resources()
-        power = self.static_w(total_res)
+        power = self.static_w(accel.resources())
         idle_activity = 0.10
-        for idx, module in enumerate(accel.modules):
+        for idx, (cycles, res) in enumerate(zip(accel.stage_cycles,
+                                                accel.stage_resources)):
             visit = fractions.get(idx, 0.0)
-            busy = min(arrival_ips * visit * module.cycles() / accel.clock_hz,
-                       1.0)
+            busy = min(arrival_ips * visit * cycles / accel.clock_hz, 1.0)
             activity = idle_activity + (1.0 - idle_activity) * busy
-            power += activity * self.stage_dynamic_w(module.resources(),
-                                                     accel.clock_mhz)
+            power += activity * self.stage_dynamic_w(res, accel.clock_mhz)
         return power
 
     def energy_per_inference_j(self, accel: DataflowAccelerator,
@@ -99,11 +103,12 @@ class PowerModel:
         perf = PerformanceModel(accel)
         fractions = perf.stage_visit_fractions(exit_rates)
         dynamic_j = 0.0
-        for idx, module in enumerate(accel.modules):
+        for idx, (cycles, res) in enumerate(zip(accel.stage_cycles,
+                                                accel.stage_resources)):
             visit = fractions.get(idx, 0.0)
-            busy_s = module.cycles() / accel.clock_hz
+            busy_s = cycles / accel.clock_hz
             dynamic_j += visit * busy_s * self.stage_dynamic_w(
-                module.resources(), accel.clock_mhz)
+                res, accel.clock_mhz)
         static_j = self.static_w(accel.resources()) \
             * perf.average_latency_s(exit_rates)
         return dynamic_j + static_j

@@ -11,18 +11,27 @@ per-node interpretation overhead:
 * **Conv/MatMul → MultiThreshold fusion** — thresholding is applied to
   the post-GEMM ``(rows, channels)`` matrix *before* the NHWC→NCHW
   transpose, so the quantization step touches a contiguous matrix.
-* **searchsorted thresholding** — the reference ``MultiThreshold``
+* **Byte-wide level counting** — the reference ``MultiThreshold``
   executor materializes an ``(N, C, H, W, levels)`` broadcast temp; the
-  plan counts crossed thresholds per channel with ``np.searchsorted``
-  over pre-sorted thresholds (O(log L), no rank-5 temp, identical codes).
+  plan compares against pre-sorted per-channel thresholds instead. Up
+  to ``_SWEEP_MAX_LEVELS`` levels it sweeps the levels, counting crossed
+  ones in a ``uint8`` array (an arena scratch slot) and multiplying by
+  ``step`` once, in the plan's dtype; more levels go through
+  ``np.searchsorted`` (O(log L)). No rank-5 temp, identical codes.
+* **Pooling without argmax** — MaxPool is a running ``np.maximum`` over
+  the k*k strided slices of its input, which may be a fused Conv's
+  transposed NHWC view; the training kernel's argmax indices (kept for
+  backward) are never computed.
 * **Preallocated activation buffers** — a compile-time liveness scan
-  assigns each intermediate tensor a reusable arena slot; repeated
-  :meth:`ExecutionPlan.run` calls allocate (almost) nothing.
+  assigns each intermediate tensor (and each threshold-count scratch) a
+  reusable arena slot; repeated :meth:`ExecutionPlan.run` calls allocate
+  (almost) nothing.
 
 Numerical contract: on streamlined graphs (no ``BatchNorm`` nodes) the
 plan is **bit-identical** to the reference executors in float64 — GEMMs
 hit the same BLAS path and thresholding performs the same float
-comparisons. Folding a BatchNorm into a Conv/MatMul changes rounding, so
+comparisons; a maximum is exact whatever the order of the window
+slices. Folding a BatchNorm into a Conv/MatMul changes rounding, so
 BN-bearing graphs agree only to floating-point tolerance. Threshold
 inputs containing NaN are undefined (the oracle yields code 0, the plan
 yields ``levels``); exported models never produce NaN activations.
@@ -67,15 +76,22 @@ _SWEEP_MAX_LEVELS = 16
 
 def _threshold_matrix(m: np.ndarray, v: np.ndarray, signs: np.ndarray,
                       step, scratch: np.ndarray | None = None) -> None:
-    """In-place thresholding of a channels-last ``(rows, C)`` matrix."""
+    """In-place thresholding of a channels-last ``(rows, C)`` matrix.
+
+    ``scratch`` is an optional ``uint8`` buffer of ``m``'s shape for the
+    level sweep's counts.
+    """
     c_count, levels = v.shape
     if levels <= _SWEEP_MAX_LEVELS:
         u = m if (signs == 1.0).all() else m * signs
-        code = scratch if scratch is not None else np.empty_like(m)
-        np.greater(u, v[:, 0], out=code, casting="unsafe")
+        code = scratch if scratch is not None \
+            else np.empty(m.shape, dtype=np.uint8)
+        np.greater(u, v[:, 0], out=code)
         for k in range(1, levels):
             code += u > v[:, k]
-        np.multiply(code, step, out=m)
+        # Multiply in the plan's dtype: a uint8 array times a Python
+        # float would compute in float64 and round a float32 plan twice.
+        np.multiply(code, step, out=m, dtype=m.dtype)
         return
     for c in range(c_count):
         col = m[:, c]
@@ -85,16 +101,23 @@ def _threshold_matrix(m: np.ndarray, v: np.ndarray, signs: np.ndarray,
 
 
 def _threshold_tensor(x: np.ndarray, v: np.ndarray, signs: np.ndarray,
-                      step, out: np.ndarray) -> np.ndarray:
-    """Threshold an NCHW or NC tensor channel-by-channel into ``out``."""
+                      step, out: np.ndarray,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """Threshold an NCHW or NC tensor channel-by-channel into ``out``.
+
+    ``scratch`` is an optional ``uint8`` buffer of ``x``'s shape for the
+    level sweep's counts.
+    """
     c_count, levels = v.shape
     cshape = (1, c_count, 1, 1) if x.ndim == 4 else (c_count,)
     if levels <= _SWEEP_MAX_LEVELS:
         u = x if (signs == 1.0).all() else x * signs.reshape(cshape)
-        np.greater(u, v[:, 0].reshape(cshape), out=out, casting="unsafe")
+        code = scratch if scratch is not None \
+            else np.empty(x.shape, dtype=np.uint8)
+        np.greater(u, v[:, 0].reshape(cshape), out=code)
         for k in range(1, levels):
-            out += u > v[:, k].reshape(cshape)
-        out *= step
+            code += u > v[:, k].reshape(cshape)
+        np.multiply(code, step, out=out, dtype=out.dtype)
         return out
     for c in range(c_count):
         xc = x[:, c]
@@ -132,19 +155,22 @@ def _im2col_into(x: np.ndarray, kernel: int, stride: int, padding: int,
 # ----------------------------------------------------------------------
 
 class _Arena:
-    """Lazily grown flat buffers, one per compile-time slot."""
+    """Lazily grown flat byte buffers, one per compile-time slot."""
 
     def __init__(self, num_slots: int, dtype):
         self.dtype = np.dtype(dtype)
         self._buffers: list[np.ndarray | None] = [None] * num_slots
 
-    def view(self, slot: int, shape: tuple) -> np.ndarray:
-        n = int(np.prod(shape))
+    def view(self, slot: int, shape: tuple, dtype=None) -> np.ndarray:
+        """``shape``-shaped view of the slot, in the plan's dtype unless
+        ``dtype`` is given (the threshold sweep counts in ``uint8``)."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        n = int(np.prod(shape)) * dtype.itemsize
         buf = self._buffers[slot]
         if buf is None or buf.size < n:
-            buf = np.empty(n, dtype=self.dtype)
+            buf = np.empty(n, dtype=np.uint8)
             self._buffers[slot] = buf
-        return buf[:n].reshape(shape)
+        return buf[:n].view(dtype).reshape(shape)
 
     def nbytes(self) -> int:
         return sum(b.nbytes for b in self._buffers if b is not None)
@@ -209,7 +235,8 @@ class _ConvStep(_Step):
             # The im2col matrix is dead once the GEMM has run; its slot
             # doubles as the threshold-code scratch.
             _threshold_matrix(m, *self.threshold,
-                              scratch=arena.view(self.cols_slot, m.shape))
+                              scratch=arena.view(self.cols_slot, m.shape,
+                                                 np.uint8))
             plan.threshold_seconds += time.perf_counter() - t0
         # NHWC -> NCHW as a (non-contiguous) view over the arena slot.
         env[self.out] = m.reshape(n, out_h, out_w, self.out_ch) \
@@ -241,7 +268,7 @@ class _MatMulStep(_Step):
         if self.threshold is not None:
             t0 = time.perf_counter()
             scratch = None if self.scratch_slot is None \
-                else arena.view(self.scratch_slot, m.shape)
+                else arena.view(self.scratch_slot, m.shape, np.uint8)
             _threshold_matrix(m, *self.threshold, scratch=scratch)
             plan.threshold_seconds += time.perf_counter() - t0
         env[self.out] = m
@@ -251,18 +278,21 @@ class _ThresholdStep(_Step):
     """Standalone MultiThreshold over an NCHW/NC activation."""
 
     def __init__(self, node: IRNode, src: str, out: str, slot: int,
-                 threshold):
+                 scratch_slot: int, threshold):
         self.name = node.name
         self.src = src
         self.out = out
         self.slot = slot
+        self.scratch_slot = scratch_slot
         self.threshold = threshold
 
     def run(self, env, arena, plan):
         x = env[self.src]
         dst = arena.view(self.slot, x.shape)
         t0 = time.perf_counter()
-        _threshold_tensor(x, *self.threshold, out=dst)
+        _threshold_tensor(x, *self.threshold, out=dst,
+                          scratch=arena.view(self.scratch_slot, x.shape,
+                                             np.uint8))
         plan.threshold_seconds += time.perf_counter() - t0
         env[self.out] = dst
 
@@ -295,6 +325,14 @@ class _BatchNormStep(_Step):
 
 
 class _MaxPoolStep(_Step):
+    """Max pooling as a running ``np.maximum`` over the k*k strided slices.
+
+    Inference needs no argmax (the training ``maxpool2d_forward`` keeps
+    one for its backward pass). The maximum is exact, so the values equal
+    the reference executor's. The output keeps the input's memory order:
+    over a fused Conv's transposed NHWC view it stays channels-last.
+    """
+
     def __init__(self, node: IRNode, src: str, out: str):
         self.name = node.name
         self.src = src
@@ -303,9 +341,18 @@ class _MaxPoolStep(_Step):
         self.stride = node.attrs.get("stride") or self.kernel
 
     def run(self, env, arena, plan):
-        from ..nn.functional import maxpool2d_forward
-        env[self.out] = maxpool2d_forward(env[self.src], self.kernel,
-                                          self.stride)[0]
+        from ..nn.functional import conv_output_size
+        x = env[self.src]
+        k, s = self.kernel, self.stride
+        h_span = s * (conv_output_size(x.shape[2], k, s, 0) - 1) + 1
+        w_span = s * (conv_output_size(x.shape[3], k, s, 0) - 1) + 1
+        out = x[:, :, :h_span:s, :w_span:s].copy(order="K")
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    np.maximum(out, x[:, :, i:i + h_span:s, j:j + w_span:s],
+                               out=out)
+        env[self.out] = out
 
 
 class _FlattenStep(_Step):
@@ -671,11 +718,13 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
                                      threshold))
         elif node.op_type == "MultiThreshold":
             slot = alloc.acquire(out)
+            scratch_slot = alloc.scratch()
             threshold = _prepare_thresholds(node, dtype)
             if in_k is not None:
                 v, signs, step = threshold
                 threshold = (np.ascontiguousarray(v[in_k]), signs[in_k], step)
-            steps.append(_ThresholdStep(node, src, out, slot, threshold))
+            steps.append(_ThresholdStep(node, src, out, slot, scratch_slot,
+                                        threshold))
         elif node.op_type == "BatchNorm":
             slot = alloc.acquire(out)
             steps.append(_BatchNormStep(node, src, out, slot, dtype,

@@ -38,6 +38,11 @@ __all__ = [
 class Layer:
     """Base class: a differentiable, stateful computation node."""
 
+    #: Backward scratch the last forward pass left behind (im2col
+    #: columns, argmax indices, inputs). Not part of the layer's state:
+    #: copies and pickles leave it out (see :meth:`__getstate__`).
+    _cache = None
+
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
         self.params: dict[str, np.ndarray] = {}
@@ -83,6 +88,11 @@ class Layer:
         for p in self.params.values():
             return p.dtype
         return np.dtype(np.float64)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_cache", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name})"

@@ -3,6 +3,8 @@ executors, fusion/folding bookkeeping, buffer reuse, and dtype policy."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import PhaseTimer
 from repro.ir import IRGraph, IRNode, compile_graph, export_model, streamline
@@ -206,6 +208,87 @@ class TestThresholdKernels:
         ref = graph.execute(x)
         monkeypatch.setattr(engine, "_SWEEP_MAX_LEVELS", 0)
         assert_outputs_equal(ref, graph.compile().run(x))
+
+
+def _threshold_node(name, src, dst, rng, channels, levels, all_negative):
+    thresholds = rng.standard_normal((channels, levels))
+    signs = -np.ones(channels) if all_negative \
+        else np.where(rng.random(channels) < 0.5, -1.0, 1.0)
+    return IRNode("MultiThreshold", name, [src], [dst],
+                  attrs={"step": float(rng.choice([0.5, 1 / 3, 2.0]))},
+                  initializers={"thresholds": thresholds, "signs": signs})
+
+
+_LEVELS = st.one_of(
+    st.sampled_from([1, _SWEEP_MAX_LEVELS, _SWEEP_MAX_LEVELS + 1]),
+    st.integers(1, _SWEEP_MAX_LEVELS + 4))
+
+
+class TestGeneratedKernels:
+    """Generated graphs through the pooling and level-sweep kernels:
+    Conv (+ fused MultiThreshold) -> MaxPool over the Conv's transposed
+    NHWC view -> standalone MultiThreshold -> Flatten -> MatMul (+ fused
+    MultiThreshold). The plan equals ``graph.execute`` bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([5, 6, 8, 14]),
+           pad=st.integers(0, 1),
+           kernel=st.integers(1, 7), stride=st.integers(1, 7),
+           levels=st.tuples(_LEVELS, _LEVELS, _LEVELS),
+           all_negative=st.booleans(), seed=st.integers(0, 2**16))
+    @example(size=5, pad=1, kernel=2, stride=2,
+             levels=(1, _SWEEP_MAX_LEVELS, _SWEEP_MAX_LEVELS + 1),
+             all_negative=True, seed=0)
+    @example(size=14, pad=1, kernel=7, stride=7,
+             levels=(_SWEEP_MAX_LEVELS + 1, 1, _SWEEP_MAX_LEVELS),
+             all_negative=False, seed=1)
+    @example(size=8, pad=0, kernel=3, stride=2,
+             levels=(_SWEEP_MAX_LEVELS, _SWEEP_MAX_LEVELS + 1, 1),
+             all_negative=False, seed=2)
+    def test_plan_matches_interpreter(self, size, pad, kernel, stride,
+                                      levels, all_negative, seed):
+        conv_size = size + 2 * pad - 2
+        if kernel > conv_size:
+            kernel = conv_size
+        pooled = (conv_size - kernel) // stride + 1
+        rng = np.random.default_rng(seed)
+        c_in, c_mid, classes = 3, 5, 4
+        g = IRGraph("g")
+        g.set_input("input", (c_in, size, size))
+        g.add_tensor("c0", (c_mid, conv_size, conv_size))
+        g.add_tensor("q0", (c_mid, conv_size, conv_size))
+        g.add_tensor("p0", (c_mid, pooled, pooled))
+        g.add_tensor("q1", (c_mid, pooled, pooled))
+        g.add_tensor("f0", (c_mid * pooled * pooled,))
+        g.add_tensor("m0", (classes,))
+        g.add_tensor("q2", (classes,))
+        g.add_node(IRNode("Conv", "conv", ["input"], ["c0"],
+                          attrs={"stride": 1, "padding": pad, "kernel": 3},
+                          initializers={
+                              "weight": rng.standard_normal(
+                                  (c_mid, c_in, 3, 3)),
+                              "bias": rng.standard_normal(c_mid)}))
+        g.add_node(_threshold_node("mt0", "c0", "q0", rng, c_mid, levels[0],
+                                   all_negative))
+        g.add_node(IRNode("MaxPool", "pool", ["q0"], ["p0"],
+                          attrs={"kernel": kernel, "stride": stride}))
+        g.add_node(_threshold_node("mt1", "p0", "q1", rng, c_mid, levels[1],
+                                   all_negative))
+        g.add_node(IRNode("Flatten", "flat", ["q1"], ["f0"]))
+        g.add_node(IRNode("MatMul", "fc", ["f0"], ["m0"],
+                          initializers={"weight": rng.standard_normal(
+                              (classes, c_mid * pooled * pooled))}))
+        g.add_node(_threshold_node("mt2", "m0", "q2", rng, classes,
+                                   levels[2], all_negative))
+        g.mark_output("p0")
+        g.mark_output("q2")
+        plan = g.compile()
+        assert plan.stats()["fused_thresholds"] == 2
+        x = rng.standard_normal((3, c_in, size, size))
+        assert_outputs_equal(g.execute(x), plan.run(x))
+        # A second run reuses the arena's byte buffers for both dtypes.
+        x = rng.standard_normal((2, c_in, size, size))
+        assert_outputs_equal(g.execute(x), plan.run(x))
 
 
 class TestDtypePolicy:

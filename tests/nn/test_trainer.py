@@ -64,6 +64,29 @@ class TestTrainer:
         Trainer(model, TrainConfig(epochs=1)).fit(x, y)
         assert all(not layer.training for layer in model.all_layers())
 
+    def test_fit_and_clone_leave_no_backward_scratch(self):
+        """Training scratch (im2col columns, argmax, inputs) is released
+        when ``fit`` returns, and ``clone`` copies parameters and state
+        only, even after an inference forward refilled the caches."""
+        from repro.models import CNVConfig, ExitsConfiguration, build_cnv
+
+        model = build_cnv(CNVConfig(width_scale=0.125, seed=0),
+                          ExitsConfiguration.paper_default())
+        rng = np.random.default_rng(0)
+        images = rng.standard_normal((8, 3, 32, 32))
+        labels = rng.integers(0, 10, size=8)
+        Trainer(model, TrainConfig(epochs=1, batch_size=8)).fit(images,
+                                                                labels)
+        assert all(layer._cache is None for layer in model.all_layers())
+
+        model.forward(images[:2])
+        assert any(isinstance(layer._cache, tuple)
+                   for layer in model.all_layers())
+        clone = model.clone()
+        assert all(layer._cache is None for layer in clone.all_layers())
+        for a, b in zip(model.forward(images[:2]), clone.forward(images[:2])):
+            np.testing.assert_array_equal(a, b)
+
     def test_zero_epochs_noop(self):
         x, y = make_data(30)
         model = make_model()
