@@ -1,10 +1,13 @@
 """Low-level numerical kernels for the NumPy neural-network substrate.
 
 Everything here operates on ``numpy.ndarray`` in NCHW layout (batch,
-channels, height, width). The convolution kernels use the classic
-im2col/col2im lowering so the heavy lifting happens inside BLAS matrix
-multiplies, which keeps pure-NumPy training tractable for the scaled-down
-CNV models used across the reproduction.
+channels, height, width). The convolution forward pass uses the classic
+im2col lowering so the heavy lifting happens inside one BLAS matrix
+multiply, which keeps pure-NumPy training tractable for the scaled-down
+CNV models used across the reproduction. The backward pass needs no
+col2im: the input gradient's ``(rows, C*k*k)`` GEMM is scattered tap by
+tap into a channels-last image, in the (ki, kj) order of im2col's
+adjoint, so every gradient keeps the bits of the textbook lowering.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ import numpy as np
 
 __all__ = [
     "im2col",
-    "col2im",
     "conv2d_forward",
     "conv2d_backward",
+    "conv2d_param_backward",
     "maxpool2d_forward",
     "maxpool2d_backward",
     "conv_output_size",
@@ -29,6 +32,11 @@ __all__ = [
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling window sweep."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ValueError(
+            f"invalid window: kernel={kernel} and stride={stride} must be "
+            f">= 1, padding={padding} must be >= 0"
+        )
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ValueError(
@@ -78,36 +86,6 @@ def im2col(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.
     return np.ascontiguousarray(cols)
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add patch rows back into an image.
-
-    Overlapping windows accumulate, which is exactly the gradient of the
-    im2col gather.
-    """
-    n, c, h, w = x_shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-
-    for ki in range(kernel):
-        i_max = ki + stride * out_h
-        for kj in range(kernel):
-            j_max = kj + stride * out_w
-            padded[:, :, ki:i_max:stride, kj:j_max:stride] += cols6[:, :, :, :, ki, kj]
-
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -133,6 +111,40 @@ def conv2d_forward(
     return out, cols
 
 
+def _grad_rows(grad_out: np.ndarray) -> np.ndarray:
+    """``(N, C_out, H, W) -> (N*H*W, C_out)``, the row order of im2col."""
+    return grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])
+
+
+def _param_grads(grad_flat: np.ndarray, weight_shape: tuple, cols: np.ndarray):
+    grad_weight = (grad_flat.T @ cols).reshape(weight_shape)
+    return grad_weight, grad_flat.sum(axis=0)
+
+
+def _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding):
+    """im2col's adjoint without col2im: the single ``(rows, C*k*k)`` GEMM,
+    its tap columns added channels-last in (ki, kj) order."""
+    n, c, h, w = x_shape
+    out_ch, _, kernel, _ = weight.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    grad_cols = (grad_flat @ weight.reshape(out_ch, -1)).reshape(
+        n, out_h, out_w, c, kernel, kernel)
+
+    hp, wp = h + 2 * padding, w + 2 * padding
+    acc = np.zeros((n, hp, wp, c), dtype=grad_cols.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            acc[:, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += (
+                grad_cols[..., ki, kj])
+    # NCHW, with the strides of the padded image im2col's adjoint builds.
+    grad_x = np.empty((n, c, hp, wp), dtype=grad_cols.dtype)[
+        :, :, padding:padding + h, padding:padding + w]
+    grad_x[...] = acc[:, padding:padding + h, padding:padding + w].transpose(
+        0, 3, 1, 2)
+    return grad_x
+
+
 def conv2d_backward(
     grad_out: np.ndarray,
     x_shape: tuple,
@@ -145,20 +157,25 @@ def conv2d_backward(
 
     Returns ``(grad_x, grad_weight, grad_bias)``.
     """
-    out_ch, in_ch, kernel, _ = weight.shape
-    # (N, C_out, H, W) -> (N*H*W, C_out)
-    grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, out_ch)
-
-    grad_weight = (grad_flat.T @ cols).reshape(weight.shape)
-    grad_bias = grad_flat.sum(axis=0)
-    grad_cols = grad_flat @ weight.reshape(out_ch, -1)
-    grad_x = col2im(grad_cols, x_shape, kernel, stride, padding)
+    grad_flat = _grad_rows(grad_out)
+    grad_weight, grad_bias = _param_grads(grad_flat, weight.shape, cols)
+    grad_x = _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding)
     return grad_x, grad_weight, grad_bias
+
+
+def conv2d_param_backward(grad_out: np.ndarray, weight_shape: tuple,
+                          cols: np.ndarray):
+    """Weight and bias gradients of :func:`conv2d_forward` without the
+    input gradient (for a model's first layer, whose input is the image).
+
+    Returns ``(grad_weight, grad_bias)``.
+    """
+    return _param_grads(_grad_rows(grad_out), weight_shape, cols)
 
 
 def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int | None = None):
     """Max pooling. Returns ``(out, argmax)`` with argmax cached for backward."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
@@ -184,7 +201,7 @@ def maxpool2d_backward(
     stride: int | None = None,
 ) -> np.ndarray:
     """Route pooled gradients back to the argmax positions."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
     n, c, h, w = x_shape
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
     grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
@@ -197,7 +214,12 @@ def maxpool2d_backward(
     cols = oj * stride + kj
     nn_idx = np.arange(n)[:, None, None, None]
     cc_idx = np.arange(c)[None, :, None, None]
-    np.add.at(grad_x, (nn_idx, cc_idx, rows, cols), grad_out)
+    index = (nn_idx, cc_idx, rows, cols)
+    if stride >= kernel:
+        # Disjoint windows: no input position is hit twice.
+        grad_x[index] += grad_out
+    else:
+        np.add.at(grad_x, index, grad_out)
     return grad_x
 
 

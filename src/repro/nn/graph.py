@@ -262,8 +262,13 @@ class BranchedModel:
         outputs.append(h)
         return outputs
 
-    def backward(self, exit_grads: list[np.ndarray]) -> np.ndarray:
-        """Back-propagate one gradient per exit (same order as forward)."""
+    def backward(self, exit_grads: list[np.ndarray]) -> None:
+        """Back-propagate one gradient per exit (same order as forward),
+        accumulating every layer's parameter gradients.
+
+        The gradient with respect to the input images is not computed:
+        the first layer accumulates its parameter gradients only.
+        """
         if len(exit_grads) != self.num_exits:
             raise ValueError(
                 f"expected {self.num_exits} exit gradients, got {len(exit_grads)}"
@@ -273,8 +278,12 @@ class BranchedModel:
         for i in range(len(self.segments) - 1, -1, -1):
             if i in early_grads:
                 grad = grad + self.exits[i].backward(early_grads[i])
-            grad = self.segments[i].backward(grad)
-        return grad
+            if i > 0:
+                grad = self.segments[i].backward(grad)
+        layers = self.segments[0].layers
+        for layer in layers[:0:-1]:
+            grad = layer.backward(grad)
+        layers[0].backward_params(grad)  # the input images need no gradient
 
     # ------------------------------------------------------------------
     # inference

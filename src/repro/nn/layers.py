@@ -15,6 +15,7 @@ import numpy as np
 from . import functional as F
 from .quant import (
     QuantSpec,
+    auto_weight_scale,
     quantize_activations,
     quantize_weights,
     ste_mask,
@@ -55,6 +56,11 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate the parameter gradients only: the backward pass of a
+        model's first layer, whose input gradient nobody reads."""
+        self.backward(grad_out)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         """Shape (without batch dim) produced for a given input shape."""
@@ -119,6 +125,10 @@ class Conv2D(Layer):
         super().__init__(name)
         if in_channels < 1 or out_channels < 1:
             raise ValueError("channel counts must be positive")
+        if kernel_size < 1 or stride < 1:
+            raise ValueError("kernel_size and stride must be >= 1")
+        if padding < 0:
+            raise ValueError("padding must be >= 0")
         rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -137,27 +147,38 @@ class Conv2D(Layer):
 
     # weight actually used in the forward pass (quantized in subclasses)
     def effective_weight(self) -> np.ndarray:
-        return self.params["weight"]
+        return self._forward_weight()[0]
+
+    def _forward_weight(self):
+        """``(weight used in the forward pass, its quantization scale)``."""
+        return self.params["weight"], None
+
+    def _weight_grad(self, grad_w: np.ndarray, scale) -> np.ndarray:
+        return grad_w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w = self.effective_weight()
+        w, scale = self._forward_weight()
         b = self.params.get("bias")
         out, cols = F.conv2d_forward(x, w, b, self.stride, self.padding)
-        self._cache = (x.shape, cols, w)
+        self._cache = (x.shape, cols, w, scale)
         return out
 
+    def _accumulate(self, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
+        self.grads["weight"] += self._weight_grad(grad_w, self._cache[3])
+        if self.has_bias:
+            self.grads["bias"] += grad_b
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols, w = self._cache
+        x_shape, cols, w, _ = self._cache
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad_out, x_shape, w, cols, self.stride, self.padding
         )
-        self.grads["weight"] += self._weight_grad(grad_w)
-        if self.has_bias:
-            self.grads["bias"] += grad_b
+        self._accumulate(grad_w, grad_b)
         return grad_x
 
-    def _weight_grad(self, grad_w: np.ndarray) -> np.ndarray:
-        return grad_w
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        _, cols, w, _ = self._cache
+        self._accumulate(*F.conv2d_param_backward(grad_out, w.shape, cols))
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
@@ -176,18 +197,29 @@ class Conv2D(Layer):
         return self.out_channels * oh * ow * k2 * self.in_channels
 
 
-class QuantConv2D(Conv2D):
-    """Convolution with fake-quantized weights (STE backward)."""
+class _QuantWeights:
+    """Fake-quantized weights with a straight-through-estimator backward.
+
+    The forward pass's quantization scale is kept with the backward
+    scratch, so the STE mask does not recompute it.
+    """
 
     def __init__(self, *args, quant: QuantSpec | None = None, **kwargs):
         self.quant = quant or QuantSpec()
         super().__init__(*args, **kwargs)
 
-    def effective_weight(self) -> np.ndarray:
-        return quantize_weights(self.params["weight"], self.quant.weight_bits)
+    def _forward_weight(self):
+        w, bits = self.params["weight"], self.quant.weight_bits
+        scale = auto_weight_scale(w, bits)
+        return quantize_weights(w, bits, scale), scale
 
-    def _weight_grad(self, grad_w: np.ndarray) -> np.ndarray:
-        return grad_w * ste_mask(self.params["weight"], self.quant.weight_bits)
+    def _weight_grad(self, grad_w: np.ndarray, scale) -> np.ndarray:
+        return grad_w * ste_mask(self.params["weight"], self.quant.weight_bits,
+                                 scale)
+
+
+class QuantConv2D(_QuantWeights, Conv2D):
+    """Convolution with fake-quantized weights (STE backward)."""
 
 
 class Linear(Layer):
@@ -215,25 +247,32 @@ class Linear(Layer):
         self._cache = None
 
     def effective_weight(self) -> np.ndarray:
-        return self.params["weight"]
+        return self._forward_weight()[0]
+
+    def _forward_weight(self):
+        """``(weight used in the forward pass, its quantization scale)``."""
+        return self.params["weight"], None
+
+    def _weight_grad(self, grad_w: np.ndarray, scale) -> np.ndarray:
+        return grad_w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        w = self.effective_weight()
-        self._cache = (x, w)
+        w, scale = self._forward_weight()
+        self._cache = (x, w, scale)
         out = x @ w.T
         if self.has_bias:
             out += self.params["bias"]
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, w = self._cache
-        self.grads["weight"] += self._weight_grad(grad_out.T @ x)
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        x, _, scale = self._cache
+        self.grads["weight"] += self._weight_grad(grad_out.T @ x, scale)
         if self.has_bias:
             self.grads["bias"] += grad_out.sum(axis=0)
-        return grad_out @ w
 
-    def _weight_grad(self, grad_w: np.ndarray) -> np.ndarray:
-        return grad_w
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return grad_out @ self._cache[1]
 
     def output_shape(self, input_shape: tuple) -> tuple:
         if input_shape != (self.in_features,):
@@ -246,18 +285,8 @@ class Linear(Layer):
         return self.in_features * self.out_features
 
 
-class QuantLinear(Linear):
+class QuantLinear(_QuantWeights, Linear):
     """Fully-connected layer with fake-quantized weights (STE backward)."""
-
-    def __init__(self, *args, quant: QuantSpec | None = None, **kwargs):
-        self.quant = quant or QuantSpec()
-        super().__init__(*args, **kwargs)
-
-    def effective_weight(self) -> np.ndarray:
-        return quantize_weights(self.params["weight"], self.quant.weight_bits)
-
-    def _weight_grad(self, grad_w: np.ndarray) -> np.ndarray:
-        return grad_w * ste_mask(self.params["weight"], self.quant.weight_bits)
 
 
 class BatchNorm(Layer):
@@ -288,11 +317,16 @@ class BatchNorm(Layer):
             return v.reshape(1, -1, 1, 1)
         return v.reshape(1, -1)
 
+    # Every elementwise step below keeps the operands and order of the
+    # textbook formulas (and ``np.var``'s internals), and every reduction
+    # runs over an array laid out like theirs: outputs are bit-identical.
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._axes(x)
         if self.training:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            centered = x - self._reshape(mean, x.ndim)
+            x_hat = np.square(centered)  # the variance's scratch, then x_hat
+            var = x_hat.mean(axis=axes)
             self.running_mean = (
                 self.momentum * self.running_mean + (1 - self.momentum) * mean
             )
@@ -301,32 +335,27 @@ class BatchNorm(Layer):
             )
         else:
             mean, var = self.running_mean, self.running_var
+            centered = x_hat = x - self._reshape(mean, x.ndim)
         std = np.sqrt(var + self.eps)
-        x_hat = (x - self._reshape(mean, x.ndim)) / self._reshape(std, x.ndim)
-        out = self._reshape(self.params["gamma"], x.ndim) * x_hat + self._reshape(
-            self.params["beta"], x.ndim
-        )
+        np.divide(centered, self._reshape(std, x.ndim), out=x_hat)
+        out = self._reshape(self.params["gamma"], x.ndim) * x_hat
+        out += self._reshape(self.params["beta"], x.ndim)
         self._cache = (x_hat, std, axes, x.ndim)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, std, axes, ndim = self._cache
-        m = grad_out.size / self.num_features
-        self.grads["gamma"] += (grad_out * x_hat).sum(axis=axes)
+        scratch = grad_out * x_hat
+        self.grads["gamma"] += scratch.sum(axis=axes)
         self.grads["beta"] += grad_out.sum(axis=axes)
-        gamma = self._reshape(self.params["gamma"], ndim)
-        g = grad_out * gamma
+        g = grad_out * self._reshape(self.params["gamma"], ndim)
         if self.training:
+            # (g - mean(g) - x_hat * mean(g * x_hat)) / std
             g_mean = g.mean(axis=axes)
-            gx_mean = (g * x_hat).mean(axis=axes)
-            grad_x = (
-                g
-                - self._reshape(g_mean, ndim)
-                - x_hat * self._reshape(gx_mean, ndim)
-            ) / self._reshape(std, ndim)
-        else:
-            grad_x = g / self._reshape(std, ndim)
-        return grad_x
+            gx_mean = np.multiply(g, x_hat, out=scratch).mean(axis=axes)
+            t = np.multiply(x_hat, self._reshape(gx_mean, ndim), out=scratch)
+            g = g - self._reshape(g_mean, ndim) - t
+        return np.divide(g, self._reshape(std, ndim), out=g)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -359,8 +388,10 @@ class MaxPool2d(Layer):
         super().__init__(name)
         if kernel_size < 1:
             raise ValueError("kernel_size must be >= 1")
+        if stride is not None and stride < 1:
+            raise ValueError("stride must be >= 1")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

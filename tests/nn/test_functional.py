@@ -1,5 +1,5 @@
 """Kernel-level tests: convolutions against scipy, adjointness, pooling,
-softmax properties."""
+softmax properties, and byte identity with the reference kernels."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.signal import correlate2d
 
 from repro.nn import functional as F
+from tests.nn import reference_kernels as ref
 
 
 class TestConvOutputSize:
@@ -19,6 +20,12 @@ class TestConvOutputSize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             F.conv_output_size(2, 5, 1, 0)
+
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(0, 1, 0), (3, 0, 0), (3, 1, -1)])
+    def test_rejects_invalid_window(self, kernel, stride, padding):
+        with pytest.raises(ValueError):
+            F.conv_output_size(8, kernel, stride, padding)
 
 
 class TestIm2col:
@@ -47,7 +54,7 @@ class TestIm2col:
         x = rng.normal(size=(2, 3, 7, 7))
         y = rng.normal(size=(2 * 25, 3 * 9))
         ax = F.im2col(x, kernel=3, stride=1, padding=0)
-        aty = F.col2im(y, x.shape, kernel=3, stride=1, padding=0)
+        aty = ref.col2im(y, x.shape, kernel=3, stride=1, padding=0)
         np.testing.assert_allclose((ax * y).sum(), (x * aty).sum(), rtol=1e-10)
 
     def test_col2im_adjoint_with_padding_stride(self):
@@ -56,7 +63,7 @@ class TestIm2col:
         out = F.conv_output_size(8, 3, 2, 1)
         y = rng.normal(size=(out * out, 2 * 9))
         ax = F.im2col(x, kernel=3, stride=2, padding=1)
-        aty = F.col2im(y, x.shape, kernel=3, stride=2, padding=1)
+        aty = ref.col2im(y, x.shape, kernel=3, stride=2, padding=1)
         np.testing.assert_allclose((ax * y).sum(), (x * aty).sum(), rtol=1e-10)
 
     def test_stride_with_padding_values(self):
@@ -88,9 +95,9 @@ class TestIm2col:
         if h + 2 * padding < kernel or w + 2 * padding < kernel:
             return
         x = np.random.default_rng(seed).normal(size=(2, 2, h, w))
-        back = F.col2im(F.im2col(x, kernel, stride, padding),
+        back = ref.col2im(F.im2col(x, kernel, stride, padding),
                         x.shape, kernel, stride, padding)
-        counts = F.col2im(F.im2col(np.ones_like(x), kernel, stride, padding),
+        counts = ref.col2im(F.im2col(np.ones_like(x), kernel, stride, padding),
                           x.shape, kernel, stride, padding)
         assert counts.min() >= 0  # padding-only pixels never appear
         np.testing.assert_allclose(back, x * counts, rtol=1e-10, atol=1e-12)
@@ -187,6 +194,93 @@ class TestMaxPool:
         out, _ = F.maxpool2d_forward(x, kernel=3, stride=1)
         assert out.shape == (1, 1, 3, 3)
         assert out[0, 0, 0, 0] == x[0, 0, :3, :3].max()
+
+    def test_rejects_zero_stride(self):
+        x = np.zeros((1, 1, 4, 4))
+        with pytest.raises(ValueError):
+            F.maxpool2d_forward(x, kernel=2, stride=0)
+
+
+class TestKernelIdentity:
+    """The training kernels against the im2col/col2im/``np.add.at``
+    reference, byte for byte and stride for stride, on generated shapes
+    and layouts (GEMM kernels sum in shape-dependent orders, so these
+    cases are the guard for every formulation change)."""
+
+    @given(kernel=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
+           padding=st.integers(0, 2),
+           in_ch=st.one_of(st.integers(1, 33), st.sampled_from([8, 16, 32])),
+           out_ch=st.integers(1, 33), batch=st.integers(1, 64),
+           h=st.integers(1, 9), w=st.integers(1, 9),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           x_layout=ref.LAYOUTS, grad_layout=ref.LAYOUTS, bias=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d_backward(self, kernel, stride, padding, in_ch, out_ch,
+                             batch, h, w, dtype, x_layout, grad_layout, bias,
+                             seed):
+        if h + 2 * padding < kernel or w + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        x = ref.as_layout(
+            rng.standard_normal((batch, in_ch, h, w)).astype(dtype), x_layout)
+        weight = rng.standard_normal((out_ch, in_ch, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(out_ch).astype(dtype) if bias else None
+        out, cols = F.conv2d_forward(x, weight, b, stride, padding)
+        grad_out = ref.as_layout(
+            rng.standard_normal(out.shape).astype(dtype), grad_layout)
+
+        got = F.conv2d_backward(grad_out, x.shape, weight, cols, stride, padding)
+        want = ref.conv2d_backward(grad_out, x.shape, weight, cols, stride,
+                                   padding)
+        for new, old in zip(got, want):
+            ref.assert_same_bytes(new, old)
+        for new, old in zip(F.conv2d_param_backward(grad_out, weight.shape,
+                                                    cols), want[1:]):
+            ref.assert_same_bytes(new, old)
+
+    @pytest.mark.parametrize("batch,size,padding,in_ch,out_ch", [
+        (1, 3, 0, 8, 8), (1, 3, 0, 16, 33), (1, 3, 0, 32, 257),
+        (2, 3, 1, 8, 257), (9, 3, 1, 8, 520), (1, 4, 1, 16, 520),
+    ])
+    def test_conv2d_backward_edge_shapes(self, batch, size, padding, in_ch,
+                                         out_ch):
+        """Single-row GEMMs (one output pixel) and output channels beyond
+        one GEMM panel."""
+        rng = np.random.default_rng(out_ch + batch)
+        for dtype in (np.float64, np.float32):
+            x = rng.standard_normal((batch, in_ch, size, size)).astype(dtype)
+            weight = rng.standard_normal((out_ch, in_ch, 3, 3)).astype(dtype)
+            out, cols = F.conv2d_forward(x, weight, None, 1, padding)
+            grad_out = rng.standard_normal(out.shape).astype(dtype)
+            got = F.conv2d_backward(grad_out, x.shape, weight, cols, 1, padding)
+            want = ref.conv2d_backward(grad_out, x.shape, weight, cols, 1,
+                                       padding)
+            for new, old in zip(got, want):
+                ref.assert_same_bytes(new, old)
+
+    @given(kernel=st.integers(1, 4), stride=st.integers(1, 4),
+           channels=st.integers(1, 6), batch=st.integers(1, 5),
+           h=st.integers(1, 10), w=st.integers(1, 10),
+           levels=st.integers(1, 4),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           x_layout=ref.LAYOUTS, seed=st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_maxpool2d_backward(self, kernel, stride, channels, batch, h, w,
+                                levels, dtype, x_layout, seed):
+        """Ties (few distinct input levels), overlapping windows (stride <
+        kernel, still ``np.add.at``) and signed-zero gradients."""
+        if h < kernel or w < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        x = ref.as_layout(rng.integers(0, levels, size=(batch, channels, h, w))
+                          .astype(dtype), x_layout)
+        out, argmax = F.maxpool2d_forward(x, kernel, stride)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        grad_out[rng.random(out.shape) < 0.2] = -0.0
+        got = F.maxpool2d_backward(grad_out, argmax, x.shape, kernel, stride)
+        want = ref.maxpool2d_backward(grad_out, argmax, x.shape, kernel, stride)
+        ref.assert_same_bytes(got, want)
 
 
 class TestSoftmax:

@@ -90,6 +90,19 @@ class TestForwardBackward:
                                    grads["exit"] + grads["final"],
                                    atol=1e-10)
 
+    def test_backward_skips_the_input_gradient(self, monkeypatch):
+        """The first layer accumulates its parameter gradients only;
+        every other layer still back-propagates."""
+        rng = np.random.default_rng(3)
+        model = tiny_branched()
+        outs = model.forward(rng.normal(size=(4, 8)))
+        model.zero_grad()
+        first = model.segments[0].layers[0]
+        monkeypatch.setattr(first, "backward", None)  # must not be called
+        assert model.backward([rng.normal(size=o.shape) for o in outs]) is None
+        assert all(np.abs(layer.grads["weight"]).sum() > 0
+                   for layer in model.all_layers() if layer.params)
+
 
 class TestPredict:
     def test_threshold_zero_all_first_exit(self):

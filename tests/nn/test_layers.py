@@ -1,7 +1,10 @@
-"""Layer-level tests: shapes, gradient checks, BN behaviour, quant STE."""
+"""Layer-level tests: shapes, gradient checks, BN behaviour, quant STE,
+and byte identity with the reference kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     BatchNorm,
@@ -16,6 +19,7 @@ from repro.nn import (
     QuantSpec,
     ReLU,
 )
+from tests.nn import reference_kernels as ref
 
 
 def numerical_grad(layer, x, grad_out, param=None, idx=None, eps=1e-6):
@@ -75,6 +79,28 @@ class TestConv2D:
     def test_rejects_bad_channels(self):
         with pytest.raises(ValueError):
             Conv2D(0, 4)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kernel_size": 0}, {"kernel_size": -1}, {"stride": 0},
+        {"stride": -2}, {"padding": -1},
+    ])
+    def test_rejects_bad_window(self, kwargs):
+        with pytest.raises(ValueError):
+            Conv2D(3, 8, **kwargs)
+
+    def test_backward_params_matches_backward(self):
+        rng = np.random.default_rng(13)
+        a = QuantConv2D(3, 8, padding=1, rng=np.random.default_rng(1))
+        b = QuantConv2D(3, 8, padding=1, rng=np.random.default_rng(1))
+        x = rng.normal(size=(4, 3, 6, 5))
+        grad_out = rng.normal(size=(4, 8, 6, 5))
+        for layer in (a, b):
+            layer.forward(x)
+            layer.zero_grad()
+        a.backward(grad_out)
+        assert b.backward_params(grad_out) is None
+        for name in a.grads:
+            assert a.grads[name].tobytes() == b.grads[name].tobytes()
 
 
 class TestQuantConv2D:
@@ -194,6 +220,18 @@ class TestMaxPool2dLayer:
         pool = MaxPool2d(2)
         assert pool.output_shape((8, 14, 14)) == (8, 7, 7)
 
+    def test_default_stride_is_kernel(self):
+        assert MaxPool2d(3).stride == 3
+        assert MaxPool2d(3, stride=1).stride == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kernel_size": 0}, {"kernel_size": 2, "stride": 0},
+        {"kernel_size": 2, "stride": -1},
+    ])
+    def test_rejects_bad_window(self, kwargs):
+        with pytest.raises(ValueError):
+            MaxPool2d(**kwargs)
+
     def test_roundtrip_grad_shape(self):
         pool = MaxPool2d(2)
         x = np.random.default_rng(11).normal(size=(2, 3, 6, 6))
@@ -239,3 +277,68 @@ class TestStructuralLayers:
         x = np.array([[-1.0, 2.0]])
         np.testing.assert_allclose(relu.forward(x), [[0, 2]])
         np.testing.assert_allclose(relu.backward(np.ones((1, 2))), [[0, 1]])
+
+
+class TestLayerIdentity:
+    """BatchNorm and the quantized layers' STE against the reference
+    kernels, byte for byte (outputs, input gradients, parameter
+    gradients and running statistics)."""
+
+    @given(ndim=st.sampled_from([2, 4]), channels=st.integers(1, 33),
+           batch=st.integers(1, 64), h=st.integers(1, 7), w=st.integers(1, 7),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           training=st.booleans(), x_layout=ref.LAYOUTS,
+           grad_layout=ref.LAYOUTS, seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_batchnorm(self, ndim, channels, batch, h, w, dtype, training,
+                       x_layout, grad_layout, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, channels, h, w) if ndim == 4 else (batch, channels)
+        x = ref.as_layout((rng.standard_normal(shape) * 3 + 1).astype(dtype),
+                          x_layout)
+        grad_out = ref.as_layout(rng.standard_normal(shape).astype(dtype),
+                                 grad_layout)
+        state = (rng.standard_normal(channels), rng.standard_normal(channels),
+                 rng.standard_normal(channels), rng.random(channels) + 0.5)
+        new, old = BatchNorm(channels), BatchNorm(channels)
+        for bn in (new, old):
+            bn.astype(dtype).training = training
+            (bn.params["gamma"][:], bn.params["beta"][:], bn.running_mean[:],
+             bn.running_var[:]) = state
+
+        out_new = new.forward(x)
+        out_old = ref.batchnorm_forward(old, x)
+        grad_new = new.backward(grad_out)
+        grad_old = ref.batchnorm_backward(old, grad_out)
+        ref.assert_same_bytes(out_new, out_old)
+        ref.assert_same_bytes(grad_new, grad_old)
+        for name in ("gamma", "beta"):
+            ref.assert_same_bytes(new.grads[name], old.grads[name])
+        ref.assert_same_bytes(new.running_mean, old.running_mean)
+        ref.assert_same_bytes(new.running_var, old.running_var)
+
+    @given(kind=st.sampled_from(["conv", "linear"]),
+           bits=st.integers(1, 4), dtype=st.sampled_from([np.float64,
+                                                          np.float32]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_quantized_weight_grad(self, kind, bits, dtype, seed):
+        rng = np.random.default_rng(seed)
+        quant = QuantSpec(weight_bits=bits)
+        if kind == "conv":
+            layer = QuantConv2D(3, 8, padding=1, quant=quant, rng=rng)
+            x = rng.standard_normal((2, 3, 5, 4))
+        else:
+            layer = QuantLinear(12, 8, quant=quant, rng=rng)
+            x = rng.standard_normal((5, 12))
+        layer.astype(dtype)
+        x = x.astype(dtype)
+        out = layer.forward(x)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        layer.zero_grad()
+        layer.backward(grad_out)
+        got = layer.grads["weight"].copy()
+        layer.zero_grad()
+        layer._weight_grad = ref.quant_weight_grad.__get__(layer)
+        layer.backward(grad_out)
+        ref.assert_same_bytes(got, layer.grads["weight"])

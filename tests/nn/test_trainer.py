@@ -232,3 +232,46 @@ class TestExitScores:
         if r["exit_rates"][0] == 0.0:
             assert np.isnan(r["per_exit_accuracy"][0])
         assert not np.isnan(r["per_exit_accuracy"][-1])
+
+
+class TestTrainingIdentity:
+    """One epoch on the quick-profile CNV trains to the same bytes as the
+    reference (im2col/col2im) kernels: every parameter, the BatchNorm
+    running statistics and the loss/accuracy history."""
+
+    @staticmethod
+    def _fit(exits, dtype):
+        from repro.data import make_dataset
+        from repro.models import CNVConfig, ExitsConfiguration, build_cnv
+
+        train, _ = make_dataset("cifar10", 128, 8, seed=1)
+        model = build_cnv(CNVConfig(width_scale=0.125, seed=0),
+                          ExitsConfiguration.paper_default() if exits
+                          else None).astype(dtype)
+        history = Trainer(model, TrainConfig(epochs=1, batch_size=64,
+                                             lr=0.002)).fit(train.images,
+                                                            train.labels)
+        stats = [a for layer in model.all_layers()
+                 if hasattr(layer, "running_mean")
+                 for a in (layer.running_mean, layer.running_var)]
+        return model.state_dict(), stats, history
+
+    @pytest.mark.parametrize("exits,dtype", [
+        (True, np.float64), (False, np.float64), (True, np.float32)],
+        ids=["exits-float64", "backbone-float64", "exits-float32"])
+    def test_matches_reference_kernels(self, monkeypatch, exits, dtype):
+        from tests.nn import reference_kernels
+
+        state, stats, history = self._fit(exits, dtype)
+        with monkeypatch.context() as patch:
+            reference_kernels.install(patch)
+            ref_state, ref_stats, ref_history = self._fit(exits, dtype)
+
+        assert state.keys() == ref_state.keys()
+        for key in state:
+            assert state[key].dtype == np.dtype(dtype)
+            assert state[key].tobytes() == ref_state[key].tobytes(), key
+        assert len(stats) == len(ref_stats) > 0
+        for a, b in zip(stats, ref_stats):
+            assert a.tobytes() == b.tobytes()
+        assert history == ref_history
