@@ -13,6 +13,7 @@ Subcommands mirror the framework's two phases plus inspection helpers::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -68,9 +69,9 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0:
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"must be > 0 (got {value})")
+            f"must be > 0 and finite (got {value})")
     return value
 
 
@@ -79,9 +80,9 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value >= 0:
+    if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(
-            f"must be >= 0 (got {value})")
+            f"must be >= 0 and finite (got {value})")
     return value
 
 

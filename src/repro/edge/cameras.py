@@ -9,6 +9,7 @@ phase; the per-window deviation is drawn independently per camera.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.num_cameras < 1:
             raise ValueError("need at least one camera")
+        for name in ("ips_per_camera", "duration_s",
+                     "deviation_interval_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.ips_per_camera <= 0 or self.duration_s <= 0:
             raise ValueError("rates and duration must be positive")
         if not 0.0 <= self.deviation < 1.0:

@@ -21,39 +21,37 @@ dynamics, unbatched or micro-batched, as one kernel:
   service-latency lookup and correctness sampling are array operations
   over the slice of the stream the segment can consume, indexed by
   stream position (``searchsorted`` over the exit CDF, ``take`` over
-  the exit latencies, a vectorized threshold compare);
-* arrival-window sampling feeds the :class:`WorkloadMonitor` in one
-  ``observe_many`` call per decision tick;
+  the exit latencies, a vectorized threshold compare); the CDF and the
+  latency array are built once per deployed entry;
+* the rate the event loop's :class:`WorkloadMonitor` samples at a tick
+  is a count over the sorted arrivals, those in ``(tick - window,
+  tick]``: two ``searchsorted`` calls give it for every tick and the
+  horizon, and the kernel keeps no monitor;
 * latency accumulation uses ``np.cumsum`` (sequential left-to-right
   accumulation, bit-identical to the event loop's ``+=`` chain), and
   power integration is per-tick scalar work, as in the event loop.
 
 The only irreducibly sequential part — the bounded-queue admission /
-single-server start-time recursion — runs as a slim scalar loop over
-plain Python floats using the *same* float operations (``max`` and one
-addition per frame) as the event loop, so completions, queue-full
-losses, and end-of-run in-flight frames are decided identically.
+single-server start-time recursion — runs as one scalar loop per
+segment over plain Python floats held in locals, with the *same* float
+operations (``max`` and one addition per frame) as the event loop, so
+completions, queue-full losses, and end-of-run in-flight frames are
+decided identically. Only the service start depends on the kind of
+run, which is fixed per run and tested most common first. A plain start
+(unbatched and fault-free, such as the paper's Table I traffic) is one
+addition; the segment's served latencies and hits are sliced from its
+tables after the loop. A micro-batched start takes the queue head plus
+every queued frame that arrived within ``batch_window_s`` of it (the
+kernel keeps a deque of the queued arrival times for it) and charges
+one dispatch overhead per batch.
 
-Only the service start depends on ``ServerConfig.batching``, and it is
-picked once per run. ``start_batch`` takes the queue head plus every
-queued frame that arrived within ``batch_window_s`` of it, so with
-batching on the kernel also keeps a deque of the queued arrival times,
-and it charges one dispatch overhead per batch. ``start_frame`` reads
-the same draws as ``start_batch`` would at ``k = 1`` but needs neither
-the deque, the batch loop nor the overhead arithmetic: unbatched
-traffic, such as the paper's Table I workload, spends most of the
-kernel's time in it. Serving that traffic through ``start_batch``
-instead roughly doubled the kernel's CPU time (CPython 3.11 on one
-core of a 2-vCPU Xeon VM).
-
-Unbatched fault campaigns (``sim.faults`` set) get a third start
-function, also picked once per run, so fault-free runs do no fault work
-per served frame; the shared admission loop reads the pending retry
-only for an arrival that meets the queue or shedding limit. The kernel
-builds the run's :class:`~repro.runtime.faults.FaultPlan` exactly as
-the event loop does; each fault category has a private stream, so
-drawing one ahead of time in the event loop's order gives the same
-decisions:
+Unbatched fault campaigns (``sim.faults`` set) are the third kind, so
+fault-free runs do no fault work per served frame; the admission reads
+the pending retry only for an arrival that meets the queue or shedding
+limit. The kernel builds the run's
+:class:`~repro.runtime.faults.FaultPlan` exactly as the event loop does;
+each fault category has a private stream, so drawing one ahead of time
+in the event loop's order gives the same decisions:
 
 * spike arrivals are merged into the workload up front, and ingress
   drops are decided for every arrival up to the horizon with one
@@ -97,11 +95,12 @@ oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from math import nextafter
 
 import numpy as np
 
-from ..runtime.monitor import WorkloadMonitor
 from ..runtime.reconfig import ReconfigurationController
 from .metrics import RunMetrics
 
@@ -113,7 +112,7 @@ SIM_MODES = ("auto", "event")
 #: numpy's probability-sum tolerance for ``Generator.choice``.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
-_NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 def _exit_cdf(exit_rates) -> np.ndarray:
@@ -132,6 +131,17 @@ def _exit_cdf(exit_rates) -> np.ndarray:
     return cdf
 
 
+def _window_counts(arrivals, marks, window_s: float) -> list[int]:
+    """At each of the sorted ``marks``, the number of sorted ``arrivals``
+    a :class:`~repro.runtime.monitor.WorkloadMonitor` fed up to that mark
+    holds: those at or before it, less those its trims drop, at or
+    before ``mark - window_s``."""
+    marks = np.asarray(marks, dtype=np.float64)
+    return (np.searchsorted(arrivals, marks, side="right")
+            - np.searchsorted(arrivals, marks - window_s,
+                              side="right")).tolist()
+
+
 def run_fast(sim):
     """One serving run, segment-batched; ``None`` = fall back to events.
 
@@ -143,9 +153,7 @@ def run_fast(sim):
     cfg = sim.config
     batching = cfg.batching
     if sim.faults is not None and batching:
-        # A failed batch requeues several frames at once; see the
-        # module docstring.
-        return None
+        return None  # a failed batch requeues several frames at once
     workload = sim.workload
     duration = workload.duration_s
     policy = sim.policy
@@ -171,11 +179,10 @@ def run_fast(sim):
         if dropped:
             arrivals = arrivals[~drop]
     # A fault-free run serves at most ``n`` frames, two uniforms each;
-    # failed services can outrun that, and ``build_tables`` draws more.
+    # failed services can outrun that, and ``draw_tables`` draws more.
     draws = rng.random(2 * n + 2)
     arr_list = arrivals.tolist()
 
-    monitor = WorkloadMonitor(window_s=cfg.monitor_window_s)
     controller = ReconfigurationController(
         reconfig_time_s=cfg.reconfig_time_s,
         cost_model=cfg.partial_reconfig)
@@ -188,15 +195,15 @@ def run_fast(sim):
     # current tick, so tick times are a float *accumulation*, not k*dt.
     # The first tick carries the coordinator's stagger offset, with the
     # event loop's exact float ops (now=0.0 plus the combined delay).
-    ticks: list[float] = []
     t = 0.0 + (cfg.decision_offset_s + cfg.decision_interval_s)
-    if t <= duration:
-        while True:
-            ticks.append(t)
-            if t + cfg.decision_interval_s < duration:
-                t = t + cfg.decision_interval_s
-            else:
-                break
+    ticks = [t] if t <= duration else []
+    while ticks and t + cfg.decision_interval_s < duration:
+        t = t + cfg.decision_interval_s
+        ticks.append(t)
+
+    # The monitor's window count at each tick and at the horizon.
+    window = cfg.monitor_window_s
+    window_counts = _window_counts(arrivals, ticks + [duration], window)
 
     capacity = cfg.queue_capacity
     batch_window = cfg.batch_window_s
@@ -220,10 +227,9 @@ def run_fast(sim):
     # must use the exact float ops of the event loop) -----------------
     qlen = 0              # frames waiting (excludes in-service)
     pend: deque = deque()  # their arrival times, kept only for batching
-    c_last = _NEG_INF     # completion time of the last *started* service
+    c_last = -_INF        # completion time of the last *started* service
     reconfig_until = 0.0
     p = 0                 # next unconsumed position in the draw stream
-    processed = 0
     lost = 0
     shed = 0
     rung = 0
@@ -236,12 +242,11 @@ def run_fast(sim):
     energy_j = 0.0
     last_power_t = 0.0
     ai = 0                # next arrival index to admit
-    fed = 0               # arrivals already fed to the monitor
     # Fault state. ``retry`` is the attempt count of the frame a failed
     # inference puts back at the queue head (0 = none): the next start
     # serves it, so at most one exists. ``qlen`` counts it from the
     # failing start on, but the event loop's queue holds it only from
-    # the failed completion ``c_last`` on (see ``admit_frames``).
+    # the failed completion ``c_last`` on (see the admission below).
     # ``next_retry`` is the scheduled reconfiguration retry ``(time,
     # target entry, attempt)``; while it is pending the event loop's
     # ``reconfig_inflight`` is set.
@@ -253,172 +258,60 @@ def run_fast(sim):
     reconfig_retries = 0
     fault_dead_time_s = 0.0
 
-    # Per-segment draw tables for the deployed entry, indexed by stream
-    # position minus ``seg_base``: the service latency an exit draw at
-    # that position gives, and whether a correctness draw there hits.
-    seg_base = 0
-    seg_last = 0          # seg_base + len(seg_services) - 1
-    seg_services: list[float] = []
-    seg_correct: list[bool] = []
-
-    def build_tables(m: int) -> None:
-        """Tables over the next ``m`` draws of the stream. A segment
-        passes two per frame that could start in it (current queue + new
-        arrivals); ``start_faulted`` regrows them when inference retries
-        outrun that. The next segment rebuilds
-        from the first unconsumed position with its own entry, so
-        over-computing has no RNG side effects."""
-        nonlocal seg_base, seg_last, seg_services, seg_correct, draws
-        seg_base = p
-        seg_last = p + m - 1
-        if m <= 0:
-            seg_services = []
-            seg_correct = []
-            return
-        if p + m > len(draws):
-            # Faulted runs only: extending the private stream gives the
-            # draws one longer ``rng.random`` call would have given.
-            draws = np.concatenate([draws, rng.random(p + m - len(draws))])
-        u = draws[p:p + m]
-        cdf = _exit_cdf(entry.exit_rates)  # same validation as choice
-        if entry.exit_latencies_s:
-            latencies = np.asarray(entry.exit_latencies_s,
-                                   dtype=np.float64)
-            seg_services = latencies[
-                cdf.searchsorted(u, side="right")].tolist()
-        else:
-            seg_services = [entry.latency_s] * m
-        seg_correct = (u < entry.accuracy).tolist()
-
-    def start_frame(sigma: float) -> None:
-        """Start the queue head alone at time ``sigma``."""
-        nonlocal qlen, c_last, p, processed, correct
-        qlen -= 1
-        i = p - seg_base
-        p += 2
-        service = seg_services[i]
-        c_last = sigma + service
-        if c_last <= duration:
-            # Completion events at or before the horizon always fire.
-            processed += 1
-            served_latencies.append(service)
-            if seg_correct[i + 1]:
-                correct += 1
-        # else: in flight at the end of the run — the exit draw was
-        # consumed at the start but the frame is neither processed nor
-        # lost, exactly like the event loop's still-busy server. No
-        # later service starts, so ``p`` may skip the unused draw.
-
-    def start_batch(sigma: float) -> None:
-        """Start one plan invocation at ``sigma``: the queue head plus
-        every queued frame within ``batch_window`` of its arrival."""
-        nonlocal qlen, c_last, p, processed, correct, batches
-        window_end = pend.popleft() + batch_window
-        k = 1
-        while pend and pend[0] <= window_end:
-            pend.popleft()
-            k += 1
-        qlen -= k
-        i = p - seg_base
-        p += 2 * k
-        services = seg_services[i:i + k]
-        total = overhead
-        for service in services:
-            total += service
-        c_last = sigma + total
-        if c_last <= duration:
-            batches += 1
-            processed += k
-            share = overhead / k
-            served_latencies.extend([s + share for s in services])
-            correct += seg_correct[i + k:i + 2 * k].count(True)
-
     # Inference errors. Each failed service with budget left serves its
     # frame once more, one draw beyond the segment's two-per-frame
-    # bound, so ``start_faulted`` regrows the tables when it runs out.
+    # bound, so a faulted start regrows the tables when it runs out.
     if plan is not None and spec.inference_error_prob > 0.0:
         inference_fails = plan.inference_failures()
         infer_from = spec.active_from_s
-        infer_until = spec.active_until_s
-        if infer_until is None:
-            infer_until = float("inf")
+        infer_until = _INF if spec.active_until_s is None \
+            else spec.active_until_s
     else:
         inference_fails = None
-        infer_from = infer_until = float("inf")  # never active
+        infer_from = infer_until = _INF  # never active
 
-    def start_faulted(sigma: float) -> None:
-        """``start_frame`` with transient inference errors: the requeued
-        frame goes first, and a service whose completion fails burns its
-        time without a correctness draw, then requeues its frame or,
-        out of budget, counts it as failed."""
-        nonlocal qlen, retry, c_last, p, processed, correct, retries, \
-            failed
-        qlen -= 1
-        attempts = retry
-        retry = 0
-        if p >= seg_last:
-            build_tables(64)  # retries outran the segment's tables
-        i = p - seg_base
-        service = seg_services[i]
-        c_last = sigma + service
-        if c_last <= duration:
-            if infer_from <= c_last < infer_until \
-                    and next(inference_fails):
-                p += 1
-                if attempts < spec.inference_retries:
-                    retries += 1
-                    retry = attempts + 1
-                    qlen += 1
-                else:
-                    failed += 1
-                return
-            processed += 1
-            served_latencies.append(service)
-            if seg_correct[i + 1]:
-                correct += 1
-        p += 2
+    # Only the service start differs between the three kinds of run, and
+    # the kind is fixed per run: plain (unbatched and fault-free, such as
+    # the paper's Table I traffic), micro-batched, or faulted.
+    plain = plan is None and not batching
+    # Exit CDF and latencies per deployed entry, built on its first table
+    # (where ``_exit_cdf`` rejects bad exit rates, as ``choice`` does at
+    # the event loop's first start); holding the entry keeps its ``id``.
+    exit_tables: dict = {}
 
-    def admit_frames(hi: int) -> None:
-        """Admit arrivals ``ai .. hi-1``, starting every service that
-        begins before each one."""
-        nonlocal qlen, lost, shed
-        for t_arr in arr_list[ai:hi]:
-            # Queued frames whose service begins strictly before this
-            # arrival have left the queue by the time it is admitted
-            # (starts *at* t_arr are triggered by completion events that
-            # fire after the arrival event — still waiting).
-            while qlen:
-                sigma = c_last if c_last >= reconfig_until \
-                    else reconfig_until
-                if sigma >= t_arr:
-                    break
-                start(sigma)
-            # A requeued frame whose failed completion has not fired yet
-            # (arrival events go first) is not in the event loop's queue:
-            # at a limit of exactly ``qlen`` the arrival still fits. The
-            # ``retry`` test runs only at a limit (0 on fault-free runs).
-            if brownout and rung == bottom_rung and qlen >= shed_len \
-                    and not (retry and c_last >= t_arr and qlen == shed_len):
-                shed += 1  # bottom-rung admission control
-            elif qlen >= capacity \
-                    and not (retry and c_last >= t_arr and qlen == capacity):
-                lost += 1
-            else:
-                qlen += 1
-                if batching:
-                    pend.append(t_arr)
-                if c_last < t_arr and reconfig_until <= t_arr:
-                    # Idle and unblocked: serve the head at once. The
-                    # head is an older frame only when a resume at this
-                    # very time has not fired yet (arrivals go first).
-                    start(t_arr)
+    def draw_tables(pos: int, m: int):
+        """The deployed entry's tables over the ``m`` draws from stream
+        position ``pos``: the service latency an exit draw there gives
+        and whether a correctness draw there hits; for plain runs only
+        the latencies at ``pos``, ``pos + 2``, ..., one per frame. A
+        segment asks for two draws per frame that could start in it, a
+        faulted start for more when retries outrun that. Over-computing
+        has no RNG side effects: the next segment rebuilds from the first
+        unconsumed position."""
+        nonlocal draws
+        if m <= 0:
+            return [], []
+        if pos + m > len(draws):
+            # Faulted runs only: extending the private stream gives the
+            # draws one longer ``rng.random`` call would have given.
+            draws = np.concatenate([draws, rng.random(pos + m - len(draws))])
+        u = draws[pos:pos + m]
+        known = exit_tables.get(id(entry))
+        if known is None:
+            cdf = _exit_cdf(entry.exit_rates)  # same validation as choice
+            latencies = np.asarray(entry.exit_latencies_s, dtype=np.float64) \
+                if entry.exit_latencies_s else None
+            known = exit_tables[id(entry)] = (entry, cdf, latencies)
+        _, cdf, latencies = known
+        exits = u[::2] if plain else u
+        if latencies is None:
+            services = [entry.latency_s] * len(exits)
+        else:
+            services = latencies[cdf.searchsorted(exits, side="right")] \
+                .tolist()
+        return services, None if plain else (u < entry.accuracy).tolist()
 
-    # Picked once per run: only the start function and the batching
-    # deque differ between the three kinds of run.
-    if plan is not None:
-        start = start_faulted
-    else:
-        start = start_batch if batching else start_frame
+    pend_append, pend_popleft = pend.append, pend.popleft
 
     def serve_segment(t_end: float, is_tick: bool) -> bool:
         """Admit arrivals and run services with start times <= t_end.
@@ -427,24 +320,136 @@ def run_fast(sim):
         (or a reconfiguration retry) makes the event ordering
         scheduling-dependent (caller falls back to the event loop).
         """
-        nonlocal ai
-        hi = int(np.searchsorted(arrivals, t_end, side="right"))
-        build_tables(2 * (qlen + (hi - ai)))
-        admit_frames(hi)
-        ai = hi
-        # Services starting up to the segment boundary. At a decision
-        # tick, a start exactly *on* the boundary comes from a
-        # completion/resume event tied with the decision event; at the
-        # run horizon every event <= duration fires, so the boundary is
-        # inclusive.
-        while qlen:
-            sigma = c_last if c_last >= reconfig_until else reconfig_until
-            if sigma > t_end or (is_tick and sigma == t_end):
-                break
-            start(sigma)
-        if is_tick and qlen and sigma == t_end:
-            return False  # tie: start ordering depends on event seqs
-        return True
+        nonlocal ai, qlen, c_last, p, retry, correct, lost, shed, batches, \
+            retries, failed
+        hi = bisect_right(arr_list, t_end, ai)
+        # The run state lives in locals for the segment; the swap window,
+        # the deployed entry and the brownout rung are fixed within it.
+        # Table index ``i`` is stream position ``base + i`` (plain runs:
+        # frame ``i`` of the segment, position ``base + 2i``).
+        q, c, ru, requeued, base, i = qlen, c_last, reconfig_until, retry, p, 0
+        services, hits = draw_tables(base, 2 * (q + hi - ai))
+        n_correct = n_lost = n_shed = n_batches = n_retries = n_failed = 0
+        shedding = brownout and rung == bottom_rung
+        admit_below = shed_len if shedding else capacity
+        # The segment's arrivals, then its limit: services up to the
+        # boundary start too. At a decision tick, a start exactly *on* it
+        # comes from a completion/resume event tied with the decision
+        # event; at the run horizon every event <= duration fires, so
+        # that boundary is inclusive.
+        limits = arr_list[ai:hi]
+        limits.append(t_end if is_tick else nextafter(t_end, _INF))
+        left = hi - ai
+        free = False          # an admitted arrival found the server idle
+        for t in limits:
+            # Queued frames whose service begins strictly before t have
+            # left the queue by the time it is admitted (starts *at* t
+            # are triggered by completion events that fire after the
+            # arrival event — still waiting).
+            while q:
+                if free:
+                    free = False  # ``sigma`` is that arrival's time
+                else:
+                    sigma = c if c >= ru else ru
+                    if sigma >= t:
+                        break
+                if plain:
+                    q -= 1
+                    c = sigma + services[i]
+                    i += 1    # served frames are counted below
+                elif batching:
+                    # The head plus every queued frame within
+                    # ``batch_window`` of its arrival share one plan
+                    # invocation and one dispatch overhead.
+                    window_end = pend_popleft() + batch_window
+                    k = 1
+                    while pend and pend[0] <= window_end:
+                        pend_popleft()
+                        k += 1
+                    q -= k
+                    batch = services[i:i + k]
+                    total = overhead
+                    for service in batch:
+                        total += service
+                    c = sigma + total
+                    if c <= duration:
+                        n_batches += 1
+                        share = overhead / k
+                        served_latencies.extend([s + share for s in batch])
+                        n_correct += hits[i + k:i + 2 * k].count(True)
+                    i += 2 * k
+                else:
+                    # Faulted: the requeued frame goes first, and a
+                    # service whose completion fails burns its time
+                    # without a correctness draw, then requeues its frame
+                    # or, out of budget, counts it as failed.
+                    q -= 1
+                    attempts, requeued = requeued, 0
+                    if i >= len(services) - 1:
+                        # Retries outran the segment's tables.
+                        base, i = base + i, 0
+                        services, hits = draw_tables(base, 64)
+                    service = services[i]
+                    c = sigma + service
+                    if c <= duration:
+                        if infer_from <= c < infer_until \
+                                and next(inference_fails):
+                            i += 1
+                            if attempts < spec.inference_retries:
+                                n_retries += 1
+                                requeued = attempts + 1
+                                q += 1
+                            else:
+                                n_failed += 1
+                            continue
+                        served_latencies.append(service)
+                        if hits[i + 1]:
+                            n_correct += 1
+                    i += 2
+            if not left:
+                break             # t is the segment's limit
+            left -= 1
+            # A requeued frame whose failed completion has not fired yet
+            # (arrival events go first) is not in the event loop's queue:
+            # at a limit of exactly ``q`` the arrival still fits.
+            if q >= admit_below:
+                if shedding \
+                        and not (requeued and c >= t and q == shed_len):
+                    n_shed += 1   # bottom-rung admission control
+                    continue
+                if q >= capacity \
+                        and not (requeued and c >= t and q == capacity):
+                    n_lost += 1
+                    continue
+            q += 1
+            if batching:
+                pend_append(t)
+            if c < t and ru <= t:
+                # Idle and unblocked: the head starts at t, before any
+                # later arrival. It is an older frame only when a resume
+                # at this very time has not fired yet (arrivals go first).
+                free = True
+                sigma = t
+        if plain:
+            # Each frame's correctness draw follows its exit draw.
+            # Completions at or before the horizon always fire. A later
+            # one, only ever the last, is in flight at the end of the run
+            # — its exit draw consumed but the frame neither processed
+            # nor lost, as in the event loop.
+            served = i if c <= duration else i - 1
+            if served > 0:
+                served_latencies.extend(services[:served])
+                n_correct += int(np.count_nonzero(
+                    draws[base + 1:base + 2 * served:2] < entry.accuracy))
+            i *= 2
+        ai, qlen, c_last, p, retry = hi, q, c, base + i, requeued
+        correct += n_correct
+        lost += n_lost
+        shed += n_shed
+        batches += n_batches
+        retries += n_retries
+        failed += n_failed
+        return not (is_tick and q and sigma == t_end)
 
     degrade = getattr(policy, "select_without_reconfig", None)
 
@@ -486,7 +491,7 @@ def run_fast(sim):
             reconfigure(selected, attempt, r)
         return True
 
-    for tick in ticks:
+    for tick, count in zip(ticks, window_counts):
         if not retry_reconfig(tick):
             return None
         if not serve_segment(tick, is_tick=True):
@@ -496,11 +501,7 @@ def run_fast(sim):
             # the tick: whether it precedes the decision depends on
             # event scheduling order. Let the oracle decide.
             return None
-        hi = int(np.searchsorted(arrivals, tick, side="right"))
-        if hi > fed:
-            monitor.observe_many(arr_list[fed:hi])
-            fed = hi
-        ips = monitor.sampled_ips(tick)
+        ips = count / window
         dt = tick - last_power_t
         if dt > 0:
             energy_j += entry.power_at(ips) * dt
@@ -536,7 +537,6 @@ def run_fast(sim):
         elif next_retry is None:
             reconfigure(selected, 0, tick)
         # else: a retry is in flight; the deployed entry stays.
-        monitor.acknowledge(tick)
         if record_trace:
             trace["t"].append(tick)
             trace["workload_ips"].append(ips)
@@ -555,19 +555,18 @@ def run_fast(sim):
         brownout_time_s += duration - brownout_since
 
     # Arrival events past the horizon never fire in the event loop, so
-    # the monitor must not see them either.
-    hi_end = int(np.searchsorted(arrivals, duration, side="right"))
-    if hi_end > fed:
-        monitor.observe_many(arr_list[fed:hi_end])
-    final_ips = monitor.sampled_ips(duration)
+    # the monitor never sees them: the count stops at the horizon.
+    final_ips = window_counts[-1] / window
     dt = duration - last_power_t
     if dt > 0:
         energy_j += entry.power_at(final_ips) * dt
 
     # cumsum is a sequential left-to-right accumulation, bit-identical
     # to the event loop's `latency_sum += service` chain.
-    if served_latencies:
-        latency_sum = float(np.cumsum(np.asarray(served_latencies))[-1])
+    processed = len(served_latencies)
+    if processed:
+        latency_sum = float(np.cumsum(np.fromiter(
+            served_latencies, np.float64, processed))[-1])
     else:
         latency_sum = 0.0
 

@@ -118,6 +118,12 @@ class ServerConfig:
     def __post_init__(self):
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
+        for name in ("decision_interval_s", "decision_offset_s",
+                     "monitor_window_s", "reconfig_time_s",
+                     "batch_window_s", "dispatch_overhead_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.decision_interval_s <= 0 or self.monitor_window_s <= 0:
             raise ValueError("intervals must be positive")
         if self.decision_offset_s < 0:

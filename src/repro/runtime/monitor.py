@@ -9,6 +9,7 @@ relative threshold since the last acknowledged level.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -20,8 +21,9 @@ class WorkloadMonitor:
     """Sliding-window arrival-rate estimator with change detection."""
 
     def __init__(self, window_s: float = 1.0, change_threshold: float = 0.10):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError(
+                f"window_s must be finite and positive, got {window_s!r}")
         if change_threshold < 0:
             raise ValueError("change_threshold must be >= 0")
         self.window_s = window_s
@@ -31,6 +33,8 @@ class WorkloadMonitor:
 
     def record_arrival(self, t: float) -> None:
         """Register one inference request at time ``t`` (seconds)."""
+        if not math.isfinite(t):
+            raise ValueError(f"arrival time must be finite, got {t!r}")
         if self._arrivals and t < self._arrivals[-1]:
             raise ValueError("arrivals must be recorded in time order")
         self._arrivals.append(t)
@@ -41,16 +45,19 @@ class WorkloadMonitor:
 
         Equivalent to calling :meth:`record_arrival` for each element of
         ``times`` (already sorted, not earlier than anything recorded so
-        far) but validated and trimmed once per batch — the simulators
-        buffer arrivals between decision ticks and flush them here,
-        removing a per-frame method-call hot spot from both the event
-        loop and the vectorized fast path.
+        far) but validated and trimmed once per batch — the event loop
+        buffers arrivals between decision ticks and flushes them here,
+        removing a per-frame method-call hot spot. (The vectorized fast
+        path keeps no monitor: it counts the window over the sorted
+        arrivals.)
         """
         batch = np.asarray(times, dtype=np.float64)
         if batch.ndim != 1:
             raise ValueError("times must be a 1-D sequence")
         if batch.size == 0:
             return
+        if not bool(np.isfinite(batch).all()):
+            raise ValueError("arrival times must be finite")
         if batch.size > 1 and bool(np.any(np.diff(batch) < 0)):
             raise ValueError("arrivals must be recorded in time order")
         first = float(batch[0])

@@ -25,6 +25,13 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(duration_s=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "ips_per_camera", "duration_s", "deviation_interval_s"])
+    def test_non_finite_field_rejected(self, field):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=field):
+                WorkloadSpec(**{field: value})
+
 
 class TestCameraFleet:
     def test_window_rates_within_deviation(self):

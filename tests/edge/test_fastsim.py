@@ -26,9 +26,9 @@ from repro.edge import (
     WorkloadSpec,
     simulate_policy,
 )
-from repro.edge import fastsim
+from repro.edge import fastsim, server
 from repro.edge.server import EdgeServerSimulator
-from repro.runtime import PartialReconfigModel, make_policy
+from repro.runtime import PartialReconfigModel, WorkloadMonitor, make_policy
 from repro.runtime.faults import FaultSpec
 
 from repro.runtime import Library
@@ -86,10 +86,14 @@ class TestBitIdentity:
         seed=st.integers(0, 2**20),
         capacity=st.sampled_from([1, 2, 5, 32, 256]),
         interval=st.floats(0.1, 4.0, allow_nan=False),
+        window=st.floats(0.05, 5.0, allow_nan=False),
+        offset=st.sampled_from([0.0, 0.137, 0.5]),
     )
-    def test_random_conditions(self, workload, seed, capacity, interval):
+    def test_random_conditions(self, workload, seed, capacity, interval,
+                               window, offset):
         lib = build_library()
         cfg = dict(queue_capacity=capacity, decision_interval_s=interval,
+                   monitor_window_s=window, decision_offset_s=offset,
                    record_trace=True)
         event = run_metrics(lib, workload,
                             ServerConfig(sim_mode="event", **cfg), seed)
@@ -441,6 +445,139 @@ class TestFaultEdgeCases:
             ScriptedPolicy([self.A, self.B]), FixedTrace([0.5], 2.0),
             seed=0, faults=spec)
         assert fastsim.run_fast(sim) is None
+
+
+def tick_marks(offset, interval, duration):
+    """Decision ticks as the event loop schedules them, then the
+    horizon: where the monitor is read."""
+    ticks, t = [], 0.0 + (offset + interval)
+    while t <= duration:
+        ticks.append(t)
+        if not t + interval < duration:
+            break
+        t = t + interval
+    return ticks + [duration]
+
+
+@st.composite
+def boundary_arrivals(draw, marks, window, span):
+    """Sorted arrivals with duplicates and frames exactly at a tick, at
+    ``tick - window`` (when that is not negative) and at the horizon,
+    among free ones."""
+    ticks = marks[:-1] or marks
+    edges = [e for e in marks + [m - window for m in marks] if e >= 0.0]
+    cutoffs = [t - window for t in ticks if t - window >= 0.0] or [0.0]
+    placed = [draw(st.sampled_from(ticks)), draw(st.sampled_from(cutoffs)),
+              marks[-1]]
+    placed += draw(st.lists(st.sampled_from(edges), max_size=12))
+    free = draw(st.lists(st.floats(0.0, span, allow_nan=False),
+                         max_size=40))
+    times = placed + free
+    times += draw(st.lists(st.sampled_from(times), min_size=1,
+                           max_size=10))  # duplicates
+    return np.sort(np.asarray(times, dtype=np.float64))
+
+
+class SpyMonitor(WorkloadMonitor):
+    """Records every rate the event loop samples, by time."""
+
+    seen: dict = {}
+
+    def sampled_ips(self, now):
+        ips = super().sampled_ips(now)
+        SpyMonitor.seen[now] = ips
+        return ips
+
+
+class TestWindowCount:
+    """``run_fast`` keeps no monitor: it counts each tick's window over
+    the sorted arrivals. The count must give exactly the rate
+    ``WorkloadMonitor.sampled_ips`` reports."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           window=st.floats(0.05, 5.0, allow_nan=False),
+           interval=st.floats(0.1, 2.0, allow_nan=False),
+           offset=st.sampled_from([0.0, 0.137, 0.5]),
+           duration=st.floats(0.5, 8.0, allow_nan=False))
+    def test_count_matches_monitor(self, data, window, interval, offset,
+                                   duration):
+        marks = tick_marks(offset, interval, duration)
+        arrivals = data.draw(boundary_arrivals(marks, window,
+                                               duration + 1.0))
+        counts = fastsim._window_counts(arrivals, marks, window)
+        monitor, fed = WorkloadMonitor(window_s=window), 0
+        for mark, count in zip(marks, counts):
+            # Fed as the event loop feeds it: what fired by the mark.
+            hi = int(np.searchsorted(arrivals, mark, side="right"))
+            monitor.observe_many(arrivals[fed:hi])
+            fed = hi
+            assert count / window == monitor.sampled_ips(mark)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           window=st.floats(0.05, 5.0, allow_nan=False),
+           drop=st.sampled_from([0.1, 0.5, 1.0]),
+           spike_duration=st.sampled_from([0.5, 2.0]),
+           seed=st.integers(0, 2**20),
+           fault_seed=st.integers(0, 100))
+    def test_fault_campaign_counts_match_event_monitor(
+            self, data, window, drop, spike_duration, seed, fault_seed):
+        """Spike arrivals merged in and ingress drops taken out: the
+        counts ``run_fast`` computes equal what the event loop's own
+        monitor samples at every tick and at the horizon."""
+        duration, interval = 4.0, 0.7
+        marks = tick_marks(0.0, interval, duration)
+        times = data.draw(boundary_arrivals(marks, window, duration + 0.5))
+        spec = FaultSpec(spike_prob=1.0, spike_factor=4.0,
+                         spike_duration_s=spike_duration, drop_prob=drop)
+        sim = EdgeServerSimulator(
+            make_policy("adapex", build_library()),
+            FixedTrace(times, duration),
+            config=ServerConfig(decision_interval_s=interval,
+                                monitor_window_s=window),
+            seed=seed, faults=spec, fault_seed=fault_seed)
+        window_counts, calls = fastsim._window_counts, []
+
+        def counted(arrivals, at, window_s):
+            calls.append((list(at), window_counts(arrivals, at, window_s)))
+            return calls[-1][1]
+
+        SpyMonitor.seen = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fastsim, "_window_counts", counted)
+            mp.setattr(server, "WorkloadMonitor", SpyMonitor)
+            fast = fastsim.run_fast(sim)
+            event = sim._run_event()
+        (at, counts), = calls
+        assert at == marks
+        assert set(SpyMonitor.seen) == set(marks)
+        for mark, count in zip(marks, counts):
+            assert count / window == SpyMonitor.seen[mark]
+        if fast is not None:
+            assert_identical(event, fast)
+
+    def test_fast_path_feeds_no_monitor(self, monkeypatch):
+        def boom(*args):  # pragma: no cover - must not be called
+            raise AssertionError("run_fast fed a WorkloadMonitor")
+        monkeypatch.setattr(WorkloadMonitor, "observe_many", boom)
+        monkeypatch.setattr(WorkloadMonitor, "record_arrival", boom)
+        sim = EdgeServerSimulator(
+            make_policy("adapex", build_library()),
+            WorkloadSpec(num_cameras=4, duration_s=3.0), seed=1,
+            faults=FaultSpec.parse("heavy"))
+        assert fastsim.run_fast(sim) is not None
+
+    @pytest.mark.parametrize("sim_mode", SIM_MODES)
+    def test_bad_exit_rates_rejected_by_both_engines(self, sim_mode):
+        """The per-entry exit tables keep ``choice``'s sum-to-one check."""
+        bad = _entry(rate=0.0, ct=0.5, acc=0.9, ips=100.0,
+                     rates=(0.3, 0.3, 0.3))
+        sim = EdgeServerSimulator(
+            ScriptedPolicy([bad]), FixedTrace([0.5, 1.5], 2.0),
+            config=ServerConfig(sim_mode=sim_mode), seed=0)
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            sim.run()
 
 
 class TestFallback:

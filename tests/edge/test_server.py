@@ -229,3 +229,18 @@ class TestParallelSimulation:
                         workload=small_workload(),
                         progress=messages.append)
         assert len(messages) == 3
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestConfigValidation:
+    """Non-finite timings fail closed, naming the field."""
+
+    @pytest.mark.parametrize("field", [
+        "decision_interval_s", "monitor_window_s", "decision_offset_s",
+        "reconfig_time_s", "batch_window_s", "dispatch_overhead_s"])
+    def test_non_finite_field_rejected(self, field):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=field):
+                ServerConfig(**{field: value})

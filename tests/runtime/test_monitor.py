@@ -65,6 +65,21 @@ class TestWorkloadMonitor:
         with pytest.raises(ValueError):
             WorkloadMonitor(change_threshold=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, value):
+        with pytest.raises(ValueError, match="window_s"):
+            WorkloadMonitor(window_s=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_arrival_rejected(self, value):
+        mon = WorkloadMonitor(window_s=1.0)
+        with pytest.raises(ValueError, match="arrival time"):
+            mon.record_arrival(value)
+        # A NaN would never be trimmed and would inflate every rate.
+        mon.record_arrival(0.5)
+        assert mon.sampled_ips(5.0) == 0.0
+
 
 class TestObserveMany:
     def test_equivalent_to_per_frame_recording(self):
@@ -106,3 +121,10 @@ class TestObserveMany:
         mon = WorkloadMonitor()
         with pytest.raises(ValueError):
             mon.observe_many([[0.1, 0.2]])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_batch(self, value):
+        mon = WorkloadMonitor()
+        with pytest.raises(ValueError, match="arrival times"):
+            mon.observe_many([0.1, value])
+        assert mon.sampled_ips(0.1) == 0.0

@@ -65,6 +65,18 @@ class TestValidation:
                                        "--point-timeout", "0"])
         assert "must be > 0" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_positive_float_must_be_finite(self, capsys, value):
+        err = self.error_text(capsys, ["fleet", "--library", "x.json",
+                                       "--duration", value])
+        assert "--duration" in err and "must be > 0 and finite" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonnegative_float_must_be_finite(self, capsys, value):
+        err = self.error_text(capsys, ["evaluate", "--library", "x.json",
+                                       "--batch-window", value])
+        assert "--batch-window" in err and "must be >= 0 and finite" in err
+
     def test_point_retries_must_be_nonnegative(self, capsys):
         err = self.error_text(capsys, ["generate", "-o", "x.json",
                                        "--point-retries", "-1"])
