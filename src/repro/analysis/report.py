@@ -7,9 +7,8 @@ keep that formatting in one place.
 from __future__ import annotations
 
 import csv
-import io
 
-__all__ = ["format_table", "write_csv", "format_series"]
+__all__ = ["format_table", "write_csv"]
 
 
 def _fmt(value, precision: int = 3) -> str:
@@ -41,14 +40,6 @@ def format_table(rows: list, columns: list | None = None,
     return "\n".join(lines)
 
 
-def format_series(name: str, xs, ys, precision: int = 3) -> str:
-    """One-line rendering of a figure series (x -> y pairs)."""
-    pairs = ", ".join(
-        f"{_fmt(float(x), precision)}:{_fmt(float(y), precision)}"
-        for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"
-
-
 def write_csv(rows: list, path, columns: list | None = None) -> None:
     """Write dict rows to a CSV file."""
     if not rows:
@@ -58,15 +49,3 @@ def write_csv(rows: list, path, columns: list | None = None) -> None:
         writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-
-
-def rows_to_csv_text(rows: list, columns: list | None = None) -> str:
-    """CSV rendering as a string (handy for logs and tests)."""
-    if not rows:
-        return ""
-    columns = columns or list(rows[0].keys())
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()

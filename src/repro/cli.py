@@ -30,7 +30,7 @@ from .edge.server import SIM_MODES, ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
                     FleetFaultSpec, ReconfigCoordinator, make_tenants,
                     simulate_fleet)
-from .runtime.baselines import make_policy
+from .runtime.baselines import make_policy, policy_class
 from .runtime.faults import FaultSpec
 from .runtime.library import Library
 from .runtime.reconfig import PartialReconfigModel
@@ -84,6 +84,16 @@ def _nonnegative_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 and finite (got {value})")
     return value
+
+
+def _policy_names(text: str) -> str:
+    """Comma-separated policy names, each one :func:`make_policy` knows."""
+    for name in text.split(","):
+        try:
+            policy_class(name.strip())
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err))
+    return text
 
 
 def _rate_sweep(text: str) -> list[float]:
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["quick", "paper"],
                      help="quick: seconds-scale smoke sweep; paper: the "
                           "full 18x21 sweep (minutes of training)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("-o", "--output", required=True,
                      help="output JSON path")
     gen.add_argument("--workers", type=_positive_int, default=1,
@@ -289,16 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="compile the policy's decision function into "
                           "an O(1) lookup table before selecting "
                           "(exactly equivalent; reports table shape)")
-    sel.add_argument("--workload", type=float, required=True,
+    sel.add_argument("--workload", type=_nonnegative_float, required=True,
                      help="incoming inferences per second")
     sel.add_argument("--policy", default="adapex",
                      choices=["adapex", "pr-only", "ct-only", "finn"])
 
     ev = sub.add_parser("evaluate", help="simulate the edge scenario")
     ev.add_argument("--library", required=True)
-    ev.add_argument("--policies", default="adapex,pr-only,ct-only,finn")
+    ev.add_argument("--policies", type=_policy_names,
+                    default="adapex,pr-only,ct-only,finn")
     ev.add_argument("--runs", type=_positive_int, default=10)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_nonnegative_int, default=0)
     ev.add_argument("--parallel", type=_nonnegative_int, default=0,
                     metavar="N",
                     help="simulate runs on N worker processes (0 = serial; "
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "and/or comma-separated key=value overrides, "
                          "e.g. 'heavy' or "
                          "'reconfig_failure_prob=0.3,drop_prob=0.01'")
-    ev.add_argument("--fault-seed", type=int, default=0,
+    ev.add_argument("--fault-seed", type=_nonnegative_int, default=0,
                     help="seed of the fault campaign; identical seeds "
                          "give byte-identical campaigns")
     ev.add_argument("--policy-table", action="store_true",
@@ -414,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="OCC",
                     help="bottom-rung shed threshold as queue occupancy "
                          "(default 1.0 = only when full)")
-    fl.add_argument("--fault-seed", type=int, default=0)
-    fl.add_argument("--seed", type=int, default=0)
+    fl.add_argument("--fault-seed", type=_nonnegative_int, default=0)
+    fl.add_argument("--seed", type=_nonnegative_int, default=0)
     fl.add_argument("--workers", type=_nonnegative_int, default=0,
                     metavar="N",
                     help="shard servers over N worker processes "
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("design-space", help="dump the Fig.-4 design space")
     ds.add_argument("--library", required=True)
     ds.add_argument("--csv", help="optional CSV output path")
-    ds.add_argument("--top", type=int, default=15,
+    ds.add_argument("--top", type=_positive_int, default=15,
                     help="rows to print (sorted by accuracy)")
     return parser
 

@@ -14,7 +14,6 @@ from .adapex import AdaPExFramework
 from .checkpoint import SweepManifest
 from .config import AdaPExConfig, paper_threshold_sweep
 from .design_time import LibraryGenerator
-from .explore import explore_exit_placements
 from .halving import (
     HalvingConfig,
     HalvingReport,
@@ -33,7 +32,7 @@ from .supervise import (
 )
 
 __all__ = ["AdaPExFramework", "AdaPExConfig", "paper_threshold_sweep",
-           "LibraryGenerator", "explore_exit_placements",
+           "LibraryGenerator",
            "HalvingConfig", "HalvingReport", "HalvingSearch",
            "pareto_front", "pareto_ranks",
            "PhaseTimer", "PointCache",

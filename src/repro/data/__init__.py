@@ -1,4 +1,4 @@
-"""Synthetic dataset substrate (CIFAR-10 / GTSRB substitutes)."""
+"""Synthetic datasets (CIFAR-10 / GTSRB substitutes) and augmentation."""
 
 from .augment import (
     compose,
@@ -7,7 +7,6 @@ from .augment import (
     random_shift,
     standard_augmentation,
 )
-from .loader import BatchLoader, stratified_split
 from .synthetic import (
     Dataset,
     DatasetSpec,
@@ -15,13 +14,11 @@ from .synthetic import (
     cifar10_like,
     gtsrb_like,
     make_dataset,
-    mnist_like,
 )
 
 __all__ = [
     "compose", "gaussian_noise", "random_flip", "random_shift",
     "standard_augmentation",
-    "BatchLoader", "stratified_split",
     "Dataset", "DatasetSpec", "SyntheticImageGenerator",
-    "cifar10_like", "gtsrb_like", "make_dataset", "mnist_like",
+    "cifar10_like", "gtsrb_like", "make_dataset",
 ]

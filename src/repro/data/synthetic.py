@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["DatasetSpec", "Dataset", "SyntheticImageGenerator",
-           "cifar10_like", "gtsrb_like", "mnist_like", "make_dataset"]
+           "cifar10_like", "gtsrb_like", "make_dataset"]
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,6 @@ def cifar10_like(noise_std: float = 0.25, seed: int = 1234) -> DatasetSpec:
                        noise_std=noise_std, seed=seed)
 
 
-def mnist_like(noise_std: float = 0.20, seed: int = 777) -> DatasetSpec:
-    """10-class single-channel dataset standing in for MNIST (1x28x28),
-    used by the TFC model family."""
-    return DatasetSpec(name="mnist-like", num_classes=10,
-                       image_shape=(1, 28, 28), noise_std=noise_std,
-                       hard_fraction=0.35, seed=seed)
-
-
 def gtsrb_like(noise_std: float = 0.32, seed: int = 4321) -> DatasetSpec:
     """43-class dataset standing in for GTSRB at CIFAR resolution.
 
@@ -181,8 +173,7 @@ def gtsrb_like(noise_std: float = 0.32, seed: int = 4321) -> DatasetSpec:
 
 def make_dataset(name: str, train: int, test: int, seed: int = 0):
     """Convenience factory: ``(train_split, test_split)`` by dataset name."""
-    specs = {"cifar10": cifar10_like(), "gtsrb": gtsrb_like(),
-             "mnist": mnist_like()}
+    specs = {"cifar10": cifar10_like(), "gtsrb": gtsrb_like()}
     key = name.lower().replace("-like", "").replace("_like", "")
     if key not in specs:
         raise ValueError(f"unknown dataset {name!r}; options: {sorted(specs)}")

@@ -1,11 +1,11 @@
 """Edge-server simulation: DES core, camera workloads, custom traces,
-server, metrics, and a fluid-flow fast path. Fault injection lives in
-:mod:`repro.runtime.faults` and plugs into :class:`EdgeServerSimulator`
-via its ``faults``/``fault_seed`` parameters."""
+server, metrics, and the ``run_fast`` serving kernel. Fault injection
+lives in :mod:`repro.runtime.faults` and plugs into
+:class:`EdgeServerSimulator` via its ``faults``/``fault_seed``
+parameters."""
 
 from .cameras import CameraFleet, WorkloadSpec
 from .events import Event, EventLoop
-from .fluid import FluidSimulator, fluid_simulate_policy
 from .metrics import (
     AggregateMetrics,
     RunMetrics,
@@ -25,7 +25,6 @@ from .traces import (
 __all__ = [
     "CameraFleet", "WorkloadSpec",
     "Event", "EventLoop",
-    "FluidSimulator", "fluid_simulate_policy",
     "AggregateMetrics", "RunMetrics", "aggregate_runs", "edp", "qoe",
     "EdgeServerSimulator", "ServerConfig", "simulate_policy", "SIM_MODES",
     "BurstWorkload", "DiurnalWorkload", "RampWorkload",

@@ -38,12 +38,6 @@ from .resources import (
     dsp_for_macs,
     memory_resources,
 )
-from .sparse import (
-    SparseLayerExport,
-    SparseModelExport,
-    SparseTensor,
-    export_sparse_weights,
-)
 
 __all__ = [
     "RECONFIG_MS_ZCU104", "Bitstream", "reconfiguration_time_s",
@@ -59,6 +53,4 @@ __all__ = [
     "BRAM18_BITS", "DSP_OPERAND_BITS", "DSP_PACK_FACTOR",
     "ResourceEstimate", "bram18_for_bits", "dsp_for_macs",
     "memory_resources",
-    "SparseTensor", "SparseLayerExport", "SparseModelExport",
-    "export_sparse_weights",
 ]

@@ -1,13 +1,5 @@
-"""Executable ONNX-like IR: export, streamlining, serialization, analysis."""
+"""Executable ONNX-like IR: export, streamlining, and the compiled engine."""
 
-from .analysis import (
-    branch_points,
-    critical_path,
-    exit_paths,
-    per_exit_op_counts,
-    to_networkx,
-    verify_exit_structure,
-)
 from .engine import ExecutionPlan, compile_graph
 from .export import export_model
 from .graph import IRGraph, IRNode, TensorInfo
@@ -17,15 +9,11 @@ from .passes import (
     slice_channels,
     streamline,
 )
-from .serialize import load_graph, save_graph
 
 __all__ = [
-    "branch_points", "critical_path", "exit_paths", "per_exit_op_counts",
-    "to_networkx", "verify_exit_structure",
     "ExecutionPlan", "compile_graph",
     "export_model",
     "IRGraph", "IRNode", "TensorInfo",
     "absorb_batchnorm", "count_unabsorbed_batchnorms", "slice_channels",
     "streamline",
-    "load_graph", "save_graph",
 ]

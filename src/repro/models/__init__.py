@@ -1,11 +1,9 @@
 """Model zoo: CNV (FINN's VGG-like reference CNN) and early-exit tooling."""
 
 from .cnv import CNVConfig, build_cnv, scaled_width
-from .tfc import TFCConfig, build_tfc
 from .exits import ExitSpec, ExitsConfiguration, build_exit_branch
 
 __all__ = [
     "CNVConfig", "build_cnv", "scaled_width",
-    "TFCConfig", "build_tfc",
     "ExitSpec", "ExitsConfiguration", "build_exit_branch",
 ]

@@ -20,7 +20,7 @@ from .layers import (
     ReLU,
 )
 from .loss import CrossEntropyLoss, JointLoss, cross_entropy
-from .optim import SGD, Adam, ConstantLR, StepDecay
+from .optim import SGD, Adam, StepDecay
 from .quant import (
     PRECISION_SPECS,
     QuantSpec,
@@ -28,7 +28,7 @@ from .quant import (
     quantize_activations,
     quantize_weights,
 )
-from .serialize import load_model, load_state_arrays, save_model, state_arrays
+from .serialize import load_state_arrays, state_arrays
 from .trainer import (
     TrainConfig,
     TrainHistory,
@@ -45,10 +45,10 @@ __all__ = [
     "BatchNorm", "Conv2D", "Flatten", "Identity", "Linear", "MaxPool2d",
     "QuantConv2D", "QuantLinear", "QuantReLU", "ReLU",
     "CrossEntropyLoss", "JointLoss", "cross_entropy",
-    "SGD", "Adam", "ConstantLR", "StepDecay",
+    "SGD", "Adam", "StepDecay",
     "PRECISION_SPECS", "QuantSpec", "post_training_quantize",
     "quantize_activations", "quantize_weights",
-    "load_model", "save_model", "state_arrays", "load_state_arrays",
+    "state_arrays", "load_state_arrays",
     "TrainConfig", "TrainHistory", "Trainer", "cascade_sweep",
     "evaluate_cascade", "evaluate_exits", "exit_scores",
 ]

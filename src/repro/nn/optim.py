@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import Layer
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepDecay", "ConstantLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "StepDecay"]
 
 
 class Optimizer:
@@ -97,16 +97,6 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class ConstantLR:
-    """Schedule that never changes the learning rate."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-
-    def epoch_end(self, epoch: int) -> None:
-        pass
 
 
 class StepDecay:

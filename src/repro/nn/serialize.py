@@ -1,7 +1,7 @@
-"""Model weight persistence.
+"""Model weight snapshots.
 
-Checkpoints a :class:`~repro.nn.BranchedModel`'s parameters (plus
-BatchNorm running statistics) to a single ``.npz`` file. Only weights are
+Snapshots a :class:`~repro.nn.BranchedModel`'s parameters (plus
+BatchNorm running statistics) as a dict of NumPy arrays. Only weights are
 stored — the architecture is rebuilt by the caller (e.g.
 :func:`repro.models.build_cnv` with the same config), mirroring the
 PyTorch ``state_dict`` convention the paper's toolchain uses.
@@ -9,12 +9,10 @@ PyTorch ``state_dict`` convention the paper's toolchain uses.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graph import BranchedModel
 from .layers import BatchNorm
 
-__all__ = ["state_arrays", "load_state_arrays", "save_model", "load_model"]
+__all__ = ["state_arrays", "load_state_arrays"]
 
 _BN_PREFIX = "__bnstat__"
 
@@ -72,19 +70,3 @@ def load_state_arrays(model: BranchedModel, arrays: dict) -> BranchedModel:
         if var is not None:
             bn.running_var = var.copy()
     return model
-
-
-def save_model(model: BranchedModel, path: str) -> None:
-    """Write all parameters and BN running stats to ``path`` (.npz)."""
-    np.savez_compressed(path, **state_arrays(model))
-
-
-def load_model(model: BranchedModel, path: str) -> BranchedModel:
-    """Load weights saved by :func:`save_model` into ``model`` (in place).
-
-    The model must have been built with the identical architecture;
-    mismatched shapes raise ``ValueError``.
-    """
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    return load_state_arrays(model, arrays)

@@ -2,7 +2,6 @@
 
 from .dataflow import (
     LayerFoldConstraint,
-    achievable_rates,
     adjust_removal,
     requested_removal,
 )
@@ -28,18 +27,16 @@ from .schedule import (
     psfp_removal_fraction,
     psfp_retrain_epochs,
     soft_prune_epoch,
-    sweep_prune_retrain,
 )
 
 __all__ = [
-    "LayerFoldConstraint", "achievable_rates", "adjust_removal",
+    "LayerFoldConstraint", "adjust_removal",
     "requested_removal",
     "PruneDecision", "PruneReport", "PruningError", "prune_model",
     "filter_l1_norms", "filter_fpgm_distances", "select_keep_filters",
     "PruningCriterion", "L1Criterion", "FPGMCriterion", "HAPMCriterion",
     "CRITERIA", "get_criterion", "register_criterion",
     "PruneRetrainResult", "paper_rate_sweep", "prune_and_retrain",
-    "sweep_prune_retrain",
     "SCHEDULES", "psfp_removal_fraction", "soft_prune_epoch",
     "psfp_retrain_epochs", "psfp_prune_retrain",
 ]

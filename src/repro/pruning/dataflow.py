@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LayerFoldConstraint", "adjust_removal", "requested_removal",
-           "achievable_rates"]
+__all__ = ["LayerFoldConstraint", "adjust_removal", "requested_removal"]
 
 
 @dataclass(frozen=True)
@@ -76,22 +75,3 @@ def adjust_removal(ch_out: int, requested: int,
             return r
         r -= 1
     return 0
-
-
-def achievable_rates(ch_out: int, constraint: LayerFoldConstraint) -> list[float]:
-    """All pruning rates this layer can actually realize.
-
-    Useful for design-space exploration: the folding granularity
-    quantizes the reachable rates (coarser folding -> fewer usable
-    design points).
-    """
-    constraint.validate_unpruned(ch_out)
-    import math
-
-    group = math.lcm(constraint.pe, constraint.simd_next)
-    rates = []
-    remaining = ch_out
-    while remaining >= group:
-        rates.append(1.0 - remaining / ch_out)
-        remaining -= group
-    return rates

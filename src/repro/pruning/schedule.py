@@ -2,9 +2,8 @@
 
 The paper prunes each early-exit model at a fixed rate, then retrains it
 (40 epochs in the paper; configurable here) before export. This module
-wires :func:`repro.pruning.prune_model` to :class:`repro.nn.Trainer` and
-exposes the full pruning-rate sweep used by the design-time Library
-Generator.
+wires :func:`repro.pruning.prune_model` to :class:`repro.nn.Trainer` for
+each point of the design-time Library Generator's pruning-rate sweep.
 
 Two retraining **schedules** are available:
 
@@ -25,7 +24,7 @@ Two retraining **schedules** are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +32,12 @@ from ..nn.graph import BranchedModel
 from ..nn.loss import JointLoss
 from ..nn.trainer import TrainConfig, Trainer
 from .dataflow import LayerFoldConstraint, requested_removal
-from .pruner import (PruneReport, _mask_conv_out, _prunable_conv_weights,
-                     prune_model)
+from .pruner import PruneReport, _mask_conv_out, prune_model
 from .ranking import get_criterion, select_keep_filters
 
 __all__ = ["PruneRetrainResult", "prune_and_retrain", "paper_rate_sweep",
-           "sweep_prune_retrain", "SCHEDULES", "psfp_removal_fraction",
-           "soft_prune_epoch", "psfp_retrain_epochs", "psfp_prune_retrain"]
+           "SCHEDULES", "psfp_removal_fraction", "soft_prune_epoch",
+           "psfp_retrain_epochs", "psfp_prune_retrain"]
 
 #: Valid retraining schedules for the design-time sweep.
 SCHEDULES = ("hard", "psfp")
@@ -95,37 +93,6 @@ def prune_and_retrain(
         history = trainer.fit(images, labels, augment=augment)
     pruned.eval()
     return PruneRetrainResult(pruned, report, history)
-
-
-def sweep_prune_retrain(
-    model: BranchedModel,
-    rates: list[float],
-    images: np.ndarray,
-    labels: np.ndarray,
-    retrain: TrainConfig | None = None,
-    constraints: dict[str, LayerFoldConstraint] | None = None,
-    prune_exits: bool = True,
-    joint_loss: JointLoss | None = None,
-    augment=None,
-    progress=None,
-    criterion="l1",
-) -> list[PruneRetrainResult]:
-    """Run the full rate sweep; each rate starts from the trained model.
-
-    ``progress`` is an optional callable ``(rate, result)`` invoked after
-    each point (the Library Generator uses it for logging).
-    """
-    results = []
-    for rate in rates:
-        result = prune_and_retrain(
-            model, rate, images, labels, retrain=retrain,
-            constraints=constraints, prune_exits=prune_exits,
-            joint_loss=joint_loss, augment=augment, criterion=criterion,
-        )
-        if progress is not None:
-            progress(rate, result)
-        results.append(result)
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 reconfiguration machinery."""
 
 from .baselines import AdaPEx, CTOnly, FINNStatic, PROnly, make_policy
-from .extra_policies import OraclePolicy, RandomPolicy
 from .faults import FAULT_PRESETS, FaultPlan, FaultSpec
 from .library import (AcceleratorId, Library, LibraryEntry, LoadReport,
                       SCHEMA_VERSION)
@@ -14,7 +13,6 @@ from .reconfig import (PartialReconfigModel, ReconfigEvent,
 
 __all__ = [
     "AdaPEx", "CTOnly", "FINNStatic", "PROnly", "make_policy",
-    "OraclePolicy", "RandomPolicy",
     "FAULT_PRESETS", "FaultPlan", "FaultSpec",
     "AcceleratorId", "Library", "LibraryEntry", "LoadReport",
     "SCHEMA_VERSION",

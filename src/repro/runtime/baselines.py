@@ -18,7 +18,8 @@ from __future__ import annotations
 from .library import Library, LibraryEntry
 from .manager import RuntimeManager, SelectionPolicy
 
-__all__ = ["AdaPEx", "FINNStatic", "PROnly", "CTOnly", "make_policy"]
+__all__ = ["AdaPEx", "FINNStatic", "PROnly", "CTOnly", "make_policy",
+           "policy_class"]
 
 
 class FINNStatic:
@@ -94,10 +95,15 @@ _POLICIES = {
 }
 
 
-def make_policy(name: str, library: Library,
-                policy: SelectionPolicy | None = None):
-    """Factory: policy object by case-insensitive name."""
+def policy_class(name: str):
+    """Policy class by case-insensitive name (``ValueError`` if unknown)."""
     key = name.lower().replace("_", "-")
     if key not in _POLICIES:
         raise ValueError(f"unknown policy {name!r}; options: {sorted(_POLICIES)}")
-    return _POLICIES[key](library, policy)
+    return _POLICIES[key]
+
+
+def make_policy(name: str, library: Library,
+                policy: SelectionPolicy | None = None):
+    """Factory: policy object by case-insensitive name."""
+    return policy_class(name)(library, policy)

@@ -209,8 +209,8 @@ class RuntimeManager:
         self._policy_table = table
         self._table_spec = (cells, tuple(extra_accuracy_levels))
         # Install the closure form as the per-instance ``select`` —
-        # unless a subclass overrides select (e.g. OraclePolicy), where
-        # shadowing the override would change its semantics.
+        # unless a subclass overrides select (e.g. one pinned to a fixed
+        # entry), where shadowing the override would change its semantics.
         if type(self).select is RuntimeManager.select:
             self.select = table.install_fast_select(self)
         return table

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import format_series, format_table, write_csv
-from repro.analysis.report import rows_to_csv_text
+from repro.analysis import format_table, write_csv
 
 
 ROWS = [
@@ -34,13 +33,6 @@ class TestFormatTable:
         assert len({len(l) for l in lines[:2]}) == 1  # header == separator
 
 
-class TestFormatSeries:
-    def test_pairs(self):
-        s = format_series("acc", [0.0, 0.5], [0.9, 0.8])
-        assert s.startswith("acc:")
-        assert "0.500:0.800" in s
-
-
 class TestCsv:
     def test_write(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -52,8 +44,3 @@ class TestCsv:
     def test_write_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], tmp_path / "x.csv")
-
-    def test_text_rendering(self):
-        text = rows_to_csv_text(ROWS)
-        assert text.splitlines()[0] == "policy,loss,ok"
-        assert rows_to_csv_text([]) == ""

@@ -15,7 +15,17 @@ from repro.ir.engine import (
 )
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
-from repro.nn import evaluate_exits, exit_scores
+from repro.nn import (
+    BatchNorm,
+    BranchedModel,
+    Flatten,
+    QuantLinear,
+    QuantReLU,
+    QuantSpec,
+    Sequential,
+    evaluate_exits,
+    exit_scores,
+)
 from repro.pruning import prune_model
 
 
@@ -477,13 +487,27 @@ class TestSparseCompaction:
         assert all(len(idx) > 0 for idx in keep.values())
 
 
+def _fc_model(width=64, seed=0):
+    """TFC-shaped FC-only model (784 -> W -> W -> W -> 10): no Conv
+    nodes, so sparse mode can compact only through MatMuls."""
+    rng = np.random.default_rng(seed)
+    quant = QuantSpec()
+    layers = [Flatten(name="flatten")]
+    for i, in_f in enumerate((28 * 28, width, width)):
+        layers += [QuantLinear(in_f, width, quant=quant, name=f"h{i}_fc",
+                               rng=rng),
+                   BatchNorm(width, name=f"h{i}_bn"),
+                   QuantReLU(quant, name=f"h{i}_act")]
+    layers.append(QuantLinear(width, 10, quant=quant, name="out", rng=rng))
+    return BranchedModel([Sequential(layers, name="seg0")],
+                         input_shape=(1, 28, 28), name="fc")
+
+
 class TestSparseTFC:
     """MatMul-only models: the FC compaction path of sparse mode."""
 
     def test_dense_tfc_is_a_noop(self):
-        from repro.models.tfc import TFCConfig, build_tfc
-
-        graph = export_model(build_tfc(TFCConfig(seed=0)))
+        graph = export_model(_fc_model())
         streamline(graph)
         plan = graph.compile(sparse=True)
         assert plan.stats()["compacted_nodes"] == 0
@@ -492,9 +516,8 @@ class TestSparseTFC:
 
     def test_masked_hidden_units_compact(self):
         from repro.ir import slice_channels
-        from repro.models.tfc import TFCConfig, build_tfc
 
-        graph = export_model(build_tfc(TFCConfig(seed=0)))
+        graph = export_model(_fc_model())
         streamline(graph)
         mms = [n for n in graph.topological_order()
                if n.op_type == "MatMul"]

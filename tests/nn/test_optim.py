@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.nn import SGD, Adam, Linear, StepDecay
-from repro.nn.optim import ConstantLR
 
 
 def quadratic_step(layer, target):
@@ -110,13 +109,6 @@ class TestSchedules:
         for epoch in range(5):
             sched.epoch_end(epoch)
         assert opt.lr == pytest.approx(1e-7)
-
-    def test_constant(self):
-        layer = Linear(2, 2)
-        opt = SGD([layer], lr=0.5)
-        sched = ConstantLR(opt)
-        sched.epoch_end(0)
-        assert opt.lr == 0.5
 
     def test_validation(self):
         opt = SGD([Linear(2, 2)], lr=0.1)

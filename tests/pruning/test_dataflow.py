@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.pruning import (
     LayerFoldConstraint,
-    achievable_rates,
     adjust_removal,
     requested_removal,
 )
@@ -96,25 +95,6 @@ class TestAdjustRemoval:
                 pytest.fail(f"r={r} not maximal; {rp} also feasible")
 
 
-class TestAchievableRates:
-    def test_granularity(self):
-        c = LayerFoldConstraint(pe=8, simd_next=4)
-        rates = achievable_rates(64, c)
-        assert rates[0] == 0.0
-        assert pytest.approx(rates[1]) == 8 / 64
-        assert len(rates) == 8
-
-    def test_coarse_folding_few_points(self):
-        c = LayerFoldConstraint(pe=32, simd_next=32)
-        assert achievable_rates(64, c) == [0.0, 0.5]
-
-    def test_all_rates_feasible(self):
-        c = LayerFoldConstraint(pe=4, simd_next=6)
-        for rate in achievable_rates(48, c):
-            remaining = round(48 * (1 - rate))
-            assert remaining % 4 == 0 and remaining % 6 == 0
-
-
 FOLDS = st.sampled_from([1, 2, 3, 4, 6, 8, 16])
 
 
@@ -139,13 +119,15 @@ class TestDivisibilityProperties:
     @given(pe=FOLDS, simd=FOLDS, groups=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_achievable_rates_round_trip(self, pe, simd, groups):
-        """Requesting an achievable rate realizes that rate up to the
-        folding granularity (float flooring in ``requested_removal`` can
-        land one filter short of a group boundary, never more)."""
-        ch_out = math.lcm(pe, simd) * groups
+        """Requesting an achievable rate (one that leaves a whole number
+        of fold groups) realizes that rate up to the folding granularity
+        (float flooring in ``requested_removal`` can land one filter
+        short of a group boundary, never more)."""
         group = math.lcm(pe, simd)
+        ch_out = group * groups
         c = LayerFoldConstraint(pe=pe, simd_next=simd)
-        for rate in achievable_rates(ch_out, c):
+        for remaining in range(ch_out, 0, -group):
+            rate = 1.0 - remaining / ch_out
             requested = requested_removal(ch_out, rate)
             achieved = adjust_removal(ch_out, requested, c)
             assert abs(achieved - ch_out * rate) < group

@@ -6,11 +6,7 @@ import pytest
 from repro.data import make_dataset
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
 from repro.nn import TrainConfig
-from repro.pruning import (
-    paper_rate_sweep,
-    prune_and_retrain,
-    sweep_prune_retrain,
-)
+from repro.pruning import paper_rate_sweep, prune_and_retrain
 
 
 @pytest.fixture(scope="module")
@@ -55,20 +51,6 @@ class TestPruneAndRetrain:
                                    retrain=None)
         assert result.history is None
         assert result.model.param_count() < model.param_count()
-
-
-class TestSweep:
-    def test_sweep_returns_per_rate(self, trained_setup):
-        model, train = trained_setup
-        rates = [0.0, 0.4, 0.8]
-        seen = []
-        results = sweep_prune_retrain(
-            model, rates, train.images, train.labels, retrain=None,
-            progress=lambda r, res: seen.append(r))
-        assert [r.rate for r in results] == rates
-        assert seen == rates
-        params = [r.model.param_count() for r in results]
-        assert params[0] > params[1] > params[2]
 
 
 # ----------------------------------------------------------------------

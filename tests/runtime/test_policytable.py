@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.runtime import (
     Library,
-    OraclePolicy,
     PartialReconfigModel,
     PolicyTable,
     RuntimeManager,
@@ -157,10 +156,20 @@ class TestTableLifecycle:
         assert mgr.select(100.0).accuracy == pytest.approx(0.90)
 
     def test_oracle_policy_not_shadowed(self, toy_library):
-        oracle = OraclePolicy(toy_library, peak_ips=500.0)
+        class PinnedPolicy(RuntimeManager):
+            """Provisions once for a known peak, then never adapts."""
+
+            def __init__(self, library, peak_ips):
+                super().__init__(library)
+                self._choice = super().select(peak_ips)
+
+            def select(self, workload_ips, current=None):
+                return self._choice
+
+        oracle = PinnedPolicy(toy_library, peak_ips=500.0)
         pinned = oracle.select(100.0)
         oracle.compile_policy_table()
-        # OraclePolicy overrides select at class level; installing the
+        # The subclass overrides select at class level; installing the
         # closure would silently re-enable adaptive behaviour.
         assert "select" not in oracle.__dict__
         assert oracle.select(5_000.0) is pinned

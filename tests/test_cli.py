@@ -103,6 +103,35 @@ class TestValidation:
                                        "--runs", "0"])
         assert "--runs" in err and "must be >= 1" in err
 
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_select_workload_must_be_nonnegative(self, capsys, value):
+        err = self.error_text(capsys, ["select", "--library", "x.json",
+                                       "--workload", value])
+        assert "--workload" in err and "must be >= 0 and finite" in err
+
+    @pytest.mark.parametrize("value", ["0", "-770"])
+    def test_design_space_top_must_be_positive(self, capsys, value):
+        err = self.error_text(capsys, ["design-space", "--library",
+                                       "x.json", "--top", value])
+        assert "--top" in err and "must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "-o", "x.json", "--seed", "-1"],
+        ["evaluate", "--library", "x.json", "--seed", "-1"],
+        ["evaluate", "--library", "x.json", "--fault-seed", "-1"],
+        ["fleet", "--library", "x.json", "--seed", "-1"],
+        ["fleet", "--library", "x.json", "--fault-seed", "-1"],
+    ])
+    def test_seeds_must_be_nonnegative(self, capsys, argv):
+        err = self.error_text(capsys, argv)
+        assert argv[-2] in err and "must be >= 0" in err
+
+    @pytest.mark.parametrize("policies", ["adapex,,finn", "adapex,oracle"])
+    def test_evaluate_policies_checked_up_front(self, capsys, policies):
+        err = self.error_text(capsys, ["evaluate", "--library", "x.json",
+                                       "--policies", policies])
+        assert "--policies" in err and "unknown policy" in err
+
 
 class TestGenerate:
     def test_quick_generate_writes_library(self, tmp_path, capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from repro.edge import WorkloadSpec
 from repro.finn import cnv_reference_fold, compile_accelerator, fold_constraints
-from repro.ir import export_model, streamline, verify_exit_structure
+from repro.ir import export_model, streamline
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
 from repro.pruning import prune_model
+from tests.ir.exit_structure import verify_exit_structure
 
 
 class TestFlowEquivalence:
