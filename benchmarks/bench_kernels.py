@@ -5,8 +5,8 @@ against the reference executors they replace:
 
 * **MultiThreshold** — the reference broadcast-compare (rank-5 temp,
   chunked) vs the engine's level-sweep (few levels) and per-channel
-  ``searchsorted`` (many levels) paths; all three must produce identical
-  codes.
+  ``searchsorted`` (many levels) paths writing integer codes; all three
+  must produce identical values.
 * **im2col** — the allocating :func:`repro.nn.functional.im2col` vs the
   engine's :func:`~repro.ir.engine._im2col_into` writing into a
   preallocated buffer.
@@ -17,14 +17,16 @@ These run without the heavy library fixtures — a bare
 ``pytest benchmarks/bench_kernels.py`` is seconds-scale.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.ir import IRNode, export_model, streamline
 from repro.ir.engine import (
     _im2col_into,
-    _threshold_matrix,
-    _threshold_tensor,
+    _prepare_thresholds,
+    _threshold,
 )
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
@@ -39,46 +41,47 @@ def _threshold_case(levels: int, seed: int = 0):
     x = rng.standard_normal((32, channels, 16, 16))
     thresholds = np.sort(rng.standard_normal((channels, levels)), axis=1)
     signs = np.ones(channels)
-    v = np.ascontiguousarray(np.sort(signs[:, None] * thresholds, axis=1))
     node = IRNode(op_type="MultiThreshold", name="mt", inputs=["x"],
                   outputs=["y"], attrs={"step": 1.0},
                   initializers={"thresholds": thresholds, "signs": signs})
-    return x, node, signs, v
+    return x, node
 
 
 @pytest.mark.parametrize("levels", [3, 255], ids=["L3", "L255"])
 def test_threshold_reference(benchmark, levels):
-    x, node, _, _ = _threshold_case(levels)
+    x, node = _threshold_case(levels)
     benchmark.pedantic(_multithreshold, args=(node, x), **_ROUNDS)
+
+
+def _engine_codes(benchmark, node, u):
+    """Time the engine's threshold kernel on channels-last ``u``."""
+    threshold = _prepare_thresholds(node, np.float64)
+    code = np.empty(u.shape, threshold.code_dtype)
+    plan = SimpleNamespace(threshold_seconds=0.0)
+    benchmark.pedantic(_threshold, args=(u, threshold, code, plan),
+                       **_ROUNDS)
+    return code
 
 
 @pytest.mark.parametrize("levels", [3, 255], ids=["L3", "L255"])
 def test_threshold_engine_tensor(benchmark, levels):
-    """Engine NCHW path (sweep for few levels, searchsorted for many)."""
-    x, node, signs, v = _threshold_case(levels)
+    """Engine standalone path: an NCHW tensor read channels-last (sweep
+    for few levels, searchsorted for many)."""
+    x, node = _threshold_case(levels)
     ref = _multithreshold(node, x)
-    out = np.empty_like(x)
-    got = benchmark.pedantic(
-        _threshold_tensor, args=(x, v, signs, 1.0, out), **_ROUNDS)
-    np.testing.assert_array_equal(got, ref)
+    code = _engine_codes(benchmark, node, x.transpose(0, 2, 3, 1))
+    np.testing.assert_array_equal(code.transpose(0, 3, 1, 2), ref)
 
 
 @pytest.mark.parametrize("levels", [3, 255], ids=["L3", "L255"])
 def test_threshold_engine_matrix(benchmark, levels):
-    """Engine fused path: channels-last matrix, in place."""
-    x, node, signs, v = _threshold_case(levels)
+    """Engine fused path: a contiguous channels-last matrix."""
+    x, node = _threshold_case(levels)
     ref = _multithreshold(node, x)
-    m0 = np.ascontiguousarray(
-        x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
-
-    def run():
-        m = m0.copy()
-        _threshold_matrix(m, v, signs, 1.0)
-        return m
-
-    got = benchmark.pedantic(run, **_ROUNDS)
+    m = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
+    code = _engine_codes(benchmark, node, m)
     np.testing.assert_array_equal(
-        got, ref.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
+        code, ref.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
 
 
 def _im2col_case():

@@ -14,6 +14,10 @@ paper's two early exits):
    over a full dataset with a float32 plan vs the interpreted float64
    path. Must be at least ``REPRO_BENCH_MIN_F32_SPEEDUP`` (default 2.5)
    times faster.
+4. **Integer MVTU layers** — every Conv/MatMul of the float64 plan runs
+   on the integer path except the first layer (float image input) and
+   the logit layers (graph outputs), as ``ExecutionPlan.stats()``
+   reports; a silent fallback of every layer to the float path fails.
 
 Writes ``BENCH_engine.json`` (default: this directory; ``--out`` to
 redirect) with per-phase timings (``engine_compile`` / ``engine_forward``
@@ -165,7 +169,19 @@ def main(argv=None) -> int:
           f"max per-exit accuracy delta {max_delta:.4f}")
 
     # ------------------------------------------------------------------
-    # 3. per-phase engine timings (from the instrumented plan)
+    # 3. integer MVTU layers: nothing eligible left on the float path
+    # ------------------------------------------------------------------
+    stats = plan64.stats()
+    off_integer = {name: reason for name, reason
+                   in stats["float_layers"].items()
+                   if reason not in ("first layer", "graph output")}
+    check("eligible_layers_integer",
+          stats["integer_layers"] > 0 and not off_integer,
+          f"{stats['integer_layers']} integer layers; float: "
+          f"{stats['float_layers']}")
+
+    # ------------------------------------------------------------------
+    # 4. per-phase engine timings (from the instrumented plan)
     # ------------------------------------------------------------------
     inst_plan = graph.compile(dtype=np.float64, timer=timer)
     inst_plan.run(x)

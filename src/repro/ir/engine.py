@@ -9,50 +9,115 @@ per-node interpretation overhead:
   weight/bias initializers of the producing ``Conv``/``MatMul`` (mirrors
   FINN's streamlining when the graph was exported without it).
 * **Conv/MatMul → MultiThreshold fusion** — thresholding is applied to
-  the post-GEMM ``(rows, channels)`` matrix *before* the NHWC→NCHW
-  transpose, so the quantization step touches a contiguous matrix.
+  the post-GEMM ``(rows, channels)`` matrix, so the quantization step
+  touches a contiguous matrix.
+* **Codes between layers** — every MultiThreshold writes its level
+  counts as unsigned integer codes (``uint8`` up to 255 levels) in
+  channels-last (NHWC) memory, the values FINN streams between MVTUs.
+  MaxPool (for ``step > 0``, where decoding is monotone), Flatten and
+  DuplicateStreams pass codes through. A float consumer (an exit logit
+  layer, an unfoldable BatchNorm, a graph output) reads a decode step
+  that writes ``code × step`` in the plan's dtype, in the layout the
+  float oracle reads.
+* **Integer MVTU layers** — a Conv/MatMul whose input is codes, whose
+  weights lie on a grid ``q · g_w`` and whose output is thresholded runs
+  as an exact integer dot product, as an MVTU does: im2col in
+  ``(kh, kw, c)`` column order straight from the codes into float32, in
+  row chunks of a few images; a float32 GEMM against ``q``; a comparison
+  with integer-domain thresholds ``floor(sign·(t − b)/g)``,
+  ``g = g_w·step``, where sign flips and the bias are folded in at
+  compile time. A Flatten feeding such a MatMul is a reshape: the
+  weight columns are permuted to ``(h, w, c)`` order instead.
 * **Byte-wide level counting** — the reference ``MultiThreshold``
   executor materializes an ``(N, C, H, W, levels)`` broadcast temp; the
   plan compares against pre-sorted per-channel thresholds instead. Up
   to ``_SWEEP_MAX_LEVELS`` levels it sweeps the levels, counting crossed
-  ones in a ``uint8`` array (an arena scratch slot) and multiplying by
-  ``step`` once, in the plan's dtype; more levels go through
+  ones straight into the code array; more levels go through
   ``np.searchsorted`` (O(log L)). No rank-5 temp, identical codes.
 * **Pooling without argmax** — MaxPool is a running ``np.maximum`` over
-  the k*k strided slices of its input, which may be a fused Conv's
-  transposed NHWC view; the training kernel's argmax indices (kept for
-  backward) are never computed.
+  the k*k strided slices of its input; the training kernel's argmax
+  indices (kept for backward) are never computed.
 * **Preallocated activation buffers** — a compile-time liveness scan
-  assigns each intermediate tensor (and each threshold-count scratch) a
+  assigns each intermediate tensor (and each per-step scratch) a
   reusable arena slot; repeated :meth:`ExecutionPlan.run` calls allocate
   (almost) nothing.
 
 Numerical contract: on streamlined graphs (no ``BatchNorm`` nodes) the
-plan is **bit-identical** to the reference executors in float64 — GEMMs
-hit the same BLAS path and thresholding performs the same float
-comparisons; a maximum is exact whatever the order of the window
-slices. Folding a BatchNorm into a Conv/MatMul changes rounding, so
-BN-bearing graphs agree only to floating-point tolerance. Threshold
-inputs containing NaN are undefined (the oracle yields code 0, the plan
-yields ``levels``); exported models never produce NaN activations.
+plan is **bit-identical** to the reference executors in float64.
+
+* Float steps (the first layer, whose input is the float image; the
+  layers whose output is not thresholded, i.e. the exit logit layers;
+  and every fallback below) run the float GEMM on the same operands, in
+  the same layout, as the reference executor, so they hit the same BLAS
+  path; thresholding performs the same float comparisons; a maximum is
+  exact whatever the order of the window slices.
+* Integer layers are exact and BLAS-independent: every partial sum is an
+  integer below 2^24, which float32 represents exactly in any summation
+  order. Their codes equal the float oracle's because a compile-time
+  guard proves it per output channel. The oracle's value lies within
+  ``ε_c = γ_{K+3}·(g·(Σ|q_c|·code_max + 2) + |b_c|)`` of the exact
+  ``A·g + b`` (``γ_n = n·u/(1 − n·u)``, ``u`` the unit roundoff of the
+  plan's dtype; ``K + 2`` roundings of the dot product and bias, one of
+  the weight grid product, and two lattice units for computing the
+  integer thresholds themselves). The guard requires every threshold to
+  lie farther than ``2·ε_c`` from every reachable lattice value
+  ``b + A·g``; one ``ε_c`` covers the oracle's rounding, the other the
+  rounding of the integer threshold. A layer keeps the float step if any
+  channel fails the guard, if its weights are off the grid (e.g. INT8
+  post-training-quantized weights), if ``Σ|q_c|·code_max ≥ 2^24`` or if
+  ``step ≤ 0``; :meth:`ExecutionPlan.stats` names the reason.
+
+Float32 plans have the same structure; their integer layers reproduce
+the float32 float path's codes (the guard uses float32's ``u``). Folding
+a BatchNorm into a Conv/MatMul changes rounding, so BN-bearing graphs
+agree only to floating-point tolerance. Threshold inputs containing NaN
+are undefined (the oracle yields code 0, the plan yields 0 below
+``_SWEEP_MAX_LEVELS`` levels and ``levels`` above); exported models never
+produce NaN activations.
 """
 
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import IRGraph, IRNode
+from ..nn.functional import conv_output_size
+from .graph import IRGraph, IRNode, check_batch
 
 __all__ = ["compile_graph", "ExecutionPlan"]
 
 
 # ----------------------------------------------------------------------
-# threshold kernels (searchsorted-based)
+# threshold kernels
 # ----------------------------------------------------------------------
 
-def _prepare_thresholds(node: IRNode, dtype) -> tuple[np.ndarray, np.ndarray, float]:
+class _Threshold(NamedTuple):
+    """A MultiThreshold prepared for a step: ``#(signs·u > v_k)``."""
+
+    v: np.ndarray               # (C, L) sign-transformed, sorted per row
+    signs: np.ndarray | None    # None when every sign is +1
+    code_dtype: np.dtype        # holds codes 0..L
+
+    def take(self, keep: np.ndarray | None) -> "_Threshold":
+        """The thresholds of the kept channels only."""
+        if keep is None:
+            return self
+        signs = None if self.signs is None else self.signs[keep]
+        return _Threshold(np.ascontiguousarray(self.v[keep]), signs,
+                          self.code_dtype)
+
+    def tile(self, reps: int) -> "_Threshold":
+        """The thresholds of ``reps`` consecutive rows, laid end to end
+        (see :func:`_row_tile`)."""
+        if reps == 1:
+            return self
+        signs = None if self.signs is None else np.tile(self.signs, reps)
+        return _Threshold(np.tile(self.v, (reps, 1)), signs, self.code_dtype)
+
+
+def _prepare_thresholds(node: IRNode, dtype) -> _Threshold:
     """Pre-sort per-channel thresholds in the sign-transformed domain.
 
     The reference semantics count ``#(sign*x > sign*t_k)`` per channel.
@@ -62,9 +127,9 @@ def _prepare_thresholds(node: IRNode, dtype) -> tuple[np.ndarray, np.ndarray, fl
     """
     thresholds = node.initializers["thresholds"].astype(dtype, copy=False)
     signs = node.initializers["signs"].astype(dtype, copy=False)
-    v = np.sort(signs[:, None] * thresholds, axis=1)
-    v = np.ascontiguousarray(v)
-    return v, signs, float(node.attrs["step"])
+    v = np.ascontiguousarray(np.sort(signs[:, None] * thresholds, axis=1))
+    return _Threshold(v, None if (signs == 1.0).all() else signs,
+                      np.min_scalar_type(thresholds.shape[1]))
 
 
 # Below this many levels a vectorized level sweep beats per-channel
@@ -74,57 +139,111 @@ def _prepare_thresholds(node: IRNode, dtype) -> tuple[np.ndarray, np.ndarray, fl
 _SWEEP_MAX_LEVELS = 16
 
 
-def _threshold_matrix(m: np.ndarray, v: np.ndarray, signs: np.ndarray,
-                      step, scratch: np.ndarray | None = None) -> None:
-    """In-place thresholding of a channels-last ``(rows, C)`` matrix.
+def _count_levels(u: np.ndarray, v: np.ndarray, code: np.ndarray) -> None:
+    """``code[..., c] = #(u[..., c] > v[c, k])`` over the levels ``k``.
 
-    ``scratch`` is an optional ``uint8`` buffer of ``m``'s shape for the
-    level sweep's counts.
+    ``u`` is channels-last (any rank); ``v`` holds each channel's
+    thresholds sorted ascending; ``code`` is an unsigned integer array
+    of ``u``'s shape.
     """
     c_count, levels = v.shape
     if levels <= _SWEEP_MAX_LEVELS:
-        u = m if (signs == 1.0).all() else m * signs
-        code = scratch if scratch is not None \
-            else np.empty(m.shape, dtype=np.uint8)
         np.greater(u, v[:, 0], out=code)
         for k in range(1, levels):
             code += u > v[:, k]
-        # Multiply in the plan's dtype: a uint8 array times a Python
-        # float would compute in float64 and round a float32 plan twice.
-        np.multiply(code, step, out=m, dtype=m.dtype)
         return
     for c in range(c_count):
-        col = m[:, c]
-        u = col if signs[c] == 1.0 else signs[c] * col
-        m[:, c] = np.searchsorted(v[c], u, side="left")
-    m *= step
+        code[..., c] = np.searchsorted(v[c], u[..., c], side="left")
 
 
-def _threshold_tensor(x: np.ndarray, v: np.ndarray, signs: np.ndarray,
-                      step, out: np.ndarray,
-                      scratch: np.ndarray | None = None) -> np.ndarray:
-    """Threshold an NCHW or NC tensor channel-by-channel into ``out``.
+# Widest row of tiled thresholds (see :func:`_row_tile`).
+_TILE_WIDTH = 8192
 
-    ``scratch`` is an optional ``uint8`` buffer of ``x``'s shape for the
-    level sweep's counts.
+
+def _row_tile(rows: int, channels: int, levels: int) -> int:
+    """How many rows of a channels-last ``(rows·N, channels)`` matrix to
+    compare at once.
+
+    With few channels the level sweep's inner loop (one row) is too
+    short to amortize NumPy's per-loop overhead. Viewing the matrix
+    ``rows`` rows at a time, against thresholds tiled ``rows`` times,
+    makes it long; the comparisons, and so the codes, are the same.
     """
-    c_count, levels = v.shape
-    cshape = (1, c_count, 1, 1) if x.ndim == 4 else (c_count,)
-    if levels <= _SWEEP_MAX_LEVELS:
-        u = x if (signs == 1.0).all() else x * signs.reshape(cshape)
-        code = scratch if scratch is not None \
-            else np.empty(x.shape, dtype=np.uint8)
-        np.greater(u, v[:, 0].reshape(cshape), out=code)
-        for k in range(1, levels):
-            code += u > v[:, k].reshape(cshape)
-        np.multiply(code, step, out=out, dtype=out.dtype)
-        return out
-    for c in range(c_count):
-        xc = x[:, c]
-        u = xc if signs[c] == 1.0 else signs[c] * xc
-        out[:, c] = np.searchsorted(v[c], u, side="left")
-    out *= step
-    return out
+    if levels > _SWEEP_MAX_LEVELS or rows * channels > _TILE_WIDTH:
+        return 1
+    return rows
+
+
+def _threshold(m: np.ndarray, threshold: _Threshold, code: np.ndarray,
+               plan: "ExecutionPlan") -> None:
+    """Codes of a channels-last activation, timed as thresholding."""
+    t0 = time.perf_counter()
+    u = m if threshold.signs is None else m * threshold.signs
+    _count_levels(u, threshold.v, code)
+    plan.threshold_seconds += time.perf_counter() - t0
+
+
+# ----------------------------------------------------------------------
+# integer MVTU operands
+# ----------------------------------------------------------------------
+
+class _Codes(NamedTuple):
+    """What a code tensor holds: ``code × step``, codes in ``0..levels``.
+
+    ``hw`` is the spatial size of 4-D (NHWC-stored) codes and ``None``
+    for ``(N, C)`` codes; a Flatten keeps it, so an integer MatMul reads
+    flattened codes in ``(h, w, c)`` order.
+    """
+
+    step: float
+    levels: int
+    hw: tuple | None
+
+
+# float32 represents every integer of smaller magnitude exactly.
+_ACC_LIMIT = 2 ** 24
+
+
+def _integer_operands(weight: np.ndarray, bias: np.ndarray | None,
+                      threshold: _Threshold, codes: _Codes, dtype):
+    """``(q, threshold)`` of an exact integer step, or why it has none.
+
+    ``weight``/``bias``/``threshold`` are what the float step would use
+    (cast, folded, compacted) and ``codes`` describes its input. ``q``
+    is the float32 ``(out, K)`` integer weight matrix with sign flips
+    folded in, in the float step's column order; the returned threshold
+    holds the sorted integer-domain thresholds ``floor(sign·(t − b)/g)``
+    in float32. See the module docstring for the guard.
+    """
+    if not codes.step > 0:
+        return "non-positive step"
+    w = weight.reshape(weight.shape[0], -1)
+    nonzero = np.abs(w[w != 0])
+    g_w = nonzero.min() if nonzero.size else dtype.type(1)
+    q = np.round(w / g_w)
+    if not np.array_equal(q * g_w, w):
+        return "off-grid weights"
+    if threshold.signs is not None:
+        q = q * threshold.signs[:, None]
+    amax = np.abs(q).sum(axis=1, dtype=np.float64) * codes.levels
+    if amax.max() >= _ACC_LIMIT:
+        return "accumulator bound"
+    # Lattice of reachable pre-threshold values: b + A·g, |A| <= amax.
+    g = float(g_w) * float(dtype.type(codes.step))
+    b = np.zeros(len(w)) if bias is None else bias.astype(np.float64)
+    sb = b if threshold.signs is None else b * threshold.signs
+    x = (threshold.v.astype(np.float64) - sb[:, None]) / g
+    n = w.shape[1] + 3
+    u = float(np.finfo(dtype).eps) / 2
+    eps = n * u / (1 - n * u) * (amax + 2 + np.abs(b) / g)
+    hi = amax[:, None]
+    gap = np.abs(x - np.clip(np.round(x), -hi, hi))
+    bad = ~(gap > 2 * eps[:, None]).all(axis=1)
+    if bad.any():
+        return f"guard band (channel {int(np.argmax(bad))})"
+    thresholds = np.floor(np.clip(x, -hi - 1, hi)).astype(np.float32)
+    return (q.astype(np.float32),
+            _Threshold(thresholds, None, threshold.code_dtype))
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +282,7 @@ class _Arena:
 
     def view(self, slot: int, shape: tuple, dtype=None) -> np.ndarray:
         """``shape``-shaped view of the slot, in the plan's dtype unless
-        ``dtype`` is given (the threshold sweep counts in ``uint8``)."""
+        ``dtype`` is given (codes, float32 integer GEMMs)."""
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         n = int(np.prod(shape)) * dtype.itemsize
         buf = self._buffers[slot]
@@ -180,29 +299,48 @@ class _Arena:
 # compiled steps
 # ----------------------------------------------------------------------
 
-class _Step:
-    """One fused operation of the plan; fills ``env[self.out]``."""
+# Rows of the im2col matrix an integer Conv lowers per GEMM: whole
+# images, about this many rows, so the float32 chunk stays in cache.
+_CHUNK_ROWS = 4096
 
+
+class _Step:
+    """One fused operation of the plan; fills ``env[self.out]``.
+
+    Code tensors are unsigned integer arrays with NCHW shape over NHWC
+    memory (``(N, C)`` after a MatMul).
+    """
+
+    name: str
     out: str
+    op: str
+    domain = "float"            # "integer": codes in, codes out
+    reason: str | None = None   # why a Conv/MatMul stays float
 
     def run(self, env: dict, arena: _Arena, plan: "ExecutionPlan") -> None:
         raise NotImplementedError
 
+    def describe(self) -> dict:
+        info = {"name": self.name, "op": self.op, "domain": self.domain}
+        if self.reason is not None:
+            info["reason"] = self.reason
+        return info
+
 
 class _ConvStep(_Step):
-    """Conv (+ folded BatchNorm) (+ fused MultiThreshold)."""
+    """Float Conv (+ folded BatchNorm) (+ fused MultiThreshold → codes)."""
 
-    def __init__(self, node: IRNode, src: str, out: str, dtype,
-                 slot: int, cols_slot: int,
+    op = "Conv"
+
+    def __init__(self, node: IRNode, src: str, out: str, slots: tuple,
                  weight: np.ndarray, bias: np.ndarray | None,
-                 threshold=None):
+                 threshold: _Threshold | None, reason: str):
         self.name = node.name
         self.src = src
         self.out = out
         self.stride = node.attrs.get("stride", 1)
         self.padding = node.attrs.get("padding", 0)
-        self.slot = slot
-        self.cols_slot = cols_slot
+        self.slot, self.cols_slot, self.gemm_slot = slots
         out_ch, in_ch, kernel, _ = weight.shape
         self.kernel = kernel
         self.out_ch = out_ch
@@ -212,12 +350,12 @@ class _ConvStep(_Step):
         # operand layout for bit-identical results.
         self.weight_t = weight.reshape(out_ch, -1).T
         self.bias = bias
-        self.threshold = threshold  # (v_sorted, signs, step) | None
+        self.threshold = threshold
+        self.reason = reason
 
     def run(self, env, arena, plan):
         x = env[self.src]
         n = x.shape[0]
-        from ..nn.functional import conv_output_size
         out_h = conv_output_size(x.shape[2], self.kernel, self.stride,
                                  self.padding)
         out_w = conv_output_size(x.shape[3], self.kernel, self.stride,
@@ -226,79 +364,208 @@ class _ConvStep(_Step):
         cols = arena.view(self.cols_slot, (rows, self.patch))
         _im2col_into(x, self.kernel, self.stride, self.padding,
                      out_h, out_w, cols)
-        m = arena.view(self.slot, (rows, self.out_ch))
+        thresholded = self.threshold is not None
+        m = arena.view(self.gemm_slot if thresholded else self.slot,
+                       (rows, self.out_ch))
         np.matmul(cols, self.weight_t, out=m)
         if self.bias is not None:
             m += self.bias
-        if self.threshold is not None:
-            t0 = time.perf_counter()
-            # The im2col matrix is dead once the GEMM has run; its slot
-            # doubles as the threshold-code scratch.
-            _threshold_matrix(m, *self.threshold,
-                              scratch=arena.view(self.cols_slot, m.shape,
-                                                 np.uint8))
-            plan.threshold_seconds += time.perf_counter() - t0
+        if thresholded:
+            code = arena.view(self.slot, m.shape, self.threshold.code_dtype)
+            width = self.threshold.v.shape[0]
+            _threshold(m.reshape(-1, width), self.threshold,
+                             code.reshape(-1, width), plan)
+            m = code
         # NHWC -> NCHW as a (non-contiguous) view over the arena slot.
         env[self.out] = m.reshape(n, out_h, out_w, self.out_ch) \
                          .transpose(0, 3, 1, 2)
 
 
 class _MatMulStep(_Step):
-    """MatMul (+ folded BatchNorm) (+ fused MultiThreshold)."""
+    """Float MatMul (+ folded BatchNorm) (+ fused MultiThreshold → codes)."""
 
-    def __init__(self, node: IRNode, src: str, out: str, slot: int,
-                 scratch_slot: int | None,
+    op = "MatMul"
+
+    def __init__(self, node: IRNode, src: str, out: str, slots: tuple,
                  weight: np.ndarray, bias: np.ndarray | None,
-                 threshold=None):
+                 threshold: _Threshold | None, reason: str):
         self.name = node.name
         self.src = src
         self.out = out
-        self.slot = slot
-        self.scratch_slot = scratch_slot
+        self.slot, self.gemm_slot = slots
         self.weight_t = weight.T
         self.bias = bias
+        self.threshold = threshold
+        self.reason = reason
+
+    def run(self, env, arena, plan):
+        x = env[self.src]
+        thresholded = self.threshold is not None
+        m = arena.view(self.gemm_slot if thresholded else self.slot,
+                       (x.shape[0], self.weight_t.shape[1]))
+        np.matmul(x, self.weight_t, out=m)
+        if self.bias is not None:
+            m += self.bias
+        if thresholded:
+            code = arena.view(self.slot, m.shape, self.threshold.code_dtype)
+            _threshold(m, self.threshold, code, plan)
+            m = code
+        env[self.out] = m
+
+
+class _IntConvStep(_Step):
+    """Integer Conv + fused MultiThreshold, codes in and out: an MVTU.
+
+    Lowers the NHWC codes to im2col rows in ``(kh, kw, c)`` order,
+    straight into float32, a few images at a time; the float32 GEMM
+    against ``q`` is an exact integer sum.
+    """
+
+    op = "Conv"
+    domain = "integer"
+
+    def __init__(self, node: IRNode, src: str, out: str, slots: tuple,
+                 weight_shape: tuple, q: np.ndarray, threshold: _Threshold):
+        self.name = node.name
+        self.src = src
+        self.out = out
+        self.stride = node.attrs.get("stride", 1)
+        self.padding = node.attrs.get("padding", 0)
+        self.slot, self.pad_slot, self.cols_slot, self.acc_slot = slots
+        self.kernel = weight_shape[2]
+        # Weight columns (c, kh, kw) -> (kh, kw, c), the im2col order.
+        q = q.reshape(weight_shape).transpose(0, 2, 3, 1)
+        self.q_t = np.ascontiguousarray(q.reshape(len(q), -1).T)
+        self.threshold = threshold
+
+    def run(self, env, arena, plan):
+        x = env[self.src].transpose(0, 2, 3, 1)
+        n, h, w, c = x.shape
+        k, s, p = self.kernel, self.stride, self.padding
+        if p:
+            xp = arena.view(self.pad_slot, (n, h + 2 * p, w + 2 * p, c),
+                            x.dtype)
+            xp.fill(0)
+            xp[:, p:p + h, p:p + w] = x
+            x = xp
+        out_h = conv_output_size(h, k, s, p)
+        out_w = conv_output_size(w, k, s, p)
+        sn, sh, sw, sc = x.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x, shape=(n, out_h, out_w, k, k, c),
+            strides=(sn, sh * s, sw * s, sh, sw, sc), writeable=False)
+        per_image = out_h * out_w
+        patch, out_ch = self.q_t.shape
+        code = arena.view(self.slot, (n * per_image, out_ch),
+                          self.threshold.code_dtype)
+        width = self.threshold.v.shape[0]
+        chunk = max(1, _CHUNK_ROWS // per_image)
+        for i0 in range(0, n, chunk):
+            i1 = min(n, i0 + chunk)
+            rows = (i1 - i0) * per_image
+            cols = arena.view(self.cols_slot, (rows, patch), np.float32)
+            np.copyto(cols.reshape(i1 - i0, out_h, out_w, k, k, c),
+                      windows[i0:i1])
+            acc = arena.view(self.acc_slot, (rows, out_ch), np.float32)
+            np.matmul(cols, self.q_t, out=acc)
+            _threshold(acc.reshape(-1, width), self.threshold,
+                       code[i0 * per_image:i1 * per_image]
+                       .reshape(-1, width), plan)
+        env[self.out] = code.reshape(n, out_h, out_w, out_ch) \
+                            .transpose(0, 3, 1, 2)
+
+
+class _IntMatMulStep(_Step):
+    """Integer MatMul + fused MultiThreshold, codes in and out.
+
+    4-D input codes come through a Flatten: they are read in
+    ``(h, w, c)`` order, matching the permuted weight columns.
+    """
+
+    op = "MatMul"
+    domain = "integer"
+
+    def __init__(self, node: IRNode, src: str, out: str, slots: tuple,
+                 hw: tuple | None, q: np.ndarray, threshold: _Threshold):
+        self.name = node.name
+        self.src = src
+        self.out = out
+        self.slot, self.cols_slot, self.acc_slot = slots
+        if hw is not None:  # weight columns (c, h, w) -> (h, w, c)
+            q = q.reshape(len(q), -1, *hw).transpose(0, 2, 3, 1)
+        self.q_t = np.ascontiguousarray(q.reshape(len(q), -1).T)
         self.threshold = threshold
 
     def run(self, env, arena, plan):
         x = env[self.src]
-        m = arena.view(self.slot, (x.shape[0], self.weight_t.shape[1]))
-        np.matmul(x, self.weight_t, out=m)
-        if self.bias is not None:
-            m += self.bias
-        if self.threshold is not None:
-            t0 = time.perf_counter()
-            scratch = None if self.scratch_slot is None \
-                else arena.view(self.scratch_slot, m.shape, np.uint8)
-            _threshold_matrix(m, *self.threshold, scratch=scratch)
-            plan.threshold_seconds += time.perf_counter() - t0
-        env[self.out] = m
+        if x.ndim == 4:
+            x = x.transpose(0, 2, 3, 1)
+        n = x.shape[0]
+        cols = arena.view(self.cols_slot, x.shape, np.float32)
+        np.copyto(cols, x)
+        shape = (n, self.q_t.shape[1])
+        acc = arena.view(self.acc_slot, shape, np.float32)
+        np.matmul(cols.reshape(n, -1), self.q_t, out=acc)
+        code = arena.view(self.slot, shape, self.threshold.code_dtype)
+        _threshold(acc, self.threshold, code, plan)
+        env[self.out] = code
 
 
 class _ThresholdStep(_Step):
-    """Standalone MultiThreshold over an NCHW/NC activation."""
+    """Standalone MultiThreshold: a float NCHW/NC activation to codes."""
+
+    op = "MultiThreshold"
 
     def __init__(self, node: IRNode, src: str, out: str, slot: int,
-                 scratch_slot: int, threshold):
+                 threshold: _Threshold):
         self.name = node.name
         self.src = src
         self.out = out
         self.slot = slot
-        self.scratch_slot = scratch_slot
         self.threshold = threshold
+
+    def run(self, env, arena, plan):
+        x = env[self.src]
+        if x.ndim == 4:
+            x = x.transpose(0, 2, 3, 1)
+        code = arena.view(self.slot, x.shape, self.threshold.code_dtype)
+        _threshold(x, self.threshold, code, plan)
+        env[self.out] = code.transpose(0, 3, 1, 2) if code.ndim == 4 \
+            else code
+
+
+class _DecodeStep(_Step):
+    """Codes to ``code × step`` in the plan's dtype, for a float reader.
+
+    Writes C-contiguous NCHW, or ``(N, features)`` in NCHW flatten order
+    when the reader sees a flattened tensor (``flat``): the operand the
+    float oracle's GEMM reads.
+    """
+
+    op = "Decode"
+
+    def __init__(self, src: str, out: str, slot: int, step: float,
+                 flat: bool):
+        self.name = out
+        self.src = src
+        self.out = out
+        self.slot = slot
+        self.step = step
+        self.flat = flat
 
     def run(self, env, arena, plan):
         x = env[self.src]
         dst = arena.view(self.slot, x.shape)
-        t0 = time.perf_counter()
-        _threshold_tensor(x, *self.threshold, out=dst,
-                          scratch=arena.view(self.scratch_slot, x.shape,
-                                             np.uint8))
-        plan.threshold_seconds += time.perf_counter() - t0
-        env[self.out] = dst
+        # Multiply in the plan's dtype: a code array times a Python float
+        # would compute in float64 and round a float32 plan twice.
+        np.multiply(x, self.step, out=dst, dtype=dst.dtype)
+        env[self.out] = dst.reshape(x.shape[0], -1) if self.flat else dst
 
 
 class _BatchNormStep(_Step):
     """Unfoldable BatchNorm, executed with the reference arithmetic."""
+
+    op = "BatchNorm"
 
     def __init__(self, node: IRNode, src: str, out: str, slot: int, dtype,
                  keep=None):
@@ -329,19 +596,22 @@ class _MaxPoolStep(_Step):
 
     Inference needs no argmax (the training ``maxpool2d_forward`` keeps
     one for its backward pass). The maximum is exact, so the values equal
-    the reference executor's. The output keeps the input's memory order:
-    over a fused Conv's transposed NHWC view it stays channels-last.
+    the reference executor's; over codes with ``step > 0`` the maximum
+    code decodes to the maximum value. The output keeps the input's
+    memory order: codes stay channels-last.
     """
 
-    def __init__(self, node: IRNode, src: str, out: str):
+    op = "MaxPool"
+
+    def __init__(self, node: IRNode, src: str, out: str, domain: str):
         self.name = node.name
         self.src = src
         self.out = out
         self.kernel = node.attrs["kernel"]
         self.stride = node.attrs.get("stride") or self.kernel
+        self.domain = domain
 
     def run(self, env, arena, plan):
-        from ..nn.functional import conv_output_size
         x = env[self.src]
         k, s = self.kernel, self.stride
         h_span = s * (conv_output_size(x.shape[2], k, s, 0) - 1) + 1
@@ -356,7 +626,7 @@ class _MaxPoolStep(_Step):
 
 
 class _FlattenStep(_Step):
-    """Flatten into its own slot.
+    """Flatten of a float tensor into its own slot.
 
     Always copies: aliasing the (possibly arena-backed) input would keep
     the source slot live past what the compile-time liveness scan
@@ -364,6 +634,8 @@ class _FlattenStep(_Step):
     view, so the downstream GEMM sees a contiguous operand exactly like
     the reference executor's ``reshape``.
     """
+
+    op = "Flatten"
 
     def __init__(self, node: IRNode, src: str, out: str, slot: int):
         self.name = node.name
@@ -379,12 +651,31 @@ class _FlattenStep(_Step):
         env[self.out] = dst
 
 
+class _CodeFlattenStep(_Step):
+    """Flatten of codes: no work. The output aliases the input codes
+    (its slot stays live through :meth:`_SlotAllocator.alias`); readers
+    flatten them themselves, in ``(h, w, c)`` order (integer MatMul) or
+    NCHW order (decode)."""
+
+    op = "Flatten"
+    domain = "integer"
+
+    def __init__(self, node: IRNode, src: str, out: str):
+        self.name = node.name
+        self.src = src
+        self.out = out
+
+    def run(self, env, arena, plan):
+        env[self.out] = env[self.src]
+
+
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
 
 def _compact(node: IRNode, weight: np.ndarray, bias: np.ndarray | None,
-             threshold, in_keep: np.ndarray | None, out_keep: dict):
+             threshold: _Threshold | None, in_keep: np.ndarray | None,
+             out_keep: dict):
     """Apply sparse-mode channel compaction to one GEMM's operands.
 
     ``in_keep`` slices the K dimension (input columns: Conv in-channels,
@@ -399,8 +690,7 @@ def _compact(node: IRNode, weight: np.ndarray, bias: np.ndarray | None,
         if bias is not None:
             bias = bias[keep]
         if threshold is not None:
-            v, signs, step = threshold
-            threshold = (np.ascontiguousarray(v[keep]), signs[keep], step)
+            threshold = threshold.take(keep)
     return weight, bias, threshold
 
 
@@ -427,29 +717,37 @@ class _SlotAllocator:
         self.free: list[int] = []
         self.count = 0
 
+    def _take(self) -> int:
+        if self.free:
+            return self.free.pop()
+        self.count += 1
+        return self.count - 1
+
     def acquire(self, tensor: str) -> int:
-        slot = self.free.pop() if self.free else self.count
-        if slot == self.count:
-            self.count += 1
+        slot = self._take()
         self.owner[tensor] = slot
         return slot
 
-    def scratch(self) -> int:
-        """A slot alive only within one step."""
-        slot = self.free.pop() if self.free else self.count
-        if slot == self.count:
-            self.count += 1
-        self.free.append(slot)
-        return slot
+    def scratch(self, count: int) -> list[int]:
+        """``count`` distinct slots alive only within one step."""
+        slots = [self._take() for _ in range(count)]
+        self.free.extend(slots)
+        return slots
+
+    def alias(self, tensor: str, base: str) -> None:
+        """``tensor`` is a view of ``base``: their slot lives while
+        either does."""
+        if base in self.owner:
+            self.owner[tensor] = self.owner[base]
 
     def consume(self, tensor: str) -> None:
-        """Record one read; free the slot when the tensor dies."""
+        """Record one read; free the slot when its last tensor dies."""
         if tensor not in self.reads:
             return
         self.reads[tensor] -= 1
         if self.reads[tensor] <= 0 and tensor not in self.pinned:
             slot = self.owner.pop(tensor, None)
-            if slot is not None:
+            if slot is not None and slot not in self.owner.values():
                 self.free.append(slot)
 
 
@@ -561,9 +859,9 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
     out_keep: dict[str, np.ndarray] = {}
     in_keep_of: dict[str, np.ndarray] = {}
     dropped_channels = 0
+    eff_nodes = [n for n in order if n.name not in removed
+                 and n.op_type != "DuplicateStreams"]
     if sparse:
-        eff_nodes = [n for n in order if n.name not in removed
-                     and n.op_type != "DuplicateStreams"]
         consumers_eff: dict[str, list[IRNode]] = {}
         for n in eff_nodes:
             for t in n.inputs:
@@ -648,100 +946,185 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
                 in_keep_of[_r(node.outputs[0])] = \
                     (src_keep[:, None] * hw + np.arange(hw)).ravel()
 
-    reads: dict[str, int] = {}
-    for node in order:
-        if node.name in removed or node.op_type == "DuplicateStreams":
+    # Pass 4: value domains. Every MultiThreshold, fused or standalone,
+    # writes codes; MaxPool (when decoding is monotone, ``step > 0``) and
+    # Flatten pass them on. ``codes`` maps each code tensor to what it
+    # holds.
+    codes: dict[str, _Codes] = {}
+    for node in eff_nodes:
+        src, out = _r(node.inputs[0]), node.outputs[0]
+        shape = graph.tensors[out].shape
+        mt = node if node.op_type == "MultiThreshold" \
+            else fused.get(node.name)
+        if mt is not None:
+            codes[out] = _Codes(float(mt.attrs["step"]),
+                                mt.initializers["thresholds"].shape[1],
+                                tuple(shape[1:]) if len(shape) == 3
+                                else None)
+        elif src in codes and node.op_type == "Flatten":
+            codes[out] = codes[src]
+        elif src in codes and node.op_type == "MaxPool" \
+                and codes[src].step > 0:
+            codes[out] = codes[src]._replace(hw=tuple(shape[1:]))
+
+    # Pass 5: the operands of every Conv/MatMul; integer where the guard
+    # proves the codes unchanged, else float with the reason.
+    gemms: dict[str, tuple] = {}
+    for node in eff_nodes:
+        if node.op_type not in ("Conv", "MatMul"):
             continue
-        for t in node.inputs:
-            rt = _r(t)
-            reads[rt] = reads.get(rt, 0) + 1
-    alloc = _SlotAllocator(reads, pinned)
+        src = _r(node.inputs[0])
+        weight = node.initializers["weight"].astype(dtype, copy=False)
+        bias = node.initializers.get("bias")
+        if bias is not None:
+            bias = bias.astype(dtype, copy=False)
+        if node.name in folded:
+            weight, bias = _fold_batchnorm(folded[node.name], weight,
+                                           bias, dtype)
+        threshold = None
+        if node.name in fused:
+            threshold = _prepare_thresholds(fused[node.name], dtype)
+        weight, bias, threshold = _compact(node, weight, bias, threshold,
+                                           in_keep_of.get(src), out_keep)
+        integer = reason = None
+        if src not in codes:
+            reason = "first layer" if src == graph.input_name \
+                else "float input"
+        elif threshold is None:
+            reason = "graph output" if node.outputs[0] in pinned \
+                else "no fused threshold"
+        else:
+            integer = _integer_operands(weight, bias, threshold, codes[src],
+                                        dtype)
+            if isinstance(integer, str):
+                integer, reason = None, integer
+        gemms[node.name] = (weight, bias, threshold, integer, reason)
+
+    def _reads_codes(node: IRNode) -> bool:
+        if node.op_type in ("Conv", "MatMul"):
+            return gemms[node.name][3] is not None
+        return node.op_type in ("MaxPool", "Flatten") \
+            and node.outputs[0] in codes
+
+    # Liveness: reads per tensor the steps see. A float reader of a code
+    # tensor reads its decoded twin, which one decode step produces
+    # from the codes. Graph outputs are pinned so their slots survive
+    # until the end of the run.
+    reads: dict[str, int] = {}
+    decoded: dict[str, str] = {}  # code tensor -> decoded twin
+
+    def _read(t: str) -> None:
+        reads[t] = reads.get(t, 0) + 1
+
+    def _float_twin(t: str) -> str:
+        if t not in decoded:
+            decoded[t] = f"{t}:decoded"
+            _read(t)
+        return decoded[t]
+
+    step_src: dict[str, str] = {}
+    for node in eff_nodes:
+        src = _r(node.inputs[0])
+        if src in codes and not _reads_codes(node):
+            src = _float_twin(src)
+        step_src[node.name] = src
+        _read(src)
+    output_names = [_float_twin(t) if t in codes else t
+                    for t in (_r(o) for o in graph.output_names)]
+    alloc = _SlotAllocator(reads, set(output_names))
 
     steps: list[_Step] = []
-    stats = {"nodes": 0, "folded_batchnorm": len(folded),
-             "fused_thresholds": len(fused), "sparse": bool(sparse)}
+    emitted: set[str] = set()
+
+    def _decode(t: str) -> None:
+        twin = decoded[t]
+        if twin in emitted:
+            return
+        emitted.add(twin)
+        steps.append(_DecodeStep(t, twin, alloc.acquire(twin),
+                                 codes[t].step,
+                                 len(graph.tensors[t].shape) == 1))
+        alloc.consume(t)
+
+    for node in eff_nodes:
+        src = step_src[node.name]
+        out = node.outputs[0]
+        code_src = _r(node.inputs[0])
+        in_k = in_keep_of.get(code_src)
+        if src != code_src:
+            _decode(code_src)
+        if node.op_type in ("Conv", "MatMul"):
+            weight, bias, threshold, integer, reason = gemms[node.name]
+            # Acquire the output slot before the scratch slots: scratch
+            # re-frees itself immediately, and no step may write into a
+            # buffer it is reading.
+            slot = alloc.acquire(out)
+            conv = node.op_type == "Conv"
+            tile = 1
+            if conv and threshold is not None:
+                _, out_h, out_w = graph.tensors[out].shape
+                tile = _row_tile(out_h * out_w, *threshold.v.shape)
+            if integer is not None and conv:
+                q, int_threshold = integer
+                steps.append(_IntConvStep(
+                    node, src, out, (slot, *alloc.scratch(3)),
+                    weight.shape, q, int_threshold.tile(tile)))
+            elif integer is not None:
+                steps.append(_IntMatMulStep(
+                    node, src, out, (slot, *alloc.scratch(2)),
+                    codes[code_src].hw, *integer))
+            else:
+                # (out, im2col, GEMM before thresholding); unused: None
+                scratch = alloc.scratch(conv + (threshold is not None))
+                slots = (slot, *scratch, None)[:2 + conv]
+                if threshold is not None:
+                    threshold = threshold.tile(tile)
+                step_cls = _ConvStep if conv else _MatMulStep
+                steps.append(step_cls(node, src, out, slots,
+                                      np.ascontiguousarray(weight), bias,
+                                      threshold, reason))
+        elif node.op_type == "MultiThreshold":
+            steps.append(_ThresholdStep(
+                node, src, out, alloc.acquire(out),
+                _prepare_thresholds(node, dtype).take(in_k)))
+        elif node.op_type == "BatchNorm":
+            steps.append(_BatchNormStep(node, src, out, alloc.acquire(out),
+                                        dtype, keep=in_k))
+        elif node.op_type == "MaxPool":
+            steps.append(_MaxPoolStep(
+                node, src, out, "integer" if out in codes else "float"))
+        elif node.op_type == "Flatten":
+            if out in codes:
+                alloc.alias(out, src)
+                steps.append(_CodeFlattenStep(node, src, out))
+            else:
+                steps.append(_FlattenStep(node, src, out,
+                                          alloc.acquire(out)))
+        else:  # pragma: no cover - _VALID_OPS guards this
+            raise ValueError(f"cannot compile op {node.op_type!r}")
+        alloc.consume(src)
+    for t in decoded:  # code graph outputs not decoded for a reader yet
+        _decode(t)
+
+    gemm_steps = [s for s in steps if s.op in ("Conv", "MatMul")]
+    stats = {"nodes": len(eff_nodes), "folded_batchnorm": len(folded),
+             "fused_thresholds": len(fused), "sparse": bool(sparse),
+             "integer_layers": sum(s.domain == "integer"
+                                   for s in gemm_steps),
+             "float_layers": {s.name: s.reason for s in gemm_steps
+                              if s.domain == "float"},
+             "steps": [s.describe() for s in steps]}
     if sparse:
         stats["compacted_nodes"] = len(out_keep)
         stats["dropped_channels"] = dropped_channels
         stats["channel_keep"] = {name: [int(i) for i in idx]
                                  for name, idx in out_keep.items()}
-    aliases: list[tuple[str, str]] = []  # DuplicateStreams rewires
-    for node in order:
-        if node.name in removed:
-            continue
-        if node.op_type == "DuplicateStreams":
-            continue
-        stats["nodes"] += 1
-        src = _r(node.inputs[0])
-        out = node.outputs[0]
-        in_k = in_keep_of.get(src)
-        if node.op_type == "Conv":
-            weight = node.initializers["weight"].astype(dtype, copy=False)
-            bias = node.initializers.get("bias")
-            if bias is not None:
-                bias = bias.astype(dtype, copy=False)
-            if node.name in folded:
-                weight, bias = _fold_batchnorm(folded[node.name], weight,
-                                               bias, dtype)
-            threshold = None
-            if node.name in fused:
-                threshold = _prepare_thresholds(fused[node.name], dtype)
-            weight, bias, threshold = _compact(node, weight, bias, threshold,
-                                               in_k, out_keep)
-            # Acquire the output slot before the scratch slot: scratch
-            # re-frees itself immediately, and the GEMM must never write
-            # into the im2col matrix it is reading.
-            slot = alloc.acquire(out)
-            cols_slot = alloc.scratch()
-            steps.append(_ConvStep(node, src, out, dtype, slot, cols_slot,
-                                   np.ascontiguousarray(weight), bias,
-                                   threshold))
-        elif node.op_type == "MatMul":
-            weight = node.initializers["weight"].astype(dtype, copy=False)
-            bias = node.initializers.get("bias")
-            if bias is not None:
-                bias = bias.astype(dtype, copy=False)
-            if node.name in folded:
-                weight, bias = _fold_batchnorm(folded[node.name], weight,
-                                               bias, dtype)
-            threshold = None
-            scratch_slot = None
-            if node.name in fused:
-                threshold = _prepare_thresholds(fused[node.name], dtype)
-            weight, bias, threshold = _compact(node, weight, bias, threshold,
-                                               in_k, out_keep)
-            slot = alloc.acquire(out)
-            if threshold is not None:
-                scratch_slot = alloc.scratch()
-            steps.append(_MatMulStep(node, src, out, slot, scratch_slot,
-                                     np.ascontiguousarray(weight), bias,
-                                     threshold))
-        elif node.op_type == "MultiThreshold":
-            slot = alloc.acquire(out)
-            scratch_slot = alloc.scratch()
-            threshold = _prepare_thresholds(node, dtype)
-            if in_k is not None:
-                v, signs, step = threshold
-                threshold = (np.ascontiguousarray(v[in_k]), signs[in_k], step)
-            steps.append(_ThresholdStep(node, src, out, slot, scratch_slot,
-                                        threshold))
-        elif node.op_type == "BatchNorm":
-            slot = alloc.acquire(out)
-            steps.append(_BatchNormStep(node, src, out, slot, dtype,
-                                        keep=in_k))
-        elif node.op_type == "MaxPool":
-            steps.append(_MaxPoolStep(node, src, out))
-        elif node.op_type == "Flatten":
-            slot = alloc.acquire(out)
-            steps.append(_FlattenStep(node, src, out, slot))
-        else:  # pragma: no cover - _VALID_OPS guards this
-            raise ValueError(f"cannot compile op {node.op_type!r}")
-        alloc.consume(src)
 
     plan = ExecutionPlan(
         graph_name=graph.name,
         input_name=graph.input_name,
-        output_names=[_r(t) for t in graph.output_names],
+        input_shape=tuple(graph.tensors[graph.input_name].shape),
+        output_names=output_names,
         steps=steps,
         num_slots=alloc.count,
         dtype=dtype,
@@ -763,10 +1146,11 @@ class ExecutionPlan:
     ``num_exits``/``param_dtype`` report the model facts the helpers use.
     """
 
-    def __init__(self, graph_name, input_name, output_names, steps,
-                 num_slots, dtype, num_exits, stats, timer=None):
+    def __init__(self, graph_name, input_name, input_shape, output_names,
+                 steps, num_slots, dtype, num_exits, stats, timer=None):
         self.graph_name = graph_name
         self.input_name = input_name
+        self.input_shape = input_shape
         self.output_names = output_names
         self.steps = steps
         self.dtype = dtype
@@ -796,6 +1180,7 @@ class ExecutionPlan:
         """Run one batch; returns one freshly-owned array per output."""
         t0 = time.perf_counter()
         x = np.asarray(x, dtype=self.dtype)
+        check_batch(x, self.input_shape)
         env = {self.input_name: x}
         arena = self._arena
         for step in self.steps:
@@ -838,7 +1223,14 @@ class ExecutionPlan:
                 for i in range(len(xs))]
 
     def stats(self) -> dict:
-        """Fusion/fold counts and arena footprint of the compiled plan."""
+        """Fusion/fold counts, arena footprint, and each step's domain.
+
+        ``steps`` lists every step with its ``domain`` (``integer``:
+        codes in, codes out; ``float``); ``float_layers`` maps each
+        Conv/MatMul left on the float path to the reason (``first
+        layer``, ``graph output``, ``off-grid weights``, ``accumulator
+        bound``, ``guard band (channel c)``, ...).
+        """
         return dict(self._stats, num_steps=len(self.steps),
                     arena_bytes=self._arena.nbytes(),
                     dtype=str(np.dtype(self.dtype)))

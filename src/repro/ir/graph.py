@@ -23,12 +23,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TensorInfo", "IRNode", "IRGraph"]
+__all__ = ["TensorInfo", "IRNode", "IRGraph", "check_batch"]
 
 _VALID_OPS = {
     "Conv", "MatMul", "BatchNorm", "MultiThreshold", "MaxPool", "Flatten",
     "DuplicateStreams",
 }
+
+
+def check_batch(x: np.ndarray, shape: tuple) -> None:
+    """Raise ``ValueError`` unless ``x`` is a non-empty batch of
+    ``shape``-shaped samples."""
+    shape = tuple(shape)
+    if x.ndim != len(shape) + 1 or x.shape[1:] != shape or not x.shape[0]:
+        raise ValueError(
+            f"input must be a non-empty batch of samples shaped {shape}, "
+            f"i.e. (N, {', '.join(map(str, shape))}) with N >= 1; "
+            f"got {x.shape}")
 
 
 @dataclass
@@ -172,6 +183,8 @@ class IRGraph:
         """Run a batch through the graph; returns one array per output."""
         from . import executors
 
+        x = np.asarray(x)
+        check_batch(x, self.tensors[self.input_name].shape)
         values: dict[str, np.ndarray] = {self.input_name: x}
         for node in self.topological_order():
             ins = [values[t] for t in node.inputs]

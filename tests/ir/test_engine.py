@@ -1,6 +1,8 @@
 """Compiled execution engine: bit-identity against the interpreted
 executors, fusion/folding bookkeeping, buffer reuse, and dtype policy."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,8 @@ from repro.core import PhaseTimer
 from repro.ir import IRGraph, IRNode, compile_graph, export_model, streamline
 from repro.ir.engine import (
     _SWEEP_MAX_LEVELS,
-    _threshold_matrix,
-    _threshold_tensor,
+    _prepare_thresholds,
+    _threshold,
 )
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
@@ -156,8 +158,21 @@ class TestUnfoldableBatchNorm:
         assert_outputs_equal(g.execute(x), plan.run(x))
 
 
+def _engine_threshold(node, x):
+    """``step × codes`` of the engine's threshold kernel on NCHW/NC ``x``
+    (channels-last inside, as the plan runs it)."""
+    threshold = _prepare_thresholds(node, np.float64)
+    u = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+    code = np.empty(u.shape, threshold.code_dtype)
+    _threshold(u, threshold, code, SimpleNamespace(threshold_seconds=0))
+    if x.ndim == 4:
+        code = code.transpose(0, 3, 1, 2)
+    return node.attrs["step"] * code.astype(np.float64)
+
+
 class TestThresholdKernels:
-    """Both engine threshold paths against the reference executor."""
+    """Both engine threshold paths (level sweep, searchsorted) against
+    the reference executor."""
 
     def _node(self, thresholds, signs, step=0.5):
         return IRNode("MultiThreshold", "mt", ["x"], ["y"],
@@ -178,9 +193,7 @@ class TestThresholdKernels:
         node = self._node(thresholds, signs)
         x = rng.standard_normal((3, channels, 4, 4))
         ref = _multithreshold(node, x)
-        v = np.sort(signs[:, None] * thresholds, axis=1)
-        got = _threshold_tensor(x, v, signs, 0.5, np.empty_like(x))
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(_engine_threshold(node, x), ref)
 
     @pytest.mark.parametrize("levels", [3, _SWEEP_MAX_LEVELS + 1])
     def test_matrix_path(self, levels):
@@ -191,10 +204,7 @@ class TestThresholdKernels:
         node = self._node(thresholds, signs)
         x = rng.standard_normal((6, channels))
         ref = _multithreshold(node, x)
-        v = np.sort(signs[:, None] * thresholds, axis=1)
-        m = x.copy()
-        _threshold_matrix(m, v, signs, 0.5)
-        np.testing.assert_array_equal(m, ref)
+        np.testing.assert_array_equal(_engine_threshold(node, x), ref)
 
     def test_exact_threshold_boundary(self):
         """x == t is NOT counted (strict >): both paths must agree."""
@@ -203,8 +213,7 @@ class TestThresholdKernels:
         node = self._node(thresholds, signs, step=1.0)
         x = np.array([[[[0.0, 1.0], [-1.0, 2.0]]]])
         ref = _multithreshold(node, x)
-        v = np.sort(signs[:, None] * thresholds, axis=1)
-        got = _threshold_tensor(x, v, signs, 1.0, np.empty_like(x))
+        got = _engine_threshold(node, x)
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(got[0, 0], [[0, 1], [0, 2]])
 
@@ -535,3 +544,29 @@ class TestSparseTFC:
         sliced = slice_channels(graph, {host.name: keep})
         x = np.random.default_rng(1).standard_normal((6, 1, 28, 28))
         assert_outputs_equal(sliced.execute(x), plan.run(x))
+
+
+class TestMalformedInput:
+    """Both the plan and the interpreter check the batch against the
+    graph's input shape and fail closed, naming the expected (C, H, W)."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph = export_model(_cnv())
+        streamline(graph)
+        return graph
+
+    @pytest.mark.parametrize("shape", [(2, 3, 33, 33), (2, 3, 32, 33),
+                                       (3, 32, 32), (0, 3, 32, 32),
+                                       (2, 32, 32, 3)],
+                             ids=["both-dims", "one-dim", "rank-3", "empty",
+                                  "channels-last"])
+    def test_rejected(self, graph, shape):
+        x = np.zeros(shape)
+        for run in (graph.compile().run, graph.execute):
+            with pytest.raises(ValueError, match=r"\(3, 32, 32\)"):
+                run(x)
+
+    def test_well_formed_batch_accepted(self, graph):
+        x = _batch(n=1)
+        assert_outputs_equal(graph.execute(x), graph.compile().run(x))
