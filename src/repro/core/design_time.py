@@ -318,6 +318,7 @@ class LibraryGenerator:
                 sweep = cascade_sweep(plan, test.images, test.labels,
                                       cfg.confidence_thresholds)
 
+            params = scaled.param_count()
             entries = []
             for point in sweep:
                 rates = point["exit_rates"]
@@ -344,7 +345,7 @@ class LibraryGenerator:
                     extra=dict(
                         {"requested_rate": rate,
                          "hw_achieved_rate": hw_report.achieved_rate,
-                         "params": scaled.param_count()},
+                         "params": params},
                         # Only non-default axes annotate extra, keeping
                         # pre-axis entry dicts (and golden traces) stable.
                         **({"precision": precision}

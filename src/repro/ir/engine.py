@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..nn.functional import conv_output_size
+from ..nn.functional import conv_output_size, im2col_into
 from .graph import IRGraph, IRNode, check_batch
 
 __all__ = ["compile_graph", "ExecutionPlan"]
@@ -247,29 +247,6 @@ def _integer_operands(weight: np.ndarray, bias: np.ndarray | None,
 
 
 # ----------------------------------------------------------------------
-# im2col into a preallocated buffer
-# ----------------------------------------------------------------------
-
-def _im2col_into(x: np.ndarray, kernel: int, stride: int, padding: int,
-                 out_h: int, out_w: int, cols: np.ndarray) -> np.ndarray:
-    """:func:`repro.nn.functional.im2col` writing into ``cols``."""
-    n, c = x.shape[0], x.shape[1]
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
-                       (padding, padding)), mode="constant")
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    out6 = cols.reshape(n, out_h, out_w, c, kernel, kernel)
-    np.copyto(out6, windows.transpose(0, 2, 3, 1, 4, 5))
-    return cols
-
-
-# ----------------------------------------------------------------------
 # runtime arena
 # ----------------------------------------------------------------------
 
@@ -362,8 +339,7 @@ class _ConvStep(_Step):
                                  self.padding)
         rows = n * out_h * out_w
         cols = arena.view(self.cols_slot, (rows, self.patch))
-        _im2col_into(x, self.kernel, self.stride, self.padding,
-                     out_h, out_w, cols)
+        im2col_into(x, self.kernel, self.stride, self.padding, cols)
         thresholded = self.threshold is not None
         m = arena.view(self.gemm_slot if thresholded else self.slot,
                        (rows, self.out_ch))
@@ -829,6 +805,12 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
     # feeds a DuplicateStreams) or is itself a graph output keeps its
     # pre-threshold value and the MultiThreshold stays standalone.
     pre_pinned = {_r(t) for t in graph.output_names}
+    # Resolved tensor -> names of the nodes reading it, kept current as
+    # fusion resolves a MultiThreshold's output to its host's.
+    readers: dict[str, set[str]] = {}
+    for c in graph.nodes:
+        for src in {_r(t) for t in c.inputs}:
+            readers.setdefault(src, set()).add(c.name)
     fused: dict[str, IRNode] = {}  # host node name -> fused MT node
     for node in order:
         if node.op_type != "MultiThreshold" or node.name in removed:
@@ -839,14 +821,13 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
             continue
         if host.name in fused or host.name in removed:
             continue
-        live_consumers = [c for c in graph.nodes
-                          if c.name not in removed
-                          and any(_r(t) == src for t in c.inputs)]
-        if len(live_consumers) != 1 or src in pre_pinned:
+        if len(readers.get(src, set()) - removed) != 1 or src in pre_pinned:
             continue
         fused[host.name] = node
         removed.add(node.name)
         resolve[node.outputs[0]] = src
+        readers.setdefault(src, set()).update(
+            readers.pop(node.outputs[0], ()))
 
     # Liveness: reads per resolved tensor (graph outputs pinned so their
     # slots survive until the end of the run).

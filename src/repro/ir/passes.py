@@ -24,26 +24,31 @@ __all__ = ["absorb_batchnorm", "streamline", "count_unabsorbed_batchnorms",
 def _fold_affine_into_thresholds(thresholds: np.ndarray, signs: np.ndarray,
                                  scale: np.ndarray, shift: np.ndarray):
     """New (thresholds, signs) so that counting crossings of ``x`` equals
-    counting crossings of ``scale*x + shift`` against the old thresholds."""
-    c, levels = thresholds.shape
-    new_t = np.empty_like(thresholds, dtype=np.float64)
-    new_s = signs.astype(np.float64).copy()
-    for ch in range(c):
-        a = scale[ch]
-        b = shift[ch]
-        if a == 0.0:
-            # BN output is the constant b: each threshold is either always
-            # or never crossed regardless of x.
-            crossed = (signs[ch] * b) > (signs[ch] * thresholds[ch])
-            new_t[ch] = np.where(crossed, -np.inf, np.inf)
-            new_s[ch] = 1.0
-        else:
-            new_t[ch] = (thresholds[ch] - b) / a
-            new_s[ch] = signs[ch] * np.sign(a)
-            if a < 0:
-                # Flipping direction reverses threshold order; keep them
-                # ascending in crossing order for the hardware unit.
-                new_t[ch] = new_t[ch][::-1]
+    counting crossings of ``scale*x + shift`` against the old thresholds.
+
+    All channels at once. Each operand keeps its own dtype (``(C, 1)``
+    columns broadcast against the ``(C, levels)`` rows), so every value
+    is computed in the dtype a per-channel loop over NumPy scalars
+    would use, then stored as float64."""
+    a = scale[:, None]
+    b = shift[:, None]
+    s = signs[:, None]
+    new_t = np.empty(thresholds.shape, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new_t[...] = (thresholds - b) / a  # zero rows are replaced below
+    new_s = np.empty(signs.shape, dtype=np.float64)
+    new_s[...] = signs * np.sign(scale)
+    zero = scale == 0.0
+    if zero.any():
+        # BN output is the constant b: each threshold is either always
+        # or never crossed regardless of x.
+        crossed = (s[zero] * b[zero]) > (s[zero] * thresholds[zero])
+        new_t[zero] = np.where(crossed, -np.inf, np.inf)
+        new_s[zero] = 1.0
+    # Flipping direction reverses threshold order; keep them ascending
+    # in crossing order for the hardware unit.
+    neg = scale < 0
+    new_t[neg] = new_t[neg, ::-1]
     return new_t, new_s
 
 

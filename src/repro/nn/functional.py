@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "im2col",
+    "im2col_into",
     "conv2d_forward",
     "conv2d_backward",
     "conv2d_param_backward",
@@ -46,6 +47,57 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+# Elements of the (n, C, k, k, oh, ow) scratch im2col_into fills per
+# chunk of whole images, so the transposing second stage reads from cache.
+_IM2COL_CHUNK = 1 << 15
+
+
+def im2col_into(x: np.ndarray, kernel: int, stride: int, padding: int,
+                cols: np.ndarray) -> np.ndarray:
+    """Fill ``cols`` with the patches of ``x``; returns ``cols``.
+
+    ``cols`` is a C-contiguous ``(N * out_h * out_w, C * kernel * kernel)``
+    array laid out as :func:`im2col` returns it (values are cast to its
+    dtype). The fill runs in two stages, a few images at a time: a copy
+    of the sliding windows into an ``(n, C, k, k, out_h, out_w)`` scratch,
+    whose inner loop runs along an output row, then one transpose of that
+    scratch into the rows. A single copy of the window view in row order
+    would run an inner loop only ``kernel`` elements long.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+
+    if padding > 0:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+        )
+
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    patch, per_image = c * kernel * kernel, out_h * out_w
+    if cols.shape != (n * per_image, patch) or not cols.flags.c_contiguous:
+        raise ValueError(
+            f"cols must be a C-contiguous {(n * per_image, patch)} array, "
+            f"got shape {cols.shape}"
+        )
+    rows = cols.reshape(n, per_image, patch)
+    chunk = max(1, _IM2COL_CHUNK // (patch * per_image))
+    scratch = np.empty((min(chunk, n),) + windows.shape[1:], dtype=cols.dtype)
+    for i0 in range(0, n, chunk):
+        i1 = min(n, i0 + chunk)
+        part = scratch[:i1 - i0]
+        np.copyto(part, windows[i0:i1])
+        np.copyto(rows[i0:i1],
+                  part.reshape(i1 - i0, patch, per_image).transpose(0, 2, 1))
+    return cols
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Lower input patches into a matrix.
 
@@ -65,25 +117,8 @@ def im2col(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
-
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-
-    # Strided sliding-window view: (N, C, out_h, out_w, kernel, kernel)
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # -> (N, out_h, out_w, C, kernel, kernel) -> rows
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel * kernel
-    )
-    return np.ascontiguousarray(cols)
+    cols = np.empty((n * out_h * out_w, c * kernel * kernel), dtype=x.dtype)
+    return im2col_into(x, kernel, stride, padding, cols)
 
 
 def conv2d_forward(

@@ -314,6 +314,57 @@ def _prunable_conv_weights(model: BranchedModel,
     return pairs
 
 
+def _check_shape(layer, key: str, array: np.ndarray, expected: tuple) -> None:
+    if array.shape != expected:
+        raise PruningError(
+            f"{layer.name}: {key} has shape {array.shape}, expected {expected}"
+        )
+
+
+def _check_sequential(seq: Sequential, shape: tuple) -> tuple:
+    """Output shape of ``seq`` for a ``shape`` input, checking each layer's
+    arrays against the channels (or features) flowing into it."""
+    for layer in seq.layers:
+        try:  # Conv/Linear: input width == in_channels/in_features
+            out = layer.output_shape(shape)
+        except ValueError as exc:
+            raise PruningError(f"{layer.name}: {exc}") from exc
+        if isinstance(layer, (Conv2D, Linear)):
+            if isinstance(layer, Conv2D):
+                k = layer.kernel_size
+                expected = (layer.out_channels, layer.in_channels, k, k)
+            else:
+                expected = (layer.out_features, layer.in_features)
+            _check_shape(layer, "weight", layer.params["weight"], expected)
+            if layer.has_bias:
+                _check_shape(layer, "bias", layer.params["bias"],
+                             expected[:1])
+        elif isinstance(layer, BatchNorm):
+            if len(shape) not in (1, 3) or layer.num_features != shape[0]:
+                raise PruningError(
+                    f"{layer.name}: {layer.num_features} features on input "
+                    f"{shape}"
+                )
+            for key, array in (("gamma", layer.params["gamma"]),
+                               ("beta", layer.params["beta"]),
+                               ("running_mean", layer.running_mean),
+                               ("running_var", layer.running_var)):
+                _check_shape(layer, key, array, shape[:1])
+        shape = out
+    return shape
+
+
+def _check_structure(model: BranchedModel) -> None:
+    """Raise :class:`PruningError` unless every layer's arrays fit the
+    channels flowing into it, on the paths ``forward`` takes: backbone
+    segments in order, each exit branch on its segment's output."""
+    shape = model.input_shape
+    for si, seg in enumerate(model.segments):
+        shape = _check_sequential(seg, shape)
+        if si in model.exits:
+            _check_sequential(model.exits[si], shape)
+
+
 def prune_model(
     model: BranchedModel,
     rate: float,
@@ -360,7 +411,20 @@ def prune_model(
 
     Returns
     -------
-    ``(pruned_model, report)``
+    ``(pruned_model, report)``; the model is in eval mode.
+
+    Raises
+    ------
+    PruningError
+        The rate cannot be applied to this structure, or the pruned
+        model is inconsistent. A static check walks the segments and
+        exit branches the way ``forward`` does and compares every
+        layer's arrays with the channel count flowing into it: Conv
+        weight ``(out, in, k, k)`` and bias, BatchNorm ``gamma``,
+        ``beta``, ``running_mean`` and ``running_var``, and Linear
+        weight columns (after a Flatten, ``C*H*W``). It runs no forward
+        pass. The error is permanent, so supervision quarantines the
+        design point instead of retrying it.
     """
     if mode not in _APPLY:
         raise ValueError(f"mode must be one of {sorted(_APPLY)}, got {mode!r}")
@@ -423,8 +487,6 @@ def prune_model(
             _prune_sequential_convs(branch, branch_input, rate, constraints,
                                     report, mode, criterion, removal_map)
 
-    # Sanity check: a forward pass on a dummy input must work.
-    probe = np.zeros((1,) + new.input_shape, dtype=np.float32)
+    _check_structure(new)
     new.eval()
-    new.forward(probe)
     return new, report

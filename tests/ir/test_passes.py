@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (IRGraph, IRNode, export_model, slice_channels,
                       streamline)
-from repro.ir.passes import absorb_batchnorm, count_unabsorbed_batchnorms
+from repro.ir.passes import (_fold_affine_into_thresholds, absorb_batchnorm,
+                              count_unabsorbed_batchnorms)
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
 
 
@@ -65,6 +68,65 @@ class TestAbsorbBatchnorm:
         g.mark_output("o")
         assert absorb_batchnorm(g) == 0
         assert count_unabsorbed_batchnorms(g) == 1
+
+
+def fold_per_channel(thresholds, signs, scale, shift):
+    """The fold as a loop over channels and NumPy scalars: the oracle the
+    vectorized :func:`_fold_affine_into_thresholds` must match bit for
+    bit, NumPy's scalar dtype promotion included."""
+    c, _ = thresholds.shape
+    new_t = np.empty_like(thresholds, dtype=np.float64)
+    new_s = signs.astype(np.float64).copy()
+    for ch in range(c):
+        a = scale[ch]
+        b = shift[ch]
+        if a == 0.0:
+            crossed = (signs[ch] * b) > (signs[ch] * thresholds[ch])
+            new_t[ch] = np.where(crossed, -np.inf, np.inf)
+            new_s[ch] = 1.0
+        else:
+            new_t[ch] = (thresholds[ch] - b) / a
+            new_s[ch] = signs[ch] * np.sign(a)
+            if a < 0:
+                new_t[ch] = new_t[ch][::-1]
+    return new_t, new_s
+
+
+_DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+class TestFoldVectorized:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), channels=st.integers(1, 24),
+           levels=st.integers(1, 15), t_dtype=_DTYPES, s_dtype=_DTYPES,
+           a_dtype=_DTYPES, b_dtype=_DTYPES,
+           special=st.lists(st.sampled_from(
+               [0.0, -0.0, np.nan, -1.0, "neg", "tie"]), max_size=8))
+    def test_bit_identical_to_per_channel_loop(
+            self, seed, channels, levels, t_dtype, s_dtype, a_dtype,
+            b_dtype, special):
+        rng = np.random.default_rng(seed)
+        thresholds = np.sort(rng.normal(size=(channels, levels)),
+                             axis=1).astype(t_dtype)
+        signs = rng.choice([-1.0, 1.0], size=channels).astype(s_dtype)
+        scale = rng.lognormal(size=channels).astype(a_dtype)
+        shift = rng.normal(size=channels).astype(b_dtype)
+        for i, kind in enumerate(special):
+            ch = i % channels
+            if kind == "neg":
+                scale[ch] = -abs(scale[ch])
+            elif kind == "tie":  # a constant BN output on a threshold
+                scale[ch] = 0.0
+                shift[ch] = thresholds[ch, levels // 2]
+            else:
+                scale[ch] = kind
+        args = (thresholds, signs, scale, shift)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_t, want_s = fold_per_channel(*args)
+        got_t, got_s = _fold_affine_into_thresholds(*args)
+        assert got_t.dtype == want_t.dtype and got_s.dtype == want_s.dtype
+        assert got_t.tobytes() == want_t.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
 
 
 class TestStreamlineCNV:

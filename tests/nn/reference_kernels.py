@@ -1,10 +1,10 @@
 """Reference training kernels: the textbook im2col/col2im formulation.
 
-These are the kernels ``repro.nn`` trained with before its backward pass
-was restructured (channels-last convolution input gradient without
-col2im, no input gradient for a model's first layer, buffer-reusing
-BatchNorm, direct MaxPool scatter, STE mask reusing the forward pass's
-scale). They live here only as the oracle the restructured kernels
+These are the kernels ``repro.nn`` trained with before it was
+restructured (two-stage im2col fill, channels-last convolution input
+gradient without col2im, no input gradient for a model's first layer,
+buffer-reusing BatchNorm, direct MaxPool scatter, STE mask reusing the
+forward pass's scale). They live here only as the oracle the restructured kernels
 must match byte for byte; :func:`install` swaps them into the package
 for end-to-end comparisons, and :func:`assert_same_bytes` is the
 comparison.
@@ -19,6 +19,23 @@ from repro.nn import functional as F
 from repro.nn.graph import BranchedModel
 from repro.nn.layers import BatchNorm, QuantConv2D, QuantLinear
 from repro.nn.quant import ste_mask
+
+
+def im2col(x, kernel, stride=1, padding=0):
+    """Patch rows as one copy of the 6-D window view in row order."""
+    n, c, h, w = x.shape
+    out_h = F.conv_output_size(h, kernel, stride, padding)
+    out_w = F.conv_output_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                       (padding, padding)), mode="constant")
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, out_h, out_w, kernel, kernel),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw), writeable=False)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n * out_h * out_w, c * kernel * kernel)
+    return np.ascontiguousarray(cols)
 
 
 def col2im(cols, x_shape, kernel, stride=1, padding=0):
@@ -137,6 +154,7 @@ def model_backward(self, exit_grads):
 def install(monkeypatch) -> None:
     """Train with the reference kernels for the rest of the test."""
     monkeypatch.setattr(F, "conv2d_backward", conv2d_backward)
+    monkeypatch.setattr(F, "im2col", im2col)
     monkeypatch.setattr(F, "maxpool2d_backward", maxpool2d_backward)
     monkeypatch.setattr(BatchNorm, "forward", batchnorm_forward)
     monkeypatch.setattr(BatchNorm, "backward", batchnorm_backward)

@@ -103,6 +103,40 @@ class TestIm2col:
         np.testing.assert_allclose(back, x * counts, rtol=1e-10, atol=1e-12)
 
 
+class TestIm2colFill:
+    """The two-stage fill against one copy of the 6-D window view."""
+
+    @given(n=st.integers(1, 5), c=st.integers(1, 6), h=st.integers(1, 12),
+           w=st.integers(1, 12), kernel=st.integers(1, 4),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           dtype=st.sampled_from([np.float64, np.float32, np.uint8]),
+           layout=ref.LAYOUTS, chunk=st.sampled_from([1, 64, 1 << 15]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_window_view_copy(self, n, c, h, w, kernel, stride,
+                                      padding, dtype, layout, chunk, seed):
+        if h + 2 * padding < kernel or w + 2 * padding < kernel:
+            return
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w)) * 50
+        x = ref.as_layout(np.abs(x).astype(dtype), layout)
+        want = ref.im2col(x, kernel, stride, padding)
+        # Into a caller's buffer of another dtype (the engine's arena).
+        cols = np.full(want.shape, np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(F, "_IM2COL_CHUNK", chunk)
+            ref.assert_same_bytes(F.im2col(x, kernel, stride, padding), want)
+            out = F.im2col_into(x, kernel, stride, padding, cols)
+        assert out is cols
+        ref.assert_same_bytes(cols, want.astype(np.float64))
+
+    def test_rejects_wrong_buffer(self):
+        x = np.ones((2, 3, 5, 5))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            F.im2col_into(x, 3, 1, 0, np.empty((27, 18)).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            F.im2col_into(x, 3, 1, 0, np.empty((18, 28)))
+
+
 class TestConv2d:
     def test_matches_tap_loop(self):
         rng = np.random.default_rng(4)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import classify_error
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
+from repro.nn.graph import BranchedModel
 from repro.nn.layers import QuantConv2D
-from repro.pruning import LayerFoldConstraint, prune_model
+from repro.pruning import LayerFoldConstraint, PruningError, prune_model
+from repro.pruning import pruner
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +169,75 @@ class TestMaskMode:
     def test_unknown_mode_rejected(self, base_model):
         with pytest.raises(ValueError):
             prune_model(base_model, 0.3, mode="shuffle")
+
+
+def _patch_slice(monkeypatch, index, applier):
+    """Swap one of slice mode's channel-removal appliers."""
+    appliers = list(pruner._APPLY["slice"])
+    appliers[index] = applier
+    monkeypatch.setitem(pruner._APPLY, "slice", tuple(appliers))
+
+
+def _stale_weight(real, name):
+    """An applier that, on the layer called ``name``, updates the width
+    attribute but leaves the weight unsliced."""
+    def applier(layer, *args):
+        weight = layer.params["weight"]
+        real(layer, *args)
+        if layer.name == name:
+            layer.params["weight"] = weight
+    return applier
+
+
+class TestStructureCheck:
+    """A pruning pass that leaves a layer inconsistent with the channels
+    flowing into it fails with a permanent PruningError, found by a
+    static walk of the model rather than a forward pass."""
+
+    def _fails(self, base_model, layer_name, match):
+        with pytest.raises(PruningError, match=match) as info:
+            prune_model(base_model, 0.5)
+        assert layer_name in str(info.value)
+        assert classify_error(info.value) == "permanent"
+
+    @pytest.mark.parametrize("key", ["gamma", "beta", "running_mean",
+                                     "running_var"])
+    def test_batchnorm_length(self, base_model, monkeypatch, key):
+        real = pruner._APPLY["slice"][2]
+
+        def slice_bn(bn, keep):
+            stale = bn.params[key] if key in bn.params else getattr(bn, key)
+            real(bn, keep)
+            if bn.name == "b1_bn0":
+                if key in bn.params:
+                    bn.params[key] = stale
+                else:
+                    setattr(bn, key, stale)
+
+        _patch_slice(monkeypatch, 2, slice_bn)
+        self._fails(base_model, "b1_bn0", f"{key} has shape")
+
+    def test_conv_input_channels(self, base_model, monkeypatch):
+        # b1_conv0 reads the channels escaping segment 0.
+        _patch_slice(monkeypatch, 1,
+                     _stale_weight(pruner._APPLY["slice"][1], "b1_conv0"))
+        self._fails(base_model, "b1_conv0", "expected")
+
+    def test_exit_branch_input_channels(self, base_model, monkeypatch):
+        _patch_slice(monkeypatch, 1,
+                     _stale_weight(pruner._APPLY["slice"][1], "exit0_conv"))
+        self._fails(base_model, "exit0_conv", "expected")
+
+    def test_flatten_linear_columns(self, base_model, monkeypatch):
+        _patch_slice(monkeypatch, 3,
+                     _stale_weight(pruner._APPLY["slice"][3], "fc0"))
+        self._fails(base_model, "fc0", "expected")
+
+    def test_no_forward_pass(self, base_model, monkeypatch):
+        def forward(self, x):
+            raise AssertionError("prune_model ran a forward pass")
+
+        monkeypatch.setattr(BranchedModel, "forward", forward)
+        for mode in ("slice", "mask"):
+            pruned, _ = prune_model(base_model, 0.5, mode=mode)
+            assert not any(layer.training for layer in pruned.all_layers())
