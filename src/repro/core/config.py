@@ -194,9 +194,11 @@ class AdaPExConfig:
         if self.compute_dtype != "float64":
             parts.append(self.compute_dtype)
         # Same back-compat rule for the zero-skip axis: the default
-        # leaves keys untouched.
+        # leaves keys untouched. The salt's version 2 marks MVTU
+        # densities read from the accuracy twin's quantized weights
+        # (version 1 read the untrained hardware twin's).
         if self.zero_skip:
-            parts.append("zero_skip")
+            parts.append(("zero_skip", 2))
         if include_rate_sweep:
             parts.append(tuple(self.pruning_rates))
             # Like the rate sweep, the precision sweep identifies the

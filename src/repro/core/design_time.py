@@ -13,10 +13,16 @@ Pipeline per generated model:
    threshold) with the accuracy and exit statistics measured on the test
    set.
 
-Two model "twins" are used per design point (see DESIGN.md): a scaled
-*accuracy twin* that is actually trained, and a full-width *hardware
-twin* (never trained — resource and timing figures depend only on the
-architecture) characterized through the FINN-like flow.
+Each design point is one architecture at two widths (see DESIGN.md):
+the scaled *accuracy twin* is pruned, trained and measured, and the
+*hardware twin* is the same network at ``resource_width_scale``, which
+only the FINN-like flow sees. The hardware twin is never trained and
+never holds weights of its own. Its per-layer filter counts come from a
+:class:`~repro.pruning.CountPlan` at the hardware widths and folding
+constraints, and its accelerator is compiled from the accuracy twin's
+streamlined graph with every Conv/MatMul set to its hardware width
+(:func:`repro.ir.passes.with_widths`). With zero-skipping MVTUs the
+densities are the accuracy twin's quantized weights'.
 
 Execution model
 ---------------
@@ -43,16 +49,17 @@ from ..data.augment import standard_augmentation
 from ..data.synthetic import make_dataset
 from ..finn.compile import compile_accelerator
 from ..finn.folding import cnv_reference_fold, fold_constraints
-from ..finn.performance import PerformanceModel
+from ..finn.power import OperatingPoints
 from ..ir.export import export_model
-from ..ir.passes import streamline
+from ..ir.passes import streamline, with_widths
 from ..models.cnv import CNVConfig, build_cnv
 from ..models.exits import ExitsConfiguration
+from ..nn.layers import Conv2D, Linear
 from ..nn.quant import post_training_quantize
 from ..nn.serialize import load_state_arrays, state_arrays
 from ..nn.shmstate import publish_state_arrays, receive_state_arrays
 from ..nn.trainer import Trainer, cascade_sweep, evaluate_exits
-from ..pruning.pruner import prune_model
+from ..pruning.pruner import plan_counts, prune_model
 from ..pruning.ranking import HAPMCriterion, get_criterion
 from ..pruning.schedule import psfp_prune_retrain
 from ..runtime.library import AcceleratorId, Library, LibraryEntry
@@ -73,10 +80,15 @@ class _VariantContext:
     variant: str
     pruned_exits: bool
     scaled_base: object
+    # The hardware twin's unpruned architecture: its widths, constraints
+    # and (for HAPM's allocation) initial weights. Never pruned or run.
     hw_base: object
     scaled_constraints: dict
     hw_constraints: dict
     folding: object
+    # Bare Conv/Linear layer name -> unpruned output width at hardware
+    # scale; a point's count plan overrides the pruned CONVs.
+    hw_widths: dict
     # CONV layer name -> per-frame cycle cost of its MVTU in the compiled
     # *unpruned* accelerator. Only populated when the sweep uses the
     # hardware-aware criterion; empty otherwise.
@@ -199,19 +211,7 @@ class LibraryGenerator:
         cfg = self.config
         hw_base = self._build(exits_cfg, cfg.resource_width_scale)
         folding = cnv_reference_fold(hw_base)
-        layer_costs = {}
-        if "hapm" in cfg.criteria:
-            # The hardware-aware criterion weights each filter by its
-            # layer's per-frame cycle cost in the FINN model. Compile the
-            # unpruned hardware twin once per variant and read the MVTU
-            # cycle counts off the compiled modules.
-            graph = export_model(hw_base)
-            streamline(graph)
-            accel = compile_accelerator(graph, folding,
-                                        clock_mhz=cfg.clock_mhz,
-                                        zero_skip=cfg.zero_skip)
-            layer_costs = _mvtu_layer_costs(accel)
-        return _VariantContext(
+        ctx = _VariantContext(
             variant=variant,
             pruned_exits=pruned_exits,
             scaled_base=scaled_base,
@@ -220,8 +220,44 @@ class LibraryGenerator:
                 scaled_base, cnv_reference_fold(scaled_base)),
             hw_constraints=fold_constraints(hw_base, folding),
             folding=folding,
-            layer_costs=layer_costs,
+            hw_widths={layer.name: layer.params["weight"].shape[0]
+                       for layer in hw_base.all_layers()
+                       if isinstance(layer, (Conv2D, Linear))},
+            layer_costs={},
         )
+        if "hapm" in cfg.criteria:
+            # The hardware-aware criterion weights each filter by its
+            # layer's per-frame cycle cost in the FINN model. Compile the
+            # unpruned hardware twin once per variant and read the MVTU
+            # cycle counts off the compiled modules.
+            graph = export_model(scaled_base)
+            streamline(graph)
+            accel = compile_accelerator(with_widths(graph, ctx.hw_widths),
+                                        folding, clock_mhz=cfg.clock_mhz,
+                                        zero_skip=cfg.zero_skip)
+            ctx.layer_costs = _mvtu_layer_costs(accel)
+        return ctx
+
+    def _compile_hardware_twin(self, ctx: _VariantContext, rate: float,
+                               criterion, graph):
+        """The design point's FINN accelerator and its count plan.
+
+        ``graph`` is the accuracy twin's streamlined graph at this
+        point's rate and precision. The count plan gives every pruned
+        CONV its width at hardware scale and folding (and the point's
+        ``hw_achieved_rate``); the graph, copied weightless at those
+        widths, is what the accelerator is compiled from. Raises the
+        usual permanent errors (folding, compile, device check).
+        """
+        cfg = self.config
+        plan = plan_counts(ctx.hw_base, rate, ctx.hw_constraints,
+                           ctx.pruned_exits, criterion)
+        widths = dict(ctx.hw_widths, **plan.widths())
+        accel = compile_accelerator(with_widths(graph, widths), ctx.folding,
+                                    clock_mhz=cfg.clock_mhz,
+                                    zero_skip=cfg.zero_skip)
+        cfg.device.check(accel.resources())
+        return accel, plan
 
     def _resolve_criterion(self, ctx: _VariantContext, criterion: str):
         """Registry lookup, binding HAPM to this variant's layer costs."""
@@ -268,32 +304,25 @@ class LibraryGenerator:
                     Trainer(scaled, cfg.retraining).fit(train.images,
                                                         train.labels)
                     timer.add("epochs", 0.0, cfg.retraining.epochs)
-        # Precision axis: re-quantize both twins after prune/retrain
-        # (PTQ — the latent weights are final by now).
+        # Precision axis: re-quantize after prune/retrain (PTQ — the
+        # latent weights are final by now). The hardware twin inherits
+        # the precision through the accuracy twin's graph.
         spec = cfg.precision_spec(precision)
         if spec is not None:
             scaled = post_training_quantize(scaled, spec.weight_bits,
                                             spec.act_bits)
         scaled.eval()
 
-        # Hardware twin: prune (no training needed) + compile.
-        with timer.phase("prune"):
-            hw, hw_report = prune_model(ctx.hw_base, rate,
-                                        constraints=ctx.hw_constraints,
-                                        prune_exits=ctx.pruned_exits,
-                                        criterion=crit)
-        if spec is not None:
-            hw = post_training_quantize(hw, spec.weight_bits, spec.act_bits)
         with timer.phase("compile"):
-            graph = export_model(hw)
-            streamline(graph)
-            accel = compile_accelerator(graph, ctx.folding,
-                                        clock_mhz=cfg.clock_mhz,
-                                        zero_skip=cfg.zero_skip)
+            # One export of the accuracy twin: the engine measures its
+            # accuracy, and the hardware twin is compiled from its graph.
+            scaled_graph = export_model(scaled)
+            streamline(scaled_graph)
+            accel, hw_plan = self._compile_hardware_twin(ctx, rate, crit,
+                                                         scaled_graph)
             resources = accel.resources()
-            cfg.device.check(resources)
-            perf = PerformanceModel(accel)
-            latencies = perf.latencies_s()
+            figures = OperatingPoints(accel, cfg.power_model, cfg.inflight)
+            latencies = figures.perf.latencies_s()
 
         accel_id = AcceleratorId(pruning_rate=rate,
                                  pruned_exits=ctx.pruned_exits,
@@ -303,12 +332,10 @@ class LibraryGenerator:
                                  schedule=schedule)
 
         with timer.phase("characterize"):
-            # Accuracy measurement runs on the compiled engine: export
-            # the accuracy twin, streamline, and execute the fused plan
-            # (function-preserving, so the measured accuracies match the
-            # nn-layer forward; ir.executors stays the semantics oracle).
-            scaled_graph = export_model(scaled)
-            streamline(scaled_graph)
+            # Accuracy measurement runs the accuracy twin's streamlined
+            # graph on the compiled engine (function-preserving, so the
+            # measured accuracies match the nn-layer forward;
+            # ir.executors stays the semantics oracle).
             plan = scaled_graph.compile(dtype=cfg.np_dtype, timer=timer)
             if plan.num_exits == 1:
                 exit_acc = evaluate_exits(plan, test.images, test.labels)
@@ -322,12 +349,8 @@ class LibraryGenerator:
             entries = []
             for point in sweep:
                 rates = point["exit_rates"]
-                serving = perf.serving_capacity_ips(rates,
-                                                    inflight=cfg.inflight)
-                avg_latency = perf.average_latency_s(rates)
-                energy = cfg.power_model.energy_per_inference_j(accel, rates)
-                idle = cfg.power_model.average_power_w(accel, rates, 0.0)
-                busy = cfg.power_model.average_power_w(accel, rates, serving)
+                serving, avg_latency, energy, idle, busy = \
+                    figures.at(rates)
                 entries.append(LibraryEntry(
                     accelerator=accel_id,
                     confidence_threshold=point["confidence_threshold"],
@@ -344,7 +367,7 @@ class LibraryGenerator:
                                "bram18": resources.bram18},
                     extra=dict(
                         {"requested_rate": rate,
-                         "hw_achieved_rate": hw_report.achieved_rate,
+                         "hw_achieved_rate": hw_plan.achieved_rate,
                          "params": params},
                         # Only non-default axes annotate extra, keeping
                         # pre-axis entry dicts (and golden traces) stable.

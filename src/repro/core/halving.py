@@ -253,27 +253,28 @@ def _rung_model(gen, ctx, point, crit):
 def _point_cycles(gen, ctx, point) -> int:
     """Modeled final-exit cycles of the point's hardware twin.
 
+    The hardware twin is compiled, as in the library, from the accuracy
+    twin's graph: here the pruned, untrained-at-this-rung skeleton.
     Raises the usual permanent errors (folding/compile/device check) for
     infeasible points, quarantining them at the first rung before any
     training budget is spent.
     """
-    from ..finn.compile import compile_accelerator
     from ..ir.export import export_model
     from ..ir.passes import streamline
 
     cfg = gen.config
     _key, rate, prec, crit_name, _sched = point
     crit = gen._resolve_criterion(ctx, crit_name)
-    hw, _ = prune_model(ctx.hw_base, rate, constraints=ctx.hw_constraints,
-                        prune_exits=ctx.pruned_exits, criterion=crit)
+    scaled, _ = prune_model(ctx.scaled_base, rate,
+                            constraints=ctx.scaled_constraints,
+                            prune_exits=ctx.pruned_exits, criterion=crit)
     spec = cfg.precision_spec(prec)
     if spec is not None:
-        hw = post_training_quantize(hw, spec.weight_bits, spec.act_bits)
-    graph = export_model(hw)
+        scaled = post_training_quantize(scaled, spec.weight_bits,
+                                        spec.act_bits)
+    graph = export_model(scaled)
     streamline(graph)
-    accel = compile_accelerator(graph, ctx.folding, clock_mhz=cfg.clock_mhz,
-                                zero_skip=cfg.zero_skip)
-    cfg.device.check(accel.resources())
+    accel, _ = gen._compile_hardware_twin(ctx, rate, crit, graph)
     return int(accel.exit_cycles(accel.num_exits - 1))
 
 

@@ -28,7 +28,7 @@ from .hls import (
     zero_skip_factor,
 )
 from .performance import PerformanceModel, StageLoad
-from .power import PowerModel, PowerReport
+from .power import OperatingPoints, PowerModel, PowerReport
 from .resources import (
     BRAM18_BITS,
     DSP_OPERAND_BITS,
@@ -49,7 +49,7 @@ __all__ = [
     "SlidingWindowUnit", "ThresholdUnit",
     "ZERO_SKIP_OVERHEAD", "zero_skip_factor",
     "PerformanceModel", "StageLoad",
-    "PowerModel", "PowerReport",
+    "OperatingPoints", "PowerModel", "PowerReport",
     "BRAM18_BITS", "DSP_OPERAND_BITS", "DSP_PACK_FACTOR",
     "ResourceEstimate", "bram18_for_bits", "dsp_for_macs",
     "memory_resources",

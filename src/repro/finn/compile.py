@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ..ir.graph import IRGraph, IRNode
+from ..ir.passes import weight_density
 from .folding import FoldingConfig, largest_divisor_leq as _largest_divisor_leq
 from .hls import (
     DuplicateStreamsUnit,
@@ -157,11 +158,14 @@ def compile_accelerator(
     """Map a streamlined IR graph onto HLS module models.
 
     With ``zero_skip=True`` every MVTU becomes a zero-skipping unit: its
-    cycle count scales with the non-zero density of the layer's actual
-    weight initializer, floored at ``zero_skip_overhead`` (see
-    :func:`repro.finn.hls.zero_skip_factor`). Opt-in because it changes
-    every cycle/throughput figure — quantized W2A2 weights are already
-    ~half zeros before any pruning.
+    cycle count scales with the non-zero density of the layer's weights,
+    floored at ``zero_skip_overhead`` (see
+    :func:`repro.finn.hls.zero_skip_factor`). The density is the node's
+    ``attrs["density"]`` when it has one (a weightless graph from
+    :func:`repro.ir.passes.with_widths` carries its source weights'
+    density there), else that of its ``weight`` initializer. Opt-in
+    because it changes every cycle/throughput figure — quantized W2A2
+    weights are already ~half zeros before any pruning.
     """
     folding = folding or FoldingConfig()
     accel = DataflowAccelerator(name=name or graph.name, clock_mhz=clock_mhz)
@@ -169,10 +173,9 @@ def compile_accelerator(
     def _density(node: IRNode) -> float:
         if not zero_skip:
             return 1.0
-        weight = node.initializers["weight"]
-        if weight.size == 0:
-            return 1.0
-        return float(np.count_nonzero(weight)) / weight.size
+        if "density" in node.attrs:
+            return node.attrs["density"]
+        return weight_density(node.initializers["weight"])
 
     order = graph.topological_order()
     absorbed: set[str] = set()  # MultiThreshold nodes folded into MVTUs

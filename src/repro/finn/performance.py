@@ -84,7 +84,9 @@ class PerformanceModel:
         Stages new to exit k's path (not on any earlier exit's path) are
         visited only by frames that survived all earlier exits.
         """
-        rates = self._rates(exit_rates)
+        return self._visit_fractions(self._rates(exit_rates))
+
+    def _visit_fractions(self, rates: np.ndarray) -> dict[int, float]:
         fractions: dict[int, float] = {}
         seen: set[int] = set()
         survival = 1.0
@@ -109,13 +111,17 @@ class PerformanceModel:
     # headline quantities
     # ------------------------------------------------------------------
     def average_latency_s(self, exit_rates) -> float:
-        rates = self._rates(exit_rates)
+        return self._average_latency(self._rates(exit_rates))
+
+    def _average_latency(self, rates: np.ndarray) -> float:
         return float(sum(r * self.exit_latency_s(k)
                          for k, r in enumerate(rates)))
 
     def capacity_ips(self, exit_rates) -> float:
         """Sustainable inference rate under the gated-pipeline model."""
-        fractions = self.stage_visit_fractions(exit_rates)
+        return self._capacity(self.stage_visit_fractions(exit_rates))
+
+    def _capacity(self, fractions: dict) -> float:
         cycles = self.accel.stage_cycles
         busiest = max((cycles[i] * frac for i, frac in fractions.items()),
                       default=1.0)
@@ -134,9 +140,15 @@ class PerformanceModel:
         """
         if inflight < 1:
             raise ValueError("inflight must be >= 1")
-        avg_lat = self.average_latency_s(exit_rates)
+        rates = self._rates(exit_rates)
+        return self._serving(self._average_latency(rates),
+                             self._capacity(self._visit_fractions(rates)),
+                             inflight)
+
+    @staticmethod
+    def _serving(avg_lat: float, capacity: float, inflight: int) -> float:
         latency_bound = inflight / avg_lat if avg_lat > 0 else float("inf")
-        return min(latency_bound, self.capacity_ips(exit_rates))
+        return min(latency_bound, capacity)
 
     def utilization(self, exit_rates, arrival_ips: float) -> float:
         """Busy fraction of the bottleneck stage at a given arrival rate."""

@@ -16,9 +16,12 @@ Figure 1(b)/4 trade-off.
 
 Every query reads the accelerator's per-stage cycles and resources,
 which :class:`~repro.finn.compile.DataflowAccelerator` computes once
-(a compiled design is never mutated), so characterizing one design at
-many confidence thresholds only redoes the per-entry arithmetic: a
-sequential sum over the stages in module order.
+(a compiled design is never mutated). :class:`OperatingPoints` goes one
+step further for the Library Generator, which characterizes one design
+at many confidence thresholds: each stage's dynamic power and the
+static power are computed once per accelerator, and each entry builds
+its stage visit fractions once, so only the per-entry arithmetic — a
+sequential sum over the stages in module order — is redone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .compile import DataflowAccelerator
 from .performance import PerformanceModel
 from .resources import ResourceEstimate
 
-__all__ = ["PowerModel", "PowerReport"]
+__all__ = ["OperatingPoints", "PowerModel", "PowerReport"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,11 @@ class PowerModel:
     # ------------------------------------------------------------------
     # accelerator-level queries
     # ------------------------------------------------------------------
+    def stage_dynamic_ws(self, accel: DataflowAccelerator) -> tuple:
+        """Always-busy dynamic power of every stage, in module order."""
+        return tuple(self.stage_dynamic_w(res, accel.clock_mhz)
+                     for res in accel.stage_resources)
+
     def average_power_w(self, accel: DataflowAccelerator, exit_rates,
                         arrival_ips: float) -> float:
         """Mean board power while serving ``arrival_ips`` inferences/s.
@@ -81,17 +89,10 @@ class PowerModel:
         Each stage's busy fraction is ``arrival * visits * cycles / clock``
         (capped at 1); idle stages still clock but toggle ~10 % as much.
         """
-        perf = PerformanceModel(accel)
-        fractions = perf.stage_visit_fractions(exit_rates)
-        power = self.static_w(accel.resources())
-        idle_activity = 0.10
-        for idx, (cycles, res) in enumerate(zip(accel.stage_cycles,
-                                                accel.stage_resources)):
-            visit = fractions.get(idx, 0.0)
-            busy = min(arrival_ips * visit * cycles / accel.clock_hz, 1.0)
-            activity = idle_activity + (1.0 - idle_activity) * busy
-            power += activity * self.stage_dynamic_w(res, accel.clock_mhz)
-        return power
+        fractions = PerformanceModel(accel).stage_visit_fractions(exit_rates)
+        return _average_power_w(accel, fractions, arrival_ips,
+                                self.stage_dynamic_ws(accel),
+                                self.static_w(accel.resources()))
 
     def energy_per_inference_j(self, accel: DataflowAccelerator,
                                exit_rates) -> float:
@@ -101,17 +102,10 @@ class PowerModel:
         paid for the average service latency of a frame.
         """
         perf = PerformanceModel(accel)
-        fractions = perf.stage_visit_fractions(exit_rates)
-        dynamic_j = 0.0
-        for idx, (cycles, res) in enumerate(zip(accel.stage_cycles,
-                                                accel.stage_resources)):
-            visit = fractions.get(idx, 0.0)
-            busy_s = cycles / accel.clock_hz
-            dynamic_j += visit * busy_s * self.stage_dynamic_w(
-                res, accel.clock_mhz)
-        static_j = self.static_w(accel.resources()) \
-            * perf.average_latency_s(exit_rates)
-        return dynamic_j + static_j
+        return _energy_per_inference_j(
+            accel, perf.stage_visit_fractions(exit_rates),
+            perf.average_latency_s(exit_rates),
+            self.stage_dynamic_ws(accel), self.static_w(accel.resources()))
 
     def report(self, accel: DataflowAccelerator, exit_rates,
                arrival_ips: float) -> PowerReport:
@@ -123,3 +117,68 @@ class PowerModel:
             energy_per_inference_j=self.energy_per_inference_j(accel,
                                                                exit_rates),
         )
+
+
+def _average_power_w(accel: DataflowAccelerator, fractions: dict,
+                     arrival_ips: float, stage_w: tuple,
+                     static_w: float) -> float:
+    power = static_w
+    idle_activity = 0.10
+    for idx, cycles in enumerate(accel.stage_cycles):
+        visit = fractions.get(idx, 0.0)
+        busy = min(arrival_ips * visit * cycles / accel.clock_hz, 1.0)
+        activity = idle_activity + (1.0 - idle_activity) * busy
+        power += activity * stage_w[idx]
+    return power
+
+
+def _energy_per_inference_j(accel: DataflowAccelerator, fractions: dict,
+                            avg_latency_s: float, stage_w: tuple,
+                            static_w: float) -> float:
+    dynamic_j = 0.0
+    for idx, cycles in enumerate(accel.stage_cycles):
+        visit = fractions.get(idx, 0.0)
+        busy_s = cycles / accel.clock_hz
+        dynamic_j += visit * busy_s * stage_w[idx]
+    return dynamic_j + static_w * avg_latency_s
+
+
+class OperatingPoints:
+    """One accelerator's library figures at any exit-rate vector.
+
+    The per-accelerator constants (each stage's dynamic power, the
+    static power) are computed once; :meth:`at` validates the exit
+    rates and builds the stage visit fractions once per entry. The
+    figures equal, bit for bit, what
+    :meth:`PerformanceModel.serving_capacity_ips`,
+    :meth:`PerformanceModel.average_latency_s`,
+    :meth:`PowerModel.energy_per_inference_j` and
+    :meth:`PowerModel.average_power_w` (idle and at the serving rate)
+    return.
+    """
+
+    def __init__(self, accel: DataflowAccelerator, power_model: PowerModel,
+                 inflight: int = 1):
+        if inflight < 1:
+            raise ValueError("inflight must be >= 1")
+        self.accel = accel
+        self.perf = PerformanceModel(accel)
+        self.inflight = inflight
+        self._stage_w = power_model.stage_dynamic_ws(accel)
+        self._static_w = power_model.static_w(accel.resources())
+
+    def at(self, exit_rates) -> tuple:
+        """``(serving_ips, latency_s, energy_j, idle_w, busy_w)``."""
+        perf, accel = self.perf, self.accel
+        rates = perf._rates(exit_rates)
+        fractions = perf._visit_fractions(rates)
+        latency = perf._average_latency(rates)
+        serving = perf._serving(latency, perf._capacity(fractions),
+                                self.inflight)
+        energy = _energy_per_inference_j(accel, fractions, latency,
+                                         self._stage_w, self._static_w)
+        idle = _average_power_w(accel, fractions, 0.0, self._stage_w,
+                                self._static_w)
+        busy = _average_power_w(accel, fractions, serving, self._stage_w,
+                                self._static_w)
+        return serving, latency, energy, idle, busy

@@ -8,6 +8,8 @@ from .passes import (
     count_unabsorbed_batchnorms,
     slice_channels,
     streamline,
+    weight_density,
+    with_widths,
 )
 
 __all__ = [
@@ -15,5 +17,5 @@ __all__ = [
     "export_model",
     "IRGraph", "IRNode", "TensorInfo",
     "absorb_batchnorm", "count_unabsorbed_batchnorms", "slice_channels",
-    "streamline",
+    "streamline", "weight_density", "with_widths",
 ]

@@ -204,46 +204,114 @@ class _Codes(NamedTuple):
 _ACC_LIMIT = 2 ** 24
 
 
-def _integer_operands(weight: np.ndarray, bias: np.ndarray | None,
-                      threshold: _Threshold, codes: _Codes, dtype):
-    """``(q, threshold)`` of an exact integer step, or why it has none.
+def _integer_operands(layers: list, dtype) -> list:
+    """``(q, threshold)`` of each layer's exact integer step, or why it
+    has none.
 
-    ``weight``/``bias``/``threshold`` are what the float step would use
-    (cast, folded, compacted) and ``codes`` describes its input. ``q``
-    is the float32 ``(out, K)`` integer weight matrix with sign flips
-    folded in, in the float step's column order; the returned threshold
-    holds the sorted integer-domain thresholds ``floor(sign·(t − b)/g)``
-    in float32. See the module docstring for the guard.
+    ``layers`` holds one ``(weight, bias, threshold, codes)`` per
+    candidate layer: ``weight``/``bias``/``threshold`` are what the float
+    step would use (cast, folded, compacted) and ``codes`` describes its
+    input. ``q`` is the float32 ``(out, K)`` integer weight matrix with
+    sign flips folded in, in the float step's column order; the returned
+    threshold holds the sorted integer-domain thresholds
+    ``floor(sign·(t − b)/g)`` in float32. See the module docstring for
+    the guard.
+
+    All layers are checked together: their weights are concatenated into
+    one vector and their threshold rows into one matrix per level count,
+    so each reduction is one NumPy call (``reduceat`` over the layer or
+    row boundaries) instead of one per layer. Every value is the same
+    element-wise expression a per-layer check computes, so the results
+    are too.
     """
-    if not codes.step > 0:
-        return "non-positive step"
-    w = weight.reshape(weight.shape[0], -1)
-    nonzero = np.abs(w[w != 0])
-    g_w = nonzero.min() if nonzero.size else dtype.type(1)
-    q = np.round(w / g_w)
-    if not np.array_equal(q * g_w, w):
-        return "off-grid weights"
-    if threshold.signs is not None:
-        q = q * threshold.signs[:, None]
-    amax = np.abs(q).sum(axis=1, dtype=np.float64) * codes.levels
-    if amax.max() >= _ACC_LIMIT:
-        return "accumulator bound"
+    out: list = ["non-positive step" if not c.step > 0 else None
+                 for _, _, _, c in layers]
+    todo = [i for i, r in enumerate(out) if r is None]
+    if not todo:
+        return out
+    ws = [layers[i][0].reshape(layers[i][0].shape[0], -1) for i in todo]
+    ts = [layers[i][2] for i in todo]
+    rows = np.array([w.shape[0] for w in ws])
+    cols = np.array([w.shape[1] for w in ws])
+    sizes = rows * cols
+    starts = np.cumsum(sizes) - sizes
+    row_starts = np.cumsum(rows) - rows
+    row_cols = np.repeat(cols, rows)
+
+    # One vector of every layer's weights. It is large, so the steps
+    # below write into two scratch buffers instead of allocating a
+    # temporary per operation.
+    w = np.concatenate([w.ravel() for w in ws])
+    a = np.abs(w)
+    big = np.finfo(dtype).max
+    buf = (w == 0).astype(dtype)
+    buf *= big
+    buf += a  # zeros -> the largest float: the min is over non-zeros
+    g_w = np.minimum.reduceat(buf, starts)
+    g_w[g_w == big] = 1
+    g_rep = np.repeat(g_w, sizes)
+    q = np.divide(w, g_rep, out=a)
+    np.round(q, out=q)
+    np.multiply(q, g_rep, out=buf)
+    on_grid = np.logical_and.reduceat(buf == w, starts)
+    levels = np.array([layers[i][3].levels for i in todo])
+    np.abs(q, out=buf)
+    amax = np.add.reduceat(buf, np.cumsum(row_cols) - row_cols,
+                           dtype=np.float64) * np.repeat(levels, rows)
+    bounded = np.maximum.reduceat(amax, row_starts) < _ACC_LIMIT
+
     # Lattice of reachable pre-threshold values: b + A·g, |A| <= amax.
-    g = float(g_w) * float(dtype.type(codes.step))
-    b = np.zeros(len(w)) if bias is None else bias.astype(np.float64)
-    sb = b if threshold.signs is None else b * threshold.signs
-    x = (threshold.v.astype(np.float64) - sb[:, None]) / g
-    n = w.shape[1] + 3
+    g = np.repeat(g_w.astype(np.float64) * np.array(
+        [float(dtype.type(layers[i][3].step)) for i in todo]), rows)
+    b = np.concatenate([np.zeros(len(w_)) if layers[i][1] is None
+                        else layers[i][1].astype(np.float64)
+                        for i, w_ in zip(todo, ws)])
+    sb = b * np.concatenate([np.ones(len(w_)) if t.signs is None
+                             else t.signs for t, w_ in zip(ts, ws)])
+    n = row_cols + 3
     u = float(np.finfo(dtype).eps) / 2
     eps = n * u / (1 - n * u) * (amax + 2 + np.abs(b) / g)
-    hi = amax[:, None]
-    gap = np.abs(x - np.clip(np.round(x), -hi, hi))
-    bad = ~(gap > 2 * eps[:, None]).all(axis=1)
-    if bad.any():
-        return f"guard band (channel {int(np.argmax(bad))})"
-    thresholds = np.floor(np.clip(x, -hi - 1, hi)).astype(np.float32)
-    return (q.astype(np.float32),
-            _Threshold(thresholds, None, threshold.code_dtype))
+    # Threshold rows, grouped by level count (one group in practice):
+    # the guard and the integer thresholds of every row at once.
+    bad = np.zeros(len(b), dtype=bool)
+    int_t: list = [None] * len(ts)
+    groups: dict = {}
+    for k, t in enumerate(ts):
+        groups.setdefault(t.v.shape[1], []).append(k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for sel in groups.values():
+            idx = slice(None) if len(sel) == len(ts) else np.concatenate(
+                [np.arange(row_starts[k], row_starts[k] + rows[k])
+                 for k in sel])
+            v = np.concatenate([ts[k].v for k in sel]).astype(np.float64)
+            x = (v - sb[idx, None]) / g[idx, None]
+            hi = amax[idx, None]
+            gap = np.abs(x - np.clip(np.round(x), -hi, hi))
+            bad[idx] = ~(gap > 2 * eps[idx, None]).all(axis=1)
+            t32 = np.floor(np.clip(x, -hi - 1, hi)).astype(np.float32)
+            row = 0
+            for k in sel:
+                int_t[k] = t32[row:row + rows[k]]
+                row += rows[k]
+    bad_layer = np.logical_or.reduceat(bad, row_starts)
+    q32 = q.astype(np.float32)
+
+    for k, i in enumerate(todo):
+        r0, r1 = row_starts[k], row_starts[k] + rows[k]
+        if not on_grid[k]:
+            out[i] = "off-grid weights"
+        elif not bounded[k]:
+            out[i] = "accumulator bound"
+        elif bad_layer[k]:
+            first = int(np.argmax(bad[r0:r1]))
+            out[i] = f"guard band (channel {first})"
+        else:
+            qk = q32[starts[k]:starts[k] + sizes[k]].reshape(rows[k],
+                                                              cols[k])
+            if ts[k].signs is not None:
+                qk = qk * ts[k].signs.astype(np.float32)[:, None]
+            out[i] = (qk, _Threshold(int_t[k], None, ts[k].code_dtype))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -950,7 +1018,8 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
 
     # Pass 5: the operands of every Conv/MatMul; integer where the guard
     # proves the codes unchanged, else float with the reason.
-    gemms: dict[str, tuple] = {}
+    gemms: dict[str, list] = {}
+    candidates: list[tuple] = []  # (node name, guard inputs)
     for node in eff_nodes:
         if node.op_type not in ("Conv", "MatMul"):
             continue
@@ -967,7 +1036,7 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
             threshold = _prepare_thresholds(fused[node.name], dtype)
         weight, bias, threshold = _compact(node, weight, bias, threshold,
                                            in_keep_of.get(src), out_keep)
-        integer = reason = None
+        reason = None
         if src not in codes:
             reason = "first layer" if src == graph.input_name \
                 else "float input"
@@ -975,11 +1044,15 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
             reason = "graph output" if node.outputs[0] in pinned \
                 else "no fused threshold"
         else:
-            integer = _integer_operands(weight, bias, threshold, codes[src],
-                                        dtype)
-            if isinstance(integer, str):
-                integer, reason = None, integer
-        gemms[node.name] = (weight, bias, threshold, integer, reason)
+            candidates.append((node.name,
+                               (weight, bias, threshold, codes[src])))
+        gemms[node.name] = [weight, bias, threshold, None, reason]
+    checked = _integer_operands([c for _, c in candidates], dtype)
+    for (name, _), integer in zip(candidates, checked):
+        if isinstance(integer, str):
+            gemms[name][4] = integer  # the reason it stays float
+        else:
+            gemms[name][3] = integer
 
     def _reads_codes(node: IRNode) -> bool:
         if node.op_type in ("Conv", "MatMul"):

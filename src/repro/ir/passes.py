@@ -15,10 +15,10 @@ import copy
 
 import numpy as np
 
-from .graph import IRGraph
+from .graph import IRGraph, IRNode, TensorInfo
 
 __all__ = ["absorb_batchnorm", "streamline", "count_unabsorbed_batchnorms",
-           "slice_channels"]
+           "slice_channels", "weight_density", "with_widths"]
 
 
 def _fold_affine_into_thresholds(thresholds: np.ndarray, signs: np.ndarray,
@@ -190,6 +190,67 @@ def slice_channels(graph: IRGraph, keep: dict) -> IRGraph:
                 chan_keep[out] = None
 
     g.validate()
+    return g
+
+
+def weight_density(weight: np.ndarray) -> float:
+    """Non-zero fraction of a weight tensor (1.0 for an empty one)."""
+    if weight.size == 0:
+        return 1.0
+    return float(np.count_nonzero(weight)) / weight.size
+
+
+def with_widths(graph: IRGraph, widths: dict) -> IRGraph:
+    """A weightless copy of ``graph`` at other channel widths.
+
+    ``widths`` maps the bare name of every Conv/MatMul node
+    (``b0_conv0``, ``fc1``) to its output channels (or features). Every
+    other tensor's width follows from its producer: per-channel ops
+    keep their input's channels and a Flatten multiplies them by the
+    spatial size, which is the same at any width. Topology, attributes
+    and precisions are copied unchanged. No weight is copied: each
+    Conv/MatMul instead records its source weight's non-zero fraction
+    as ``attrs["density"]`` (what :func:`repro.finn.compile_accelerator`
+    reads for zero-skipping MVTUs), and each MultiThreshold keeps a
+    zero-filled threshold table of the new width, so the copy describes
+    a network's shape for hardware mapping but cannot be executed
+    meaningfully.
+
+    The Library Generator compiles each design point's hardware twin
+    this way from the accuracy twin's streamlined graph: both twins are
+    one architecture at two widths.
+    """
+    g = IRGraph(graph.name)
+    g.metadata = dict(graph.metadata)
+    g.input_name = graph.input_name
+    g.output_names = list(graph.output_names)
+    g.tensors[graph.input_name] = copy.copy(graph.tensors[graph.input_name])
+
+    def _add(name: str, channels: int) -> None:
+        info = graph.tensors[name]
+        g.tensors[name] = TensorInfo(name, (channels,) + info.shape[1:],
+                                     info.bits)
+
+    for node in graph.topological_order():
+        src = g.tensors[node.inputs[0]]
+        initializers = {}
+        attrs = dict(node.attrs)
+        if node.op_type in ("Conv", "MatMul"):
+            bare = node.name.split("/")[-1]
+            if bare not in widths:
+                raise ValueError(f"no width given for {node.name!r}")
+            attrs["density"] = weight_density(node.initializers["weight"])
+            _add(node.outputs[0], int(widths[bare]))
+        elif node.op_type == "Flatten":
+            _add(node.outputs[0], src.elements)
+        else:
+            for out in node.outputs:
+                _add(out, src.shape[0])
+            if node.op_type == "MultiThreshold":
+                levels = node.initializers["thresholds"].shape[1]
+                initializers["thresholds"] = np.zeros((src.shape[0], levels))
+        g.nodes.append(IRNode(node.op_type, node.name, list(node.inputs),
+                              list(node.outputs), attrs, initializers))
     return g
 
 

@@ -5,7 +5,15 @@ from .dataflow import (
     adjust_removal,
     requested_removal,
 )
-from .pruner import PruneDecision, PruneReport, PruningError, prune_model
+from .pruner import (
+    CountPlan,
+    LayerCount,
+    PruneDecision,
+    PruneReport,
+    PruningError,
+    plan_counts,
+    prune_model,
+)
 from .ranking import (
     CRITERIA,
     FPGMCriterion,
@@ -32,6 +40,7 @@ from .schedule import (
 __all__ = [
     "LayerFoldConstraint", "adjust_removal",
     "requested_removal",
+    "CountPlan", "LayerCount", "plan_counts",
     "PruneDecision", "PruneReport", "PruningError", "prune_model",
     "filter_l1_norms", "filter_fpgm_distances", "select_keep_filters",
     "PruningCriterion", "L1Criterion", "FPGMCriterion", "HAPMCriterion",

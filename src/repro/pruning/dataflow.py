@@ -18,7 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LayerFoldConstraint", "adjust_removal", "requested_removal"]
+from ..core.errors import PermanentError
+
+__all__ = ["LayerFoldConstraint", "PruningError", "adjust_removal",
+           "requested_removal"]
+
+
+class PruningError(PermanentError, ValueError):
+    """The model cannot be pruned as requested (structural or folding
+    infeasibility). Deterministic, so supervision quarantines the design
+    point instead of retrying it. Also a ``ValueError`` for pre-taxonomy
+    callers."""
 
 
 @dataclass(frozen=True)
@@ -37,15 +47,19 @@ class LayerFoldConstraint:
         if self.pe < 1 or self.simd_next < 1:
             raise ValueError("pe and simd_next must be >= 1")
 
-    def validate_unpruned(self, ch_out: int) -> None:
-        """The user's folding must already divide the unpruned layer."""
+    def validate_unpruned(self, ch_out: int, layer: str = "layer") -> None:
+        """The user's folding must already divide the unpruned layer.
+
+        Raises :class:`PruningError` naming ``layer``: the same folding
+        fails the same way on every attempt.
+        """
         if ch_out % self.pe:
-            raise ValueError(
-                f"PE={self.pe} does not divide ch_out={ch_out}"
+            raise PruningError(
+                f"{layer}: PE={self.pe} does not divide ch_out={ch_out}"
             )
         if ch_out % self.simd_next:
-            raise ValueError(
-                f"next-layer SIMD={self.simd_next} does not divide "
+            raise PruningError(
+                f"{layer}: next-layer SIMD={self.simd_next} does not divide "
                 f"ch_out={ch_out}"
             )
 
@@ -58,7 +72,8 @@ def requested_removal(ch_out: int, rate: float) -> int:
 
 
 def adjust_removal(ch_out: int, requested: int,
-                   constraint: LayerFoldConstraint) -> int:
+                   constraint: LayerFoldConstraint,
+                   layer: str = "layer") -> int:
     """Largest feasible removal count <= ``requested``.
 
     Implements the paper's iterative decrease: r is lowered until the
@@ -67,7 +82,7 @@ def adjust_removal(ch_out: int, requested: int,
     """
     if requested < 0:
         raise ValueError("requested removal must be >= 0")
-    constraint.validate_unpruned(ch_out)
+    constraint.validate_unpruned(ch_out, layer)
     r = min(requested, ch_out - 1)
     while r > 0:
         remaining = ch_out - r

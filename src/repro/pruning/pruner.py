@@ -18,7 +18,8 @@ Exits").
 Two application modes share the identical ranking and decisions:
 
 * ``mode="slice"`` (default) — pruned channels are physically removed;
-  layer widths shrink. This is what the hardware twin synthesizes.
+  layer widths shrink. This is the network the Library Generator
+  retrains, measures and compiles to hardware.
 * ``mode="mask"`` — pruned channels are zeroed in place everywhere a
   slice would have removed them (weights, bias, BatchNorm affine,
   consumer input columns); shapes are unchanged. This is what the sparse
@@ -35,31 +36,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import PermanentError
 from ..nn.graph import BranchedModel, Sequential
 from ..nn.layers import BatchNorm, Conv2D, Flatten, Linear
-from .dataflow import LayerFoldConstraint, adjust_removal, requested_removal
+from .dataflow import (LayerFoldConstraint, PruningError, adjust_removal,
+                       requested_removal)
 from .ranking import get_criterion, select_keep_filters
 
-__all__ = ["PruneDecision", "PruneReport", "PruningError", "prune_model"]
-
-
-class PruningError(PermanentError, ValueError):
-    """The model cannot be pruned as requested (structural or folding
-    infeasibility). Deterministic, so supervision quarantines the design
-    point instead of retrying it. Also a ``ValueError`` for pre-taxonomy
-    callers."""
+__all__ = ["CountPlan", "LayerCount", "PruneDecision", "PruneReport",
+           "PruningError", "plan_counts", "prune_model"]
 
 
 @dataclass(frozen=True)
-class PruneDecision:
-    """What happened to one CONV layer."""
+class LayerCount:
+    """How many filters one CONV layer loses at a pruning rate."""
 
     layer_name: str
     channels_before: int
     requested_removal: int
     achieved_removal: int
-    keep: tuple
 
     @property
     def channels_after(self) -> int:
@@ -68,6 +62,53 @@ class PruneDecision:
     @property
     def achieved_rate(self) -> float:
         return self.achieved_removal / self.channels_before
+
+
+@dataclass(frozen=True)
+class PruneDecision(LayerCount):
+    """What happened to one CONV layer: its counts and the kept filters."""
+
+    keep: tuple = ()
+
+
+def _achieved_rate(counts) -> float:
+    """Filter-weighted overall achieved pruning rate."""
+    before = sum(c.channels_before for c in counts)
+    removed = sum(c.achieved_removal for c in counts)
+    return removed / before if before else 0.0
+
+
+@dataclass(frozen=True)
+class CountPlan:
+    """Per-layer filter counts of one pruning pass, decided from shapes.
+
+    Everything a pass decides except *which* filters go:
+    :func:`plan_counts` computes it from the unpruned layer widths, the
+    rate and the folding constraints (plus, for a criterion with a
+    cross-layer :meth:`~repro.pruning.ranking.PruningCriterion.allocate`,
+    the unpruned weights). :func:`prune_model` slices by it, and the
+    Library Generator reads the hardware twin's widths off it without
+    pruning any weights.
+    """
+
+    rate: float
+    prune_exits: bool
+    counts: tuple = ()
+
+    def __getitem__(self, layer_name: str) -> LayerCount:
+        for count in self.counts:
+            if count.layer_name == layer_name:
+                return count
+        raise KeyError(layer_name)
+
+    @property
+    def achieved_rate(self) -> float:
+        """Filter-weighted overall achieved pruning rate."""
+        return _achieved_rate(self.counts)
+
+    def widths(self) -> dict:
+        """Pruned output width of every planned CONV layer."""
+        return {c.layer_name: c.channels_after for c in self.counts}
 
 
 @dataclass
@@ -81,9 +122,7 @@ class PruneReport:
     @property
     def achieved_rate(self) -> float:
         """Filter-weighted overall achieved pruning rate."""
-        before = sum(d.channels_before for d in self.decisions)
-        removed = sum(d.achieved_removal for d in self.decisions)
-        return removed / before if before else 0.0
+        return _achieved_rate(self.decisions)
 
     def decision_for(self, layer_name: str) -> PruneDecision:
         for d in self.decisions:
@@ -259,19 +298,15 @@ def _apply_downstream(seq: Sequential, conv_pos: int, keep: np.ndarray,
 def _prune_sequential_convs(
     seq: Sequential,
     input_shape: tuple,
-    rate: float,
-    constraints,
+    plan: CountPlan,
     report: PruneReport,
     mode: str = "slice",
     criterion="l1",
-    removal_map: dict[str, int] | None = None,
 ) -> np.ndarray | None:
-    """Prune every CONV inside one Sequential.
+    """Prune every CONV inside one Sequential by the plan's counts.
 
-    ``removal_map`` overrides the uniform per-layer removal request with
-    a criterion-allocated count (HAPM). Returns the keep-set of the last
-    conv if its channels escape the Sequential (no internal consumer),
-    else None.
+    Returns the keep-set of the last conv if its channels escape the
+    Sequential (no internal consumer), else None.
     """
     conv_out = _APPLY[mode][0]
     escaping = None
@@ -279,39 +314,74 @@ def _prune_sequential_convs(
         if not isinstance(layer, Conv2D):
             continue
         shapes = _layer_input_shapes(seq, input_shape)
-        ch_out = layer.out_channels
-        constraint = constraints.get(layer.name, LayerFoldConstraint())
-        if removal_map is not None and layer.name in removal_map:
-            requested = min(removal_map[layer.name], ch_out - 1)
-        else:
-            requested = requested_removal(ch_out, rate)
-        achieved = adjust_removal(ch_out, requested, constraint)
-        keep = select_keep_filters(layer.params["weight"], achieved,
+        count = plan[layer.name]
+        keep = select_keep_filters(layer.params["weight"],
+                                   count.achieved_removal,
                                    criterion=criterion)
         conv_out(layer, keep)
         consumed = _apply_downstream(seq, pos, keep, shapes, mode)
         report.decisions.append(PruneDecision(
-            layer.name, ch_out, requested, achieved, tuple(int(k) for k in keep)
+            layer.name, count.channels_before, count.requested_removal,
+            count.achieved_removal, tuple(int(k) for k in keep)
         ))
         if not consumed:
             escaping = keep
     return escaping
 
 
-def _prunable_conv_weights(model: BranchedModel,
-                           prune_exits: bool) -> list[tuple[str, np.ndarray]]:
-    """Ordered ``(name, weight)`` pairs of every CONV a pass will prune."""
-    pairs = []
+def _prunable_convs(model: BranchedModel, prune_exits: bool) -> list:
+    """Every CONV a pruning pass touches, in deterministic order:
+    backbone segments, then exit branches by host block."""
+    convs = []
     for seg in model.segments:
-        for layer in seg.layers:
-            if isinstance(layer, Conv2D):
-                pairs.append((layer.name, layer.params["weight"]))
+        convs.extend(l for l in seg.layers if isinstance(l, Conv2D))
     if prune_exits:
         for si in sorted(model.exits):
-            for layer in model.exits[si].layers:
-                if isinstance(layer, Conv2D):
-                    pairs.append((layer.name, layer.params["weight"]))
-    return pairs
+            convs.extend(l for l in model.exits[si].layers
+                         if isinstance(l, Conv2D))
+    return convs
+
+
+def plan_counts(
+    model: BranchedModel,
+    rate: float,
+    constraints: dict[str, LayerFoldConstraint] | None = None,
+    prune_exits: bool = True,
+    criterion="l1",
+) -> CountPlan:
+    """The per-layer counts a pruning pass at ``rate`` removes.
+
+    Each prunable CONV (backbone, then exit branches when
+    ``prune_exits``) asks for ``requested_removal(out_channels, rate)``
+    filters, or for the criterion's cross-layer allocation over the
+    model's unpruned weights (HAPM); :func:`adjust_removal` then lowers
+    the request until the layer's folding constraint holds. Nothing is
+    cloned or sliced, so a plan of a never-trained twin costs only the
+    arithmetic. Arguments as in :func:`prune_model`.
+
+    Raises
+    ------
+    PruningError
+        A constraint's folding does not divide its unpruned layer.
+    """
+    constraints = constraints or {}
+    criterion = get_criterion(criterion)
+    pairs = [(conv.name, conv.params["weight"])
+             for conv in _prunable_convs(model, prune_exits)]
+    removal_map = criterion.allocate(pairs, rate) or {}
+    counts = []
+    for name, weight in pairs:
+        ch_out = weight.shape[0]
+        if name in removal_map:
+            requested = min(removal_map[name], ch_out - 1)
+        else:
+            requested = requested_removal(ch_out, rate)
+        achieved = adjust_removal(
+            ch_out, requested, constraints.get(name, LayerFoldConstraint()),
+            layer=name)
+        counts.append(LayerCount(name, ch_out, requested, achieved))
+    return CountPlan(rate=rate, prune_exits=prune_exits,
+                     counts=tuple(counts))
 
 
 def _check_shape(layer, key: str, array: np.ndarray, expected: tuple) -> None:
@@ -429,14 +499,12 @@ def prune_model(
     if mode not in _APPLY:
         raise ValueError(f"mode must be one of {sorted(_APPLY)}, got {mode!r}")
     _, conv_in, _, linear_in = _APPLY[mode]
-    constraints = constraints or {}
     criterion = get_criterion(criterion)
+    # Counts come from the unpruned model; per-layer rankings later run
+    # on the progressively pruned tensors, which is deterministic
+    # because layers are visited in a fixed order.
+    plan = plan_counts(model, rate, constraints, prune_exits, criterion)
     new = model.clone()
-    # Cross-layer allocation sees the unpruned weights; per-layer
-    # rankings later run on the progressively pruned tensors, which is
-    # deterministic because layers are visited in a fixed order.
-    removal_map = criterion.allocate(
-        _prunable_conv_weights(new, prune_exits), rate)
     report = PruneReport(rate=rate, prune_exits=prune_exits)
 
     shape = new.input_shape
@@ -463,9 +531,8 @@ def prune_model(
                 raise PruningError(f"segment {si}: no consumer for pruned channels")
             pending = None
 
-        escaping = _prune_sequential_convs(seg, shape, rate, constraints,
-                                           report, mode, criterion,
-                                           removal_map)
+        escaping = _prune_sequential_convs(seg, shape, plan, report, mode,
+                                           criterion)
 
         # Exit branches see the segment output. Their input channels must
         # follow the backbone pruning regardless of the pruned flag.
@@ -484,8 +551,8 @@ def prune_model(
     if prune_exits:
         for si, branch in new.exits.items():
             branch_input = new.segments[si].output_shape(seg_input_shapes[si])
-            _prune_sequential_convs(branch, branch_input, rate, constraints,
-                                    report, mode, criterion, removal_map)
+            _prune_sequential_convs(branch, branch_input, plan, report,
+                                    mode, criterion)
 
     _check_structure(new)
     new.eval()

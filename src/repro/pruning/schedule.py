@@ -31,8 +31,9 @@ import numpy as np
 from ..nn.graph import BranchedModel
 from ..nn.loss import JointLoss
 from ..nn.trainer import TrainConfig, Trainer
-from .dataflow import LayerFoldConstraint, requested_removal
-from .pruner import PruneReport, _mask_conv_out, prune_model
+from .dataflow import LayerFoldConstraint
+from .pruner import (PruneReport, _mask_conv_out, _prunable_convs,
+                     plan_counts, prune_model)
 from .ranking import get_criterion, select_keep_filters
 
 __all__ = ["PruneRetrainResult", "prune_and_retrain", "paper_rate_sweep",
@@ -99,20 +100,6 @@ def prune_and_retrain(
 # Progressive soft filter pruning (PSFP)
 # ----------------------------------------------------------------------
 
-def _prunable_convs(model: BranchedModel, prune_exits: bool) -> list:
-    """Conv layers a pruning pass would touch, in deterministic order."""
-    from ..nn.layers import Conv2D
-
-    convs = []
-    for seg in model.segments:
-        convs.extend(l for l in seg.layers if isinstance(l, Conv2D))
-    if prune_exits:
-        for si in sorted(model.exits):
-            convs.extend(l for l in model.exits[si].layers
-                         if isinstance(l, Conv2D))
-    return convs
-
-
 def psfp_removal_fraction(epoch: int, total_epochs: int,
                           floor: float = PSFP_DECAY_FLOOR) -> float:
     """Cumulative fraction of the target rate masked after ``epoch`` epochs.
@@ -144,13 +131,10 @@ def soft_prune_epoch(model: BranchedModel, rate: float,
     crit = get_criterion(criterion)
     if rate <= 0.0:
         return
-    convs = _prunable_convs(model, prune_exits)
-    removal_map = crit.allocate(
-        [(c.name, c.params["weight"]) for c in convs], rate) or {}
-    for conv in convs:
-        num = removal_map.get(conv.name,
-                              requested_removal(conv.out_channels, rate))
-        num = min(num, conv.out_channels - 1)
+    # Unconstrained counts: a soft mask never changes the fold.
+    plan = plan_counts(model, rate, prune_exits=prune_exits, criterion=crit)
+    for conv in _prunable_convs(model, prune_exits):
+        num = plan[conv.name].achieved_removal
         if num <= 0:
             continue
         keep = select_keep_filters(conv.params["weight"], num, criterion=crit)

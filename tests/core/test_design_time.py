@@ -106,6 +106,36 @@ class TestGeneratorInternals:
         assert any("training base model" in m for m in messages)
 
 
+class TestInfeasibleFold:
+    """A folding that cannot divide an unpruned layer fails the same way
+    on every attempt: the point is quarantined as permanent after one
+    attempt, and a resume does not retry it."""
+
+    def test_quarantined_as_permanent_after_one_attempt(self, tmp_path):
+        from repro.nn.trainer import TrainConfig
+
+        cfg = AdaPExConfig.quick(seed=0)
+        # exit1_conv gets 76 channels; its consumer folds with SIMD 8.
+        cfg.width_scale = 0.6
+        cfg.train_samples, cfg.test_samples = 32, 16
+        cfg.pruning_rates = [0.4]
+        cfg.confidence_thresholds = [0.5]
+        cfg.initial_training = TrainConfig(epochs=0, batch_size=32)
+        cfg.include_not_pruned_exits = False
+        cfg.include_backbone_variant = False
+        for _ in range(2):  # the run, then a resume
+            messages = []
+            library = LibraryGenerator(cfg).generate(
+                progress=messages.append, point_cache=tmp_path)
+            [failed] = library.metadata["quarantined"]
+            assert failed["kind"] == "permanent"
+            assert failed["attempts"] == 1
+            assert failed["error_type"] == "PruningError"
+            assert failed["message"].startswith("exit1_conv: ")
+            assert len(library) == 0
+        assert any("skipped (quarantined" in m for m in messages)
+
+
 class TestPrecisionSweep:
     """The precision axis multiplies the design space and serves INT8
     variants through the standard runtime stack."""

@@ -96,9 +96,10 @@ class TestInterruptedResume:
         resumed = LibraryGenerator(tiny_config()).generate(
             point_cache=resume_cache, supervise=FAST)
         # One point from cache (zero recompute), one computed fresh:
-        # 2 prunes (accuracy twin + hardware twin) and 1 compile.
+        # 1 prune (the accuracy twin; the hardware twin is compiled
+        # from shapes) and 1 compile.
         assert resume_cache.hits == 1
-        assert calls == {"prune": 2, "compile": 1}
+        assert calls == {"prune": 1, "compile": 1}
         assert resumed.to_json() == baseline.to_json()
 
     def test_resume_after_resume_is_a_pure_cache_read(self, tmp_path,
@@ -175,7 +176,7 @@ class TestSigkillResume:
         # Zero recomputation of checkpointed points: the resume run
         # reads `done` points from cache and computes only the rest.
         assert cache.hits == done
-        assert calls["prune"] == 2 * (3 - done)
+        assert calls["prune"] == 3 - done
         assert calls["compile"] == 3 - done
 
         baseline = LibraryGenerator(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.finn import (
+    OperatingPoints,
     PerformanceModel,
     PowerModel,
     PowerReport,
@@ -186,3 +187,38 @@ class TestCostTable:
                                                for i in path)
         assert accel.bottleneck_cycles() == max(m.cycles()
                                                 for m in accel.modules)
+
+
+class TestOperatingPoints:
+    """One library entry's figures from ``OperatingPoints.at`` equal the
+    separate model queries bit for bit (those stay the reference)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           inflight=st.integers(1, 4))
+    def test_matches_separate_queries(self, ee_accel, weights, inflight):
+        total = sum(weights)
+        rates = tuple(w / total for w in weights) if total > 0 \
+            else (0.0, 0.0, 1.0)
+        pm = PowerModel()
+        perf = PerformanceModel(ee_accel)
+        serving = perf.serving_capacity_ips(rates, inflight=inflight)
+        expected = (serving, perf.average_latency_s(rates),
+                    pm.energy_per_inference_j(ee_accel, rates),
+                    pm.average_power_w(ee_accel, rates, 0.0),
+                    pm.average_power_w(ee_accel, rates, serving))
+        got = OperatingPoints(ee_accel, pm, inflight).at(rates)
+        assert got == expected
+
+    def test_single_exit(self, finn_accel):
+        pm = PowerModel()
+        got = OperatingPoints(finn_accel, pm).at((1.0,))
+        perf = PerformanceModel(finn_accel)
+        assert got[0] == perf.serving_capacity_ips((1.0,))
+        assert got[2] == pm.energy_per_inference_j(finn_accel, (1.0,))
+
+    def test_rejects_bad_input(self, ee_accel):
+        with pytest.raises(ValueError):
+            OperatingPoints(ee_accel, PowerModel(), inflight=0)
+        with pytest.raises(ValueError):
+            OperatingPoints(ee_accel, PowerModel()).at((0.5, 0.6, 0.1))

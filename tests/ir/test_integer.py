@@ -33,7 +33,8 @@ def _float_only(graph, **kwargs):
     """The plan with every layer on the float path: the oracle a float32
     plan's integer layers must reproduce."""
     with mock.patch.object(engine, "_integer_operands",
-                           return_value="forced"):
+                           side_effect=lambda layers, dtype:
+                           ["forced"] * len(layers)):
         plan = graph.compile(**kwargs)
     assert plan.stats()["integer_layers"] == 0
     return plan
@@ -314,3 +315,99 @@ class TestTrainedQuickCNV:
         assert plan32.stats()["integer_layers"] > 0
         _assert_equal(_float_only(graph, dtype=np.float32).run(x),
                       plan32.run(x))
+
+
+def _reference_operands(weight, bias, threshold, codes, dtype):
+    """The guard one layer at a time: the oracle of the batched
+    ``engine._integer_operands``."""
+    if not codes.step > 0:
+        return "non-positive step"
+    w = weight.reshape(weight.shape[0], -1)
+    nonzero = np.abs(w[w != 0])
+    g_w = nonzero.min() if nonzero.size else dtype.type(1)
+    q = np.round(w / g_w)
+    if not np.array_equal(q * g_w, w):
+        return "off-grid weights"
+    if threshold.signs is not None:
+        q = q * threshold.signs[:, None]
+    amax = np.abs(q).sum(axis=1, dtype=np.float64) * codes.levels
+    if amax.max() >= engine._ACC_LIMIT:
+        return "accumulator bound"
+    g = float(g_w) * float(dtype.type(codes.step))
+    b = np.zeros(len(w)) if bias is None else bias.astype(np.float64)
+    sb = b if threshold.signs is None else b * threshold.signs
+    x = (threshold.v.astype(np.float64) - sb[:, None]) / g
+    n = w.shape[1] + 3
+    u = float(np.finfo(dtype).eps) / 2
+    eps = n * u / (1 - n * u) * (amax + 2 + np.abs(b) / g)
+    hi = amax[:, None]
+    gap = np.abs(x - np.clip(np.round(x), -hi, hi))
+    bad = ~(gap > 2 * eps[:, None]).all(axis=1)
+    if bad.any():
+        return f"guard band (channel {int(np.argmax(bad))})"
+    thresholds = np.floor(np.clip(x, -hi - 1, hi)).astype(np.float32)
+    return q.astype(np.float32), thresholds
+
+
+def _guard_inputs(graph, dtype):
+    """The ``(weight, bias, threshold, codes)`` candidates a compile of
+    ``graph`` hands the guard."""
+    seen = []
+    batched = engine._integer_operands
+
+    def spy(layers, dt):
+        seen.extend(layers)
+        return batched(layers, dt)
+
+    with mock.patch.object(engine, "_integer_operands", side_effect=spy):
+        graph.compile(dtype=dtype)
+    return seen
+
+
+def _guard_graphs():
+    graphs = [grid_graph(seed, levels, grid, 0, 1, True, signs)
+              for seed, levels, grid, signs in [
+                  (0, (3, 3, 3), 1, "positive"), (1, (15, 3, 7), 3, "mixed"),
+                  (2, (1, 17, 16), 7, "negative"), (3, (255, 3, 3), 1,
+                                                    "mixed")]]
+    graphs += [_planted(0, 2), _planted(1, 4)]
+    off_grid = grid_graph(1, (3, 3, 3), 1, 0, 1, True, "mixed")
+    off_grid.node_by_name("conv1").initializers["weight"][1, 0, 0, 0] *= 1.1
+    bound = grid_graph(1, (255, 3, 3), 1, 0, 1, True, "mixed")
+    w = bound.node_by_name("conv1").initializers["weight"]
+    w *= 2 ** 12
+    w[0, 0, 0, 0] = np.abs(w).max() / 2 ** 12
+    negative = grid_graph(1, (3, 3, 3), 1, 0, 1, False, "mixed")
+    negative.node_by_name("mt0").attrs["step"] = -0.5
+    return graphs + [off_grid, bound, negative]
+
+
+class TestBatchedGuard:
+    """All layers checked in one call decide exactly what one call per
+    layer decides: reasons, integer weights and integer thresholds."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_layer_reference(self, dtype):
+        dtype = np.dtype(dtype)
+        # Layers of several graphs in one call: mixed level counts,
+        # signs, biases and failure reasons side by side.
+        layers = [c for g in _guard_graphs() for c in _guard_inputs(g, dtype)]
+        got = engine._integer_operands(layers, dtype)
+        reasons = set()
+        for layer, result in zip(layers, got, strict=True):
+            ref = _reference_operands(*layer, dtype)
+            if isinstance(ref, str):
+                assert result == ref
+                reasons.add(ref.split(" (")[0])
+                continue
+            q, threshold = result
+            assert q.dtype == threshold.v.dtype == np.float32
+            np.testing.assert_array_equal(q, ref[0])
+            np.testing.assert_array_equal(threshold.v, ref[1])
+            assert threshold.signs is None
+            assert threshold.code_dtype == layer[2].code_dtype
+        assert reasons == {"non-positive step", "off-grid weights",
+                           "accumulator bound", "guard band"}
+
+    def test_no_candidates(self):
+        assert engine._integer_operands([], np.dtype(np.float64)) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import (IRGraph, IRNode, export_model, slice_channels,
-                      streamline)
+                      streamline, with_widths)
 from repro.ir.passes import (_fold_affine_into_thresholds, absorb_batchnorm,
                               count_unabsorbed_batchnorms)
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
@@ -235,3 +235,50 @@ class TestSliceChannels:
         x = np.random.default_rng(2).standard_normal((2, 3, 32, 32))
         for a, b in zip(graph.execute(x), sliced.execute(x)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestWithWidths:
+    """A weightless copy of an exported CNV at another width matches the
+    export of the model built at that width, shape for shape."""
+
+    def _graphs(self):
+        exits = ExitsConfiguration.paper_default()
+        narrow = build_cnv(CNVConfig(width_scale=0.125, seed=0), exits)
+        wide = build_cnv(CNVConfig(width_scale=0.5, seed=0), exits)
+        graphs = []
+        for model in (narrow, wide):
+            graph = export_model(model)
+            streamline(graph)
+            graphs.append(graph)
+        widths = {layer.name: layer.params["weight"].shape[0]
+                  for layer in wide.all_layers()
+                  if layer.params.get("weight") is not None}
+        return graphs, widths
+
+    def test_matches_the_wide_export(self):
+        (narrow, wide), widths = self._graphs()
+        copy = with_widths(narrow, widths)
+        assert {n: t.shape for n, t in copy.tensors.items()} == \
+            {n: t.shape for n, t in wide.tensors.items()}
+        assert {n: t.bits for n, t in copy.tensors.items()} == \
+            {n: t.bits for n, t in wide.tensors.items()}
+        assert [(n.op_type, n.name, n.inputs, n.outputs)
+                for n in copy.nodes] == \
+            [(n.op_type, n.name, n.inputs, n.outputs) for n in wide.nodes]
+        for node, src in zip(copy.nodes, narrow.nodes):
+            if node.op_type in ("Conv", "MatMul"):
+                assert node.initializers == {}
+                weight = src.initializers["weight"]
+                assert node.attrs["density"] == \
+                    np.count_nonzero(weight) / weight.size
+            elif node.op_type == "MultiThreshold":
+                assert node.initializers["thresholds"].shape == \
+                    wide.node_by_name(node.name) \
+                        .initializers["thresholds"].shape
+        assert narrow.nodes[0].initializers["weight"].shape[0] == 8
+
+    def test_missing_width_raises(self):
+        (narrow, _), widths = self._graphs()
+        del widths["fc1"]
+        with pytest.raises(ValueError, match="fc1"):
+            with_widths(narrow, widths)
