@@ -275,6 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "control overhead), so pruned/sparse layers "
                           "get faster. Changes every cycle figure and "
                           "the cache key")
+    gen.add_argument("--resource-width-scale", type=_positive_float,
+                     metavar="W",
+                     help="width of the hardware twin the FINN resource "
+                          "and cycle model sizes, relative to the full "
+                          "CNV (default 1.0); e.g. 0.25 lets the W8A8 "
+                          "'int8' twin fit the device at quick scale. "
+                          "Changes the cache key")
     gen.add_argument("--compute-dtype", default="float64",
                      choices=["float64", "float32"],
                      help="NumPy compute precision: float64 (default, "
@@ -471,6 +478,8 @@ def _cmd_generate(args) -> int:
                             if s.strip()]
     if args.zero_skip:
         config.zero_skip = True
+    if args.resource_width_scale is not None:
+        config.resource_width_scale = args.resource_width_scale
     config.__post_init__()  # re-validate after the overrides
     if args.resume:
         manifest = SweepManifest.open(

@@ -11,6 +11,7 @@ NumPy — see DESIGN.md's scale-down policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..edge.fastsim import SIM_MODES
@@ -102,6 +103,11 @@ class AdaPExConfig:
     def __post_init__(self):
         if self.train_samples < 1 or self.test_samples < 1:
             raise ValueError("sample counts must be positive")
+        if not (math.isfinite(self.resource_width_scale)
+                and self.resource_width_scale > 0):
+            raise ValueError(
+                f"resource_width_scale must be > 0 and finite, "
+                f"got {self.resource_width_scale!r}")
         if not self.pruning_rates:
             raise ValueError("need at least one pruning rate")
         if any(not 0.0 <= r < 1.0 for r in self.pruning_rates):

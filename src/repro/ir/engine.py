@@ -28,12 +28,21 @@ per-node interpretation overhead:
   ``g = g_w·step``, where sign flips and the bias are folded in at
   compile time. A Flatten feeding such a MatMul is a reshape: the
   weight columns are permuted to ``(h, w, c)`` order instead.
+* **Certified float Convs** — in float64 plans a thresholded float Conv
+  (the first layer, whose input is the float image) computes its
+  pre-activations in any order, a few images at a time: the windows are
+  copied channel-major, one GEMM per chunk reads them transposed, the
+  bias moves into the thresholds. A rounding certificate (below) accepts
+  the batch's codes or reruns the reference step; no full-batch im2col
+  is materialized unless it does.
 * **Byte-wide level counting** — the reference ``MultiThreshold``
   executor materializes an ``(N, C, H, W, levels)`` broadcast temp; the
   plan compares against pre-sorted per-channel thresholds instead. Up
-  to ``_SWEEP_MAX_LEVELS`` levels it sweeps the levels, counting crossed
-  ones straight into the code array; more levels go through
-  ``np.searchsorted`` (O(log L)). No rank-5 temp, identical codes.
+  to ``_SWEEP_MAX_LEVELS`` levels it sweeps the levels against
+  level-major ``(L, C)`` thresholds, one contiguous row per level,
+  adding each level's comparison bytes into the code array; more levels
+  go through ``np.searchsorted`` (O(log L)). No rank-5 temp, identical
+  codes.
 * **Pooling without argmax** — MaxPool is a running ``np.maximum`` over
   the k*k strided slices of its input; the training kernel's argmax
   indices (kept for backward) are never computed.
@@ -43,21 +52,42 @@ per-node interpretation overhead:
   (almost) nothing.
 
 Numerical contract: on streamlined graphs (no ``BatchNorm`` nodes) the
-plan is **bit-identical** to the reference executors in float64.
+plan is **bit-identical** to the reference executors in float64, on any
+BLAS.
 
-* Float steps (the first layer, whose input is the float image; the
-  layers whose output is not thresholded, i.e. the exit logit layers;
-  and every fallback below) run the float GEMM on the same operands, in
-  the same layout, as the reference executor, so they hit the same BLAS
-  path; thresholding performs the same float comparisons; a maximum is
-  exact whatever the order of the window slices.
+* Float steps (the layers whose output is not thresholded, i.e. the
+  exit logit layers; float32 plans' first layer; and every fallback
+  below) run the float GEMM on the same operands, in the same layout, as
+  the reference executor, so they hit the same BLAS path; thresholding
+  performs the same float comparisons; a maximum is exact whatever the
+  order of the window slices.
+* A certified Conv's codes equal the reference step's because a
+  run-time certificate proves it per batch. Let ``K`` be the patch
+  length, ``m`` the batch's largest ``|x|``, ``w_c``/``b_c`` channel
+  ``c``'s weights and bias and ``s_c`` its sign. The reference value
+  ``s_c·(x·w_c + b_c)`` and the plan's any-order ``y = x·(s_c·w_c)``
+  each lie within ``γ_{K+1}·(m·Σ|w_c| + |b_c|)`` of the exact sum
+  (``γ_n = n·u/(1 − n·u)``, ``u`` the unit roundoff), and folding the
+  bias into a threshold, ``v' = v − s_c·b_c``, rounds by at most
+  ``u·|v'|``. The band is ``2·γ_{K+2}·(m·Σ|w_c| + |b_c|) + 2·u·|v'| +
+  tiny`` (one more unit than the rounding needs, covering the band's
+  own arithmetic; ``tiny``, the smallest normal, covers underflow), and
+  the thresholds are moved out by it with outward rounding
+  (``nextafter``). Codes counted against the lower and the upper
+  thresholds agree everywhere only if no ``y`` lies inside a band, and
+  then they equal the reference codes. Infinite thresholds (a fold's
+  ``a == 0`` case) are exact and get no band. A batch whose ``m`` is not
+  finite, or whose ``m·Σ|w_c| + |b_c|`` could overflow, or that fails
+  the certificate, reruns the reference step; ``stats()`` counts those
+  batches. Convs with more than ``_SWEEP_MAX_LEVELS`` levels and float32
+  plans keep the reference step: at float32's ``u`` the band catches
+  dozens of values per CNV batch, so the certificate would rarely pass.
 * Integer layers are exact and BLAS-independent: every partial sum is an
   integer below 2^24, which float32 represents exactly in any summation
   order. Their codes equal the float oracle's because a compile-time
   guard proves it per output channel. The oracle's value lies within
   ``ε_c = γ_{K+3}·(g·(Σ|q_c|·code_max + 2) + |b_c|)`` of the exact
-  ``A·g + b`` (``γ_n = n·u/(1 − n·u)``, ``u`` the unit roundoff of the
-  plan's dtype; ``K + 2`` roundings of the dot product and bias, one of
+  ``A·g + b`` (``K + 2`` roundings of the dot product and bias, one of
   the weight grid product, and two lattice units for computing the
   integer thresholds themselves). The guard requires every threshold to
   lie farther than ``2·ε_c`` from every reachable lattice value
@@ -96,16 +126,21 @@ __all__ = ["compile_graph", "ExecutionPlan"]
 class _Threshold(NamedTuple):
     """A MultiThreshold prepared for a step: ``#(signs·u > v_k)``."""
 
-    v: np.ndarray               # (C, L) sign-transformed, sorted per row
+    lv: np.ndarray              # (L, C) level-major, each column sorted
     signs: np.ndarray | None    # None when every sign is +1
     code_dtype: np.dtype        # holds codes 0..L
+
+    @property
+    def v(self) -> np.ndarray:
+        """The thresholds channel-major, ``(C, L)`` (a view)."""
+        return self.lv.T
 
     def take(self, keep: np.ndarray | None) -> "_Threshold":
         """The thresholds of the kept channels only."""
         if keep is None:
             return self
         signs = None if self.signs is None else self.signs[keep]
-        return _Threshold(np.ascontiguousarray(self.v[keep]), signs,
+        return _Threshold(np.ascontiguousarray(self.lv[:, keep]), signs,
                           self.code_dtype)
 
     def tile(self, reps: int) -> "_Threshold":
@@ -114,7 +149,8 @@ class _Threshold(NamedTuple):
         if reps == 1:
             return self
         signs = None if self.signs is None else np.tile(self.signs, reps)
-        return _Threshold(np.tile(self.v, (reps, 1)), signs, self.code_dtype)
+        return _Threshold(np.tile(self.lv, (1, reps)), signs,
+                          self.code_dtype)
 
 
 def _prepare_thresholds(node: IRNode, dtype) -> _Threshold:
@@ -123,12 +159,15 @@ def _prepare_thresholds(node: IRNode, dtype) -> _Threshold:
     The reference semantics count ``#(sign*x > sign*t_k)`` per channel.
     With ``v = sign * t`` sorted ascending and ``u = sign * x``, that
     count equals ``np.searchsorted(v, u, side="left")`` (the number of
-    ``v_k`` strictly below ``u``) for any threshold order.
+    ``v_k`` strictly below ``u``) for any threshold order. The sorted
+    thresholds are stored level-major, so the level sweep compares
+    against one contiguous row per level.
     """
     thresholds = node.initializers["thresholds"].astype(dtype, copy=False)
     signs = node.initializers["signs"].astype(dtype, copy=False)
-    v = np.ascontiguousarray(np.sort(signs[:, None] * thresholds, axis=1))
-    return _Threshold(v, None if (signs == 1.0).all() else signs,
+    v = np.sort(signs[:, None] * thresholds, axis=1)
+    return _Threshold(np.ascontiguousarray(v.T),
+                      None if (signs == 1.0).all() else signs,
                       np.min_scalar_type(thresholds.shape[1]))
 
 
@@ -139,21 +178,27 @@ def _prepare_thresholds(node: IRNode, dtype) -> _Threshold:
 _SWEEP_MAX_LEVELS = 16
 
 
-def _count_levels(u: np.ndarray, v: np.ndarray, code: np.ndarray) -> None:
-    """``code[..., c] = #(u[..., c] > v[c, k])`` over the levels ``k``.
+def _count_levels(u: np.ndarray, lv: np.ndarray, code: np.ndarray,
+                  crossed: np.ndarray | None = None) -> None:
+    """``code[..., c] = #(u[..., c] > lv[k, c])`` over the levels ``k``.
 
-    ``u`` is channels-last (any rank); ``v`` holds each channel's
-    thresholds sorted ascending; ``code`` is an unsigned integer array
-    of ``u``'s shape.
+    ``u`` is channels-last (any rank); ``lv`` holds each channel's
+    thresholds level-major, sorted ascending per channel; ``code`` is an
+    unsigned integer array of ``u``'s shape. The sweep writes each
+    level's comparison as bytes (``crossed``, a bool scratch of ``u``'s
+    shape, or a temporary) and adds them as ``uint8``, with no casts.
     """
-    c_count, levels = v.shape
+    levels, c_count = lv.shape
     if levels <= _SWEEP_MAX_LEVELS:
-        np.greater(u, v[:, 0], out=code)
+        np.greater(u, lv[0], out=code.view(np.bool_))
+        if levels > 1 and crossed is None:
+            crossed = np.empty(code.shape, np.bool_)
         for k in range(1, levels):
-            code += u > v[:, k]
+            np.greater(u, lv[k], out=crossed)
+            np.add(code, crossed.view(np.uint8), out=code)
         return
     for c in range(c_count):
-        code[..., c] = np.searchsorted(v[c], u[..., c], side="left")
+        code[..., c] = np.searchsorted(lv[:, c], u[..., c], side="left")
 
 
 # Widest row of tiled thresholds (see :func:`_row_tile`).
@@ -179,7 +224,7 @@ def _threshold(m: np.ndarray, threshold: _Threshold, code: np.ndarray,
     """Codes of a channels-last activation, timed as thresholding."""
     t0 = time.perf_counter()
     u = m if threshold.signs is None else m * threshold.signs
-    _count_levels(u, threshold.v, code)
+    _count_levels(u, threshold.lv, code)
     plan.threshold_seconds += time.perf_counter() - t0
 
 
@@ -310,7 +355,8 @@ def _integer_operands(layers: list, dtype) -> list:
                                                               cols[k])
             if ts[k].signs is not None:
                 qk = qk * ts[k].signs.astype(np.float32)[:, None]
-            out[i] = (qk, _Threshold(int_t[k], None, ts[k].code_dtype))
+            out[i] = (qk, _Threshold(np.ascontiguousarray(int_t[k].T), None,
+                                     ts[k].code_dtype))
     return out
 
 
@@ -416,13 +462,131 @@ class _ConvStep(_Step):
             m += self.bias
         if thresholded:
             code = arena.view(self.slot, m.shape, self.threshold.code_dtype)
-            width = self.threshold.v.shape[0]
+            width = self.threshold.lv.shape[1]
             _threshold(m.reshape(-1, width), self.threshold,
                              code.reshape(-1, width), plan)
             m = code
         # NHWC -> NCHW as a (non-contiguous) view over the arena slot.
         env[self.out] = m.reshape(n, out_h, out_w, self.out_ch) \
                          .transpose(0, 3, 1, 2)
+
+
+class _CertifiedConvStep(_ConvStep):
+    """Float Conv + fused MultiThreshold in any summation order, its
+    codes certified equal to the reference :class:`_ConvStep`'s.
+
+    A few images at a time: the windows are copied channel-major
+    (``(c, kh, kw)`` × pixels, inner loop along an output row), one GEMM
+    reads that copy transposed and writes channels-last pre-activations
+    of sign-flipped weights, and the bias is folded into the thresholds.
+    Each value is then counted against every threshold moved out by a
+    rounding band, once above and once below; the codes are accepted
+    only when both counts agree everywhere, i.e. no value lies within
+    the band of any threshold. Otherwise the batch reruns the reference
+    step. The band is derived in the module docstring.
+    """
+
+    def __init__(self, node: IRNode, src: str, out: str, slots: tuple,
+                 weight: np.ndarray, bias: np.ndarray | None,
+                 threshold: _Threshold, reason: str, tile: int):
+        slot, cols_slot, gemm_slot, self.pad_slot, self.aux_slot, \
+            self.band_slot = slots
+        super().__init__(node, src, out, (slot, cols_slot, gemm_slot),
+                         weight, bias, threshold.tile(tile), reason)
+        out_ch = self.out_ch
+        signs = np.ones(out_ch) if threshold.signs is None \
+            else threshold.signs
+        # Sign flips are exact in any order: fold them into the rows.
+        self.w_signed = weight.reshape(out_ch, -1) * signs[:, None]
+        sb = np.zeros(out_ch) if bias is None else signs * bias
+        with np.errstate(invalid="ignore"):
+            self.v_shift = threshold.lv - sb          # (L, C)
+        self.exact = ~np.isfinite(self.v_shift)       # no band: ±inf
+        self.abs_row = np.abs(self.w_signed).sum(axis=1)
+        self.abs_bias = np.abs(sb)
+        info = np.finfo(weight.dtype)
+        u, n = float(info.eps) / 2, self.patch + 2
+        self.gamma = 2 * n * u / (1 - n * u)    # 2·γ_{K+2}
+        self.rel = 2 * u
+        self.floor = float(info.tiny)
+        self.scale_limit = float(info.max) / 4
+        self.tile = tile
+        self.fallbacks = 0
+
+    def _bands(self, x: np.ndarray, arena: _Arena):
+        """``(below, above)``: the tiled thresholds moved out by the
+        batch's band, level-major; ``None`` if ``x`` admits no finite
+        band."""
+        mx = np.maximum(x.max(), -x.min())  # NaN stays NaN
+        if not np.isfinite(mx):
+            return None
+        scale = mx * self.abs_row + self.abs_bias
+        if not scale.max() < self.scale_limit:
+            return None
+        v = self.v_shift
+        with np.errstate(invalid="ignore", over="ignore"):
+            band = (self.gamma * scale + self.rel * np.abs(v)) + self.floor
+            below = np.nextafter(v - band, -np.inf)
+            above = np.nextafter(v + band, np.inf)
+        np.copyto(below, v, where=self.exact)
+        np.copyto(above, v, where=self.exact)
+        levels, out_ch = v.shape
+        tiled = arena.view(self.band_slot, (2, levels, self.tile, out_ch))
+        tiled[0] = below[:, None]
+        tiled[1] = above[:, None]
+        return tiled.reshape(2, levels, self.tile * out_ch)
+
+    def run(self, env, arena, plan):
+        if not self._run_certified(env, arena, plan):
+            self.fallbacks += 1
+            super().run(env, arena, plan)
+
+    def _run_certified(self, env, arena, plan) -> bool:
+        x = env[self.src]
+        n, c, h, w = x.shape
+        bands = self._bands(x, arena) if n else None
+        if bands is None:
+            return False
+        below, above = bands
+        k, s, p = self.kernel, self.stride, self.padding
+        if p:
+            xp = arena.view(self.pad_slot, (n, c, h + 2 * p, w + 2 * p))
+            xp.fill(0)
+            xp[:, :, p:p + h, p:p + w] = x
+            x = xp
+        out_h = conv_output_size(h, k, s, p)
+        out_w = conv_output_size(w, k, s, p)
+        sn, sc, sh, sw = x.strides
+        windows = np.lib.stride_tricks.as_strided(
+            x, shape=(c, k, k, n, out_h, out_w),
+            strides=(sc, sh, sw, sn, sh * s, sw * s), writeable=False)
+        per_image, out_ch = out_h * out_w, self.out_ch
+        code = arena.view(self.slot, (n * per_image, out_ch),
+                          self.threshold.code_dtype)
+        width = below.shape[1]
+        chunk = max(1, _CHUNK_ROWS // per_image)
+        for i0 in range(0, n, chunk):
+            i1 = min(n, i0 + chunk)
+            rows = (i1 - i0) * per_image
+            cols_t = arena.view(self.cols_slot, (self.patch, rows))
+            np.copyto(cols_t.reshape(c, k, k, i1 - i0, out_h, out_w),
+                      windows[:, :, :, i0:i1])
+            acc = arena.view(self.gemm_slot, (rows, out_ch))
+            np.matmul(cols_t.T, self.w_signed.T, out=acc)
+            t0 = time.perf_counter()
+            u = acc.reshape(-1, width)
+            inner = code[i0 * per_image:i1 * per_image].reshape(-1, width)
+            outer, crossed = arena.view(self.aux_slot, (2,) + u.shape,
+                                        np.uint8)
+            _count_levels(u, above, inner, crossed.view(np.bool_))
+            _count_levels(u, below, outer, crossed.view(np.bool_))
+            certified = np.array_equal(inner, outer)
+            plan.threshold_seconds += time.perf_counter() - t0
+            if not certified:
+                return False
+        env[self.out] = code.reshape(n, out_h, out_w, out_ch) \
+                            .transpose(0, 3, 1, 2)
+        return True
 
 
 class _MatMulStep(_Step):
@@ -502,7 +666,7 @@ class _IntConvStep(_Step):
         patch, out_ch = self.q_t.shape
         code = arena.view(self.slot, (n * per_image, out_ch),
                           self.threshold.code_dtype)
-        width = self.threshold.v.shape[0]
+        width = self.threshold.lv.shape[1]
         chunk = max(1, _CHUNK_ROWS // per_image)
         for i0 in range(0, n, chunk):
             i1 = min(n, i0 + chunk)
@@ -1127,6 +1291,12 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
                 steps.append(_IntMatMulStep(
                     node, src, out, (slot, *alloc.scratch(2)),
                     codes[code_src].hw, *integer))
+            elif conv and threshold is not None and dtype == np.float64 \
+                    and threshold.lv.shape[0] <= _SWEEP_MAX_LEVELS:
+                steps.append(_CertifiedConvStep(
+                    node, src, out, (slot, *alloc.scratch(5)),
+                    np.ascontiguousarray(weight), bias, threshold, reason,
+                    tile))
             else:
                 # (out, im2col, GEMM before thresholding); unused: None
                 scratch = alloc.scratch(conv + (threshold is not None))
@@ -1167,6 +1337,8 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
                                    for s in gemm_steps),
              "float_layers": {s.name: s.reason for s in gemm_steps
                               if s.domain == "float"},
+             "certified_layers": [s.name for s in gemm_steps
+                                  if isinstance(s, _CertifiedConvStep)],
              "steps": [s.describe() for s in steps]}
     if sparse:
         stats["compacted_nodes"] = len(out_keep)
@@ -1213,6 +1385,7 @@ class ExecutionPlan:
         self.timer = timer
         self.threshold_seconds = 0.0
         self._arena = _Arena(num_slots, dtype)
+        self._step_phases = [f"engine_step/{s.name}" for s in steps]
 
     # -- model duck-typing -------------------------------------------------
     @property
@@ -1237,15 +1410,22 @@ class ExecutionPlan:
         check_batch(x, self.input_shape)
         env = {self.input_name: x}
         arena = self._arena
-        for step in self.steps:
-            step.run(env, arena, self)
+        timer = self.timer
+        if timer is None:
+            for step in self.steps:
+                step.run(env, arena, self)
+        else:
+            for step, phase in zip(self.steps, self._step_phases):
+                t_step = time.perf_counter()
+                step.run(env, arena, self)
+                timer.add(phase, time.perf_counter() - t_step)
         # Outputs must survive the next run's buffer reuse.
         outs = [env[t].copy() for t in self.output_names]
-        if self.timer is not None:
+        if timer is not None:
             elapsed = time.perf_counter() - t0
-            self.timer.add("engine_forward", elapsed)
+            timer.add("engine_forward", elapsed)
             if self.threshold_seconds:
-                self.timer.add("engine_threshold", self.threshold_seconds)
+                timer.add("engine_threshold", self.threshold_seconds)
                 self.threshold_seconds = 0.0
         return outs
 
@@ -1283,8 +1463,15 @@ class ExecutionPlan:
         codes in, codes out; ``float``); ``float_layers`` maps each
         Conv/MatMul left on the float path to the reason (``first
         layer``, ``graph output``, ``off-grid weights``, ``accumulator
-        bound``, ``guard band (channel c)``, ...).
+        bound``, ``guard band (channel c)``, ...). ``certified_layers``
+        names the float Convs that compute their codes in any order under
+        the rounding certificate (see the module docstring), and
+        ``fallback_batches`` counts the batches, over all of them, that
+        failed it and reran the reference step.
         """
+        fallbacks = sum(s.fallbacks for s in self.steps
+                        if isinstance(s, _CertifiedConvStep))
         return dict(self._stats, num_steps=len(self.steps),
+                    fallback_batches=fallbacks,
                     arena_bytes=self._arena.nbytes(),
                     dtype=str(np.dtype(self.dtype)))

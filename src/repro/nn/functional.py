@@ -5,9 +5,12 @@ channels, height, width). The convolution forward pass uses the classic
 im2col lowering so the heavy lifting happens inside one BLAS matrix
 multiply, which keeps pure-NumPy training tractable for the scaled-down
 CNV models used across the reproduction. The backward pass needs no
-col2im: the input gradient's ``(rows, C*k*k)`` GEMM is scattered tap by
-tap into a channels-last image, in the (ki, kj) order of im2col's
-adjoint, so every gradient keeps the bits of the textbook lowering.
+col2im: the input gradient's single ``(rows, C*k*k)`` GEMM is scattered
+tap by tap into a channels-last image, in the (ki, kj) order of im2col's
+adjoint, a few whole images at a time (about ``_IM2COL_CHUNK`` elements
+of the GEMM's output) so the accumulator stays in cache, and each
+chunk's NCHW gradient is written in the same pass. Every gradient keeps
+the bits and the strides of the textbook lowering.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Elements of the (n, C, k, k, oh, ow) scratch im2col_into fills per
-# chunk of whole images, so the transposing second stage reads from cache.
+# Elements per chunk of whole images: of the (n, C, k, k, oh, ow) scratch
+# im2col_into fills, so its transposing second stage reads from cache, and
+# of the input gradient's GEMM output each scatter chunk reads.
 _IM2COL_CHUNK = 1 << 15
 
 
@@ -158,7 +162,8 @@ def _param_grads(grad_flat: np.ndarray, weight_shape: tuple, cols: np.ndarray):
 
 def _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding):
     """im2col's adjoint without col2im: the single ``(rows, C*k*k)`` GEMM,
-    its tap columns added channels-last in (ki, kj) order."""
+    its tap columns added channels-last in (ki, kj) order, a few whole
+    images at a time so the accumulator stays in cache."""
     n, c, h, w = x_shape
     out_ch, _, kernel, _ = weight.shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -167,16 +172,21 @@ def _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding):
         n, out_h, out_w, c, kernel, kernel)
 
     hp, wp = h + 2 * padding, w + 2 * padding
-    acc = np.zeros((n, hp, wp, c), dtype=grad_cols.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            acc[:, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += (
-                grad_cols[..., ki, kj])
+    chunk = max(1, _IM2COL_CHUNK // (out_h * out_w * c * kernel * kernel))
+    acc = np.empty((min(chunk, n), hp, wp, c), dtype=grad_cols.dtype)
     # NCHW, with the strides of the padded image im2col's adjoint builds.
     grad_x = np.empty((n, c, hp, wp), dtype=grad_cols.dtype)[
         :, :, padding:padding + h, padding:padding + w]
-    grad_x[...] = acc[:, padding:padding + h, padding:padding + w].transpose(
-        0, 3, 1, 2)
+    for i0 in range(0, n, chunk):
+        i1 = min(n, i0 + chunk)
+        part, taps = acc[:i1 - i0], grad_cols[i0:i1]
+        part.fill(0)
+        for ki in range(kernel):
+            for kj in range(kernel):
+                part[:, ki:ki + stride * out_h:stride,
+                     kj:kj + stride * out_w:stride] += taps[..., ki, kj]
+        grad_x[i0:i1] = part[:, padding:padding + h,
+                             padding:padding + w].transpose(0, 3, 1, 2)
     return grad_x
 
 

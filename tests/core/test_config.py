@@ -37,6 +37,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             AdaPExConfig(parallel_workers=0)
 
+    @pytest.mark.parametrize("scale", [0.0, -0.25, float("nan"),
+                                       float("inf")])
+    def test_bad_resource_width_scale(self, scale):
+        with pytest.raises(ValueError, match="resource_width_scale"):
+            AdaPExConfig(resource_width_scale=scale)
+
 
 class TestCacheKey:
     def test_stable(self):

@@ -2,6 +2,8 @@
 pooling, softmax properties, and byte identity with the reference
 kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,35 @@ class TestKernelIdentity:
         for new, old in zip(F.conv2d_param_backward(grad_out, weight.shape,
                                                     cols), want[1:]):
             ref.assert_same_bytes(new, old)
+
+    @given(kernel=st.integers(1, 3), stride=st.integers(1, 2),
+           padding=st.integers(0, 2), in_ch=st.integers(1, 9),
+           out_ch=st.integers(1, 9), batch=st.integers(1, 23),
+           size=st.integers(1, 8), chunk=st.integers(1, 5),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_input_grad(self, kernel, stride, padding, in_ch, out_ch,
+                                batch, size, chunk, dtype, seed):
+        """The input gradient's scatter, ``chunk`` images at a time (batch
+        sizes not a multiple of it, rows of ``-0.0`` gradients), against
+        col2im."""
+        if size + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        out = F.conv_output_size(size, kernel, stride, padding)
+        grad_flat = rng.standard_normal((batch * out * out, out_ch)).astype(dtype)
+        grad_flat[rng.random(len(grad_flat)) < 0.3] = -0.0
+        weight = rng.standard_normal((out_ch, in_ch, kernel, kernel)).astype(dtype)
+        weight[0] = np.abs(weight[0])
+        x_shape = (batch, in_ch, size, size)
+        per_image = out * out * in_ch * kernel * kernel
+        with mock.patch.object(F, "_IM2COL_CHUNK", chunk * per_image):
+            got = F._conv2d_input_grad(grad_flat, x_shape, weight, stride,
+                                       padding)
+        want = ref.col2im(grad_flat @ weight.reshape(out_ch, -1), x_shape,
+                          kernel, stride, padding)
+        ref.assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("batch,size,padding,in_ch,out_ch", [
         (1, 3, 0, 8, 8), (1, 3, 0, 16, 33), (1, 3, 0, 32, 257),

@@ -40,6 +40,14 @@ class TestValidation:
                                        "--workers", "0"])
         assert "--workers" in err and "must be >= 1" in err
 
+    @pytest.mark.parametrize("scale", ["0", "-0.5", "nan", "inf"])
+    def test_resource_width_scale_must_be_positive_and_finite(self, capsys,
+                                                              scale):
+        err = self.error_text(capsys, ["generate", "-o", "x.json",
+                                       "--resource-width-scale", scale])
+        assert "--resource-width-scale" in err
+        assert "must be > 0 and finite" in err
+
     def test_workers_must_be_integer(self, capsys):
         err = self.error_text(capsys, ["generate", "-o", "x.json",
                                        "--workers", "two"])
@@ -147,6 +155,21 @@ class TestGenerate:
         assert library.metadata["dataset"] == "cifar10"
         # The generated file immediately works with the other commands.
         assert main(["info", "--library", str(out)]) == 0
+
+    def test_quick_int8_fits_at_quarter_width(self, tmp_path, capsys):
+        """At a quarter-width hardware twin the W8A8 points fit the
+        device: the sweep yields int8 entries and quarantines nothing."""
+        out = tmp_path / "int8.json"
+        assert main(["generate", "--profile", "quick",
+                     "--precision", "base,int8",
+                     "--resource-width-scale", "0.25", "-o", str(out)]) == 0
+        from repro.runtime import Library
+
+        library = Library.load(str(out))
+        assert not library.metadata.get("quarantined")
+        assert library.metadata["resource_width_scale"] == 0.25
+        precisions = [e.accelerator.precision for e in library]
+        assert "int8" in precisions and "base" in precisions
 
     def test_resume_reuses_every_checkpoint(self, tmp_path, capsys):
         cache = tmp_path / "cache"
