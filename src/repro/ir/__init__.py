@@ -1,6 +1,6 @@
 """Executable ONNX-like IR: export, streamlining, and the compiled engine."""
 
-from .engine import ExecutionPlan, compile_graph
+from .engine import ExecutionPlan, StepMemo, compile_graph
 from .export import export_model
 from .graph import IRGraph, IRNode, TensorInfo
 from .passes import (
@@ -13,7 +13,7 @@ from .passes import (
 )
 
 __all__ = [
-    "ExecutionPlan", "compile_graph",
+    "ExecutionPlan", "StepMemo", "compile_graph",
     "export_model",
     "IRGraph", "IRNode", "TensorInfo",
     "absorb_batchnorm", "count_unabsorbed_batchnorms", "slice_channels",

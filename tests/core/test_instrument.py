@@ -88,3 +88,61 @@ class TestPhaseTimer:
             t.join()
         assert timer.count("x") == 800
         assert timer.seconds("x") == pytest.approx(0.8)
+
+
+class TestNestedPhases:
+    """Phases recorded inside another phase are listed but not added to
+    the total, which sums the outermost phases only."""
+
+    def _timer(self):
+        timer = PhaseTimer()
+        with timer.phase("characterize"):
+            with timer.phase("engine_forward"):
+                timer.add("engine_step/conv", 0.5)
+            timer.add("engine_threshold", 0.25)
+            timer.add("engine_memo_hit", 0.0, 3)
+        timer.add("train", 1.0)
+        return timer
+
+    def test_total_is_outermost(self):
+        timer = self._timer()
+        outer = timer.seconds("characterize") + 1.0
+        assert timer.total_seconds() == pytest.approx(outer)
+        assert timer.as_dict()["total_s"] == pytest.approx(outer)
+        assert timer.seconds("engine_step/conv") == pytest.approx(0.5)
+        assert timer.count("engine_memo_hit") == 3
+
+    def test_summary_lists_nested_phases(self):
+        timer = self._timer()
+        text = timer.summary()
+        assert f"(total {timer.total_seconds():.2f} s)" in text
+        for name in ("engine_forward", "engine_step/conv",
+                     "engine_threshold", "engine_memo_hit"):
+            assert name in text
+
+    def test_nested_share_survives_merge(self):
+        parent = PhaseTimer()
+        parent.add("train", 2.0)
+        for _ in range(2):  # two workers' timers
+            parent.merge(self._timer().as_dict())
+        workers = 2 * 1.0 + parent.seconds("characterize")
+        assert parent.total_seconds() == pytest.approx(2.0 + workers)
+        assert parent.count("engine_forward") == 2
+        assert parent.seconds("engine_step/conv") == pytest.approx(1.0)
+
+    def test_merge_inside_open_phase_is_nested(self):
+        parent = PhaseTimer()
+        with parent.phase("sweep"):
+            parent.merge(self._timer())
+        assert parent.total_seconds() == pytest.approx(
+            parent.seconds("sweep"))
+
+    def test_phase_in_another_thread_is_outer(self):
+        timer = PhaseTimer()
+        with timer.phase("outer"):
+            worker = threading.Thread(
+                target=lambda: timer.add("elsewhere", 1.0))
+            worker.start()
+            worker.join()
+        assert timer.total_seconds() == pytest.approx(
+            timer.seconds("outer") + 1.0)
