@@ -131,13 +131,17 @@ class Trainer:
         return history
 
 
+#: Images per forward pass of the evaluators below.
+EVAL_BATCH = 256
+
+
 def _batched(images: np.ndarray, batch_size: int):
     for start in range(0, images.shape[0], batch_size):
         yield start, images[start:start + batch_size]
 
 
 def exit_scores(model, images: np.ndarray, labels: np.ndarray,
-                batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
     """One batched forward sweep shared by every cascade evaluator.
 
     ``model`` is anything exposing ``eval()``, ``forward(x) -> [logits]``
@@ -176,7 +180,7 @@ def _cascade_take(top_probs: np.ndarray, confidence_threshold: float) -> np.ndar
 
 
 def evaluate_exits(model, images: np.ndarray, labels: np.ndarray,
-                   batch_size: int = 256) -> list[float]:
+                   batch_size: int = EVAL_BATCH) -> list[float]:
     """TOP-1 accuracy of every exit head independently (no cascading)."""
     _, correct = exit_scores(model, images, labels, batch_size)
     return list(correct.sum(axis=0) / max(images.shape[0], 1))
@@ -184,7 +188,7 @@ def evaluate_exits(model, images: np.ndarray, labels: np.ndarray,
 
 def cascade_sweep(model, images: np.ndarray,
                   labels: np.ndarray, thresholds,
-                  batch_size: int = 256) -> list[dict]:
+                  batch_size: int = EVAL_BATCH) -> list[dict]:
     """Cascade statistics for many confidence thresholds from ONE forward.
 
     The expensive part of characterizing a model over the paper's 21
@@ -210,7 +214,7 @@ def cascade_sweep(model, images: np.ndarray,
 
 def evaluate_cascade(model, images: np.ndarray,
                      labels: np.ndarray, confidence_threshold: float,
-                     batch_size: int = 256) -> dict:
+                     batch_size: int = EVAL_BATCH) -> dict:
     """Cascade accuracy and exit statistics under one confidence threshold.
 
     Returns a dict with ``accuracy`` (TOP-1 of the cascade), ``exit_rates``
