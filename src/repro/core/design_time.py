@@ -214,6 +214,18 @@ class LibraryGenerator:
             self._base_cache[key] = model
             return model
 
+    def base_model(self, key: tuple, exits_cfg: ExitsConfiguration, log,
+                   timer: PhaseTimer):
+        """:meth:`train_base_model` for the variant ``key``, logged and
+        timed as a ``train`` phase only when it fits: a variant whose
+        exit topology is already trained reuses that model silently."""
+        if self._topology_key(exits_cfg) in self._base_cache:
+            return self.train_base_model(exits_cfg)
+        log(f"[{self.config.dataset}] training base model "
+            f"({accel_label(*key)})")
+        with timer.phase("train"):
+            return self.train_base_model(exits_cfg)
+
     def _variant_context(self, variant: str, exits_cfg: ExitsConfiguration,
                          pruned_exits: bool, scaled_base) -> _VariantContext:
         """Prepare the per-variant state the per-rate points share."""
@@ -526,10 +538,8 @@ class LibraryGenerator:
         contexts: dict[tuple, _VariantContext] = {}
         for key in variants:
             if any(p[0] == key for p in pending):
-                log(f"[{cfg.dataset}] training base model "
-                    f"({accel_label(*key)})")
-                with timer.phase("train"):
-                    scaled_base = self.train_base_model(variants[key])
+                scaled_base = self.base_model(key, variants[key], log,
+                                              timer)
                 contexts[key] = self._variant_context(
                     key[0], variants[key], key[1], scaled_base)
 

@@ -64,7 +64,7 @@ from ..runtime.library import Library
 from .checkpoint import SweepManifest
 from .config import AdaPExConfig
 from .design_time import (LibraryGenerator, _parallel_worker_init,
-                          accel_label, describe_point, sweep_points)
+                          describe_point, sweep_points)
 from .instrument import PhaseTimer
 from .parallel import fork_available
 from .pointcache import PointCache
@@ -510,10 +510,8 @@ class HalvingSearch:
             for vkey in {p[0] for p in pending_points}:
                 if vkey in contexts:
                     continue
-                log(f"[{cfg.dataset}] training base model "
-                    f"({accel_label(*vkey)})")
-                with timer.phase("train"):
-                    scaled_base = gen.train_base_model(variants[vkey])
+                scaled_base = gen.base_model(vkey, variants[vkey], log,
+                                             timer)
                 contexts[vkey] = gen._variant_context(
                     vkey[0], variants[vkey], vkey[1], scaled_base)
 

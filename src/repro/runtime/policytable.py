@@ -21,7 +21,11 @@ module compiles that function onto a uniform workload grid:
   per library accelerator plus a "nothing loaded" slot — reproducing
   the full tie-break semantics: rounded-accuracy groups, the stability
   bonus (or the graded partial-reconfiguration switch cost when a
-  model is installed), energy, and library order.
+  model is installed), energy, and library order. One walk down the
+  positions builds every row (each slot's winner only ever improves as
+  ``pos`` falls), and graded costs come from one accelerator x
+  accelerator matrix per compile, so a compile costs O(positions x
+  slots) plus A² ``switch_time_s`` calls.
 
 Exactness is preserved the same way :mod:`repro.edge.fastsim` preserves
 it against the event loop: whenever the table cannot *prove* it gives
@@ -43,7 +47,6 @@ sharding item).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -52,46 +55,90 @@ from .manager import RuntimeManager, _SelectionIndex
 __all__ = ["PolicyTable"]
 
 
-def _winner_row(idx: _SelectionIndex, pos: int, accels: list,
-                model) -> list:
-    """Winning entry at ``pos`` for the no-current slot then each
-    accelerator slot, mirroring ``RuntimeManager.select`` exactly."""
-    group = idx.groups[idx.suffix_max_acc[pos]]
-    best_plain = None
-    reps: dict = {}  # accelerator -> (key, entry): best member per accel
-    for k in group[bisect_left(group, pos):]:
-        lib_i = idx.order[k]
+def _switch_costs(model, accels: list) -> list | None:
+    """``costs[i][j] = model.switch_time_s(accels[i], accels[j])``.
+
+    One matrix per compile: ``switch_time_s`` is a pure function of
+    (current, target) for a fixed model, and a model change drops the
+    table (:meth:`RuntimeManager.set_reconfig_model`), so every winner
+    row and degraded row reads its switch costs from here.
+    """
+    if model is None:
+        return None
+    return [[model.switch_time_s(a, b) for b in accels] for a in accels]
+
+
+def _winner_rows(idx: _SelectionIndex, entry_slot: list, nacc: int,
+                 costs) -> list:
+    """Winning entry at every ``pos`` for the no-current slot then each
+    accelerator slot, mirroring ``RuntimeManager.select`` exactly.
+
+    The feasible tie group at ``pos`` is the members ``>= pos`` of the
+    rounded-accuracy group ``suffix_max_acc[pos]``. Walking ``pos``
+    down, that group is unchanged (``pos`` is less accurate), gains
+    ``pos`` (equally accurate) or is replaced by ``{pos}`` (more
+    accurate), so each slot's winner is a running maximum: adding a
+    member can only raise it. Rows are rebuilt only at a group change,
+    and unchanged positions share the previous row object.
+    """
+    m = len(idx.order)
+    rows = [None] * m
+    row = None
+    level = None
+    for pos in range(m - 1, -1, -1):
+        acc = idx.acc_r[pos]
+        if acc != idx.suffix_max_acc[pos]:
+            rows[pos] = row  # below the winning accuracy: no change
+            continue
+        lib_i = idx.order[pos]
         e = idx.entries[lib_i]
         key = (-e.energy_per_inference_j, -lib_i)
-        if best_plain is None or key > best_plain[0]:
-            best_plain = (key, e)
-        r = reps.get(e.accelerator)
-        if r is None or key > r[0]:
-            reps[e.accelerator] = (key, e)
-    # Slot 0: nothing loaded. Without a model the bonus never fires;
-    # with one, the switch cost from None is the full bitstream load for
-    # every candidate — constant, so the plain winner is exact there too.
-    row = [best_plain[1]]
-    for a in accels:
-        if model is None:
-            r = reps.get(a)
-            row.append((r or best_plain)[1])
+        j = entry_slot[lib_i]
+        if acc != level:
+            # A more accurate group replaces the old one.
+            level = acc
+            plain_key, plain = key, e
+            rep_key = [None] * nacc  # best member key per accelerator
+            rep = [None] * nacc
+            rep_key[j], rep[j] = key, e
+            if costs is not None:
+                # best (-cost, key) per loaded-accelerator slot
+                best_nc = [-c[j] for c in costs]
+                best_key = [key] * nacc
+                win = [e] * nacc
         else:
-            best = None
-            for b, (key, e) in reps.items():
-                full = (-model.switch_time_s(a, b),) + key
-                if best is None or full > best[0]:
-                    best = (full, e)
-            row.append(best[1])
-    return row
+            if key > plain_key:
+                plain_key, plain = key, e
+            if rep_key[j] is not None and key < rep_key[j]:
+                rows[pos] = row  # beaten by its accelerator's best
+                continue
+            rep_key[j], rep[j] = key, e
+            if costs is not None:
+                # Slot s compares (-cost(s, j), key): a member that is
+                # its accelerator's best may win any slot.
+                for s, c in enumerate(costs):
+                    nc = -c[j]
+                    b = best_nc[s]
+                    if nc > b or (nc == b and key > best_key[s]):
+                        best_nc[s], best_key[s], win[s] = nc, key, e
+        # Slot 0: nothing loaded. Without a model the bonus never fires;
+        # with one, the switch cost from None is the full bitstream load
+        # for every candidate — constant, so the plain winner is exact.
+        if costs is None:
+            row = [plain] + [r if r is not None else plain for r in rep]
+        else:
+            row = [plain] + win
+        rows[pos] = row
+    return rows
 
 
-def _degraded_row(idx: _SelectionIndex, accels: list, model) -> list:
+def _degraded_row(idx: _SelectionIndex, accels: list, slot_of: dict,
+                  costs) -> list:
     """Degraded-mode winners (workload beyond every qualified entry)."""
     ties = idx.degraded_acc_ok or idx.degraded_all
     row = [ties[0]]
-    for a in accels:
-        if model is None:
+    for s, a in enumerate(accels):
+        if costs is None:
             pick = ties[0]
             for e in ties:
                 if e.accelerator == a:
@@ -101,7 +148,7 @@ def _degraded_row(idx: _SelectionIndex, accels: list, model) -> list:
         else:
             best = None
             for e in ties:
-                c = model.switch_time_s(a, e.accelerator)
+                c = costs[s][slot_of[e.accelerator]]
                 if best is None or c < best[0]:
                     best = (c, e)
             row.append(best[1])
@@ -114,15 +161,14 @@ class _Level:
     __slots__ = ("m", "ncells", "wtop", "inv", "cell_pos", "posrows",
                  "unsafe")
 
-    def __init__(self, idx: _SelectionIndex, accels: list, model,
-                 headroom: float, cells: int):
+    def __init__(self, idx: _SelectionIndex, accels: list, slot_of: dict,
+                 entry_slot: list, costs, headroom: float, cells: int):
         m = len(idx.order)
         self.m = m
         # posrows[p][slot] = winner at searchsorted position p; the
         # degraded-mode row sits at p == m.
-        posrows = [_winner_row(idx, pos, accels, model)
-                   for pos in range(m)]
-        posrows.append(_degraded_row(idx, accels, model))
+        posrows = _winner_rows(idx, entry_slot, len(accels), costs)
+        posrows.append(_degraded_row(idx, accels, slot_of, costs))
         self.posrows = posrows
         if m == 0:
             # Nothing qualifies: every workload is degraded-mode.
@@ -147,13 +193,12 @@ class _Level:
         # (multiply by headroom, then searchsorted side="left").
         edges = np.arange(ncells + 1, dtype=np.float64) * h
         ps = idx.ips.searchsorted(edges * headroom, side="left")
-        cell_pos = [int(ps[j]) if ps[j] == ps[j + 1] else -1
-                    for j in range(ncells)]
+        safe = ps[:-1] == ps[1:]
         self.ncells = ncells
         self.wtop = wtop
         self.inv = 1.0 / h  # exact: h is a power of two
-        self.cell_pos = cell_pos
-        self.unsafe = sum(1 for p in cell_pos if p < 0)
+        self.cell_pos = np.where(safe, ps[:-1], -1).tolist()
+        self.unsafe = ncells - int(np.count_nonzero(safe))
 
     def lookup_slot(self, workload_ips: float, slot: int):
         """Winner for a slot, or ``None`` = defer to the index."""
@@ -190,16 +235,20 @@ class PolicyTable:
         model = manager.reconfig_model
         self._graded = model is not None
         accels = lib.accelerators()
-        self._slot = {a: i + 1 for i, a in enumerate(accels)}
+        # Accelerators interned to 0-based indices (table slot - 1).
+        slot_of = {a: i for i, a in enumerate(accels)}
+        self._slot = {a: i + 1 for a, i in slot_of.items()}
+        entry_slot = [slot_of[e.accelerator] for e in lib.entries]
         self._stride = len(accels) + 1
+        costs = _switch_costs(model, accels)
         headroom = self.policy.headroom
         primary = manager.min_accuracy
         self._levels: dict = {}
         for floor in dict.fromkeys((primary, *self.extra_accuracy_levels)):
             idx = manager._index() if floor == primary \
                 else _SelectionIndex(lib, floor)
-            self._levels[floor] = _Level(idx, accels, model, headroom,
-                                         cells)
+            self._levels[floor] = _Level(idx, accels, slot_of, entry_slot,
+                                         costs, headroom, cells)
         active = self._levels[primary]
         self._active = active
         # Expanded per-entry cell rows for the fast-select closure:
@@ -207,16 +256,15 @@ class PolicyTable:
         # Slots whose winner column is identical share one row, so the
         # expansion is small for the common case of few tie groups.
         lvl = active
-        ncells = lvl.ncells
         by_sig: dict = {}
         slot_rows = []
         for s in range(self._stride):
-            col = [lvl.posrows[p][s] for p in range(lvl.m + 1)]
+            col = [r[s] for r in lvl.posrows]
             sig = tuple(map(id, col))
             row = by_sig.get(sig)
             if row is None:
-                row = [col[p] if p >= 0 else None
-                       for p in lvl.cell_pos]
+                # An unsafe cell's position -1 reads the trailing None.
+                row = list(map((col + [None]).__getitem__, lvl.cell_pos))
                 row.append(col[lvl.m])  # degraded at row[-1]
                 by_sig[sig] = row
             slot_rows.append(row)
@@ -225,8 +273,8 @@ class PolicyTable:
         # kept alive by the winner rows / library, so ids are stable for
         # the table's lifetime (a stale table is never consulted).
         rows = {id(None): slot_rows[0]}
-        for e in lib.entries:
-            rows[id(e)] = slot_rows[self._slot[e.accelerator]]
+        for e, j in zip(lib.entries, entry_slot):
+            rows[id(e)] = slot_rows[j + 1]
         self._rows = rows
         self._shared_rows = len(by_sig)
 

@@ -105,6 +105,32 @@ class TestGeneratorInternals:
         LibraryGenerator(cfg).generate(progress=messages.append)
         assert any("training base model" in m for m in messages)
 
+    def test_shared_topology_trains_and_logs_once(self, monkeypatch):
+        """The pruned- and unpruned-exit variants share one exit
+        topology: three variants, two fits, two log lines, two ``train``
+        phases."""
+        from repro.core.instrument import PhaseTimer
+        from repro.nn.trainer import Trainer
+
+        fits = []
+        real_fit = Trainer.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(1)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", counting_fit)
+        cfg = AdaPExConfig.quick(seed=3)
+        cfg.pruning_rates = [0.0]
+        cfg.confidence_thresholds = [0.5]
+        messages = []
+        timer = PhaseTimer()
+        LibraryGenerator(cfg).generate(progress=messages.append,
+                                       timer=timer)
+        assert len(fits) == 2
+        assert sum("training base model" in m for m in messages) == 2
+        assert timer.count("train") == 2
+
 
 class TestInfeasibleFold:
     """A folding that cannot divide an unpruned layer fails the same way

@@ -128,6 +128,36 @@ class TestEquivalence:
                              reconfig_model=PartialReconfigModel())
         assert_equivalent(ref, tab, lib, rng)
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 24),
+           loss=st.sampled_from([0.0, 0.05, 0.10, 0.30]),
+           graded=st.booleans(),
+           deltas=st.lists(st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+                           max_size=3),
+           cells=st.sampled_from([1, 64, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_extra_levels_match_index_exactly(self, seed, n, loss, graded,
+                                              deltas, cells):
+        """Brownout floors (``extra_accuracy_levels``), binary or graded:
+        ``lookup_at`` and ``select_at`` give the index's entry."""
+        rng = np.random.default_rng(seed)
+        lib = tie_library(rng, n)
+        policy = SelectionPolicy(accuracy_loss_threshold=loss)
+        model = PartialReconfigModel() if graded else None
+        ref = RuntimeManager(lib, policy, reconfig_model=model)
+        tab = RuntimeManager(lib, policy, reconfig_model=model)
+        floors = tuple(ref.min_accuracy - d for d in deltas)
+        table = tab.compile_policy_table(cells=cells,
+                                         extra_accuracy_levels=floors)
+        currents = [None] + list(lib.entries)
+        for floor in floors:
+            for w in probe_workloads(lib, rng):
+                cur = currents[int(rng.integers(len(currents)))]
+                want = ref.select_at(floor, w, cur)
+                got = table.lookup_at(floor, w, cur)
+                assert got is None or got is want
+                assert tab.select_at(floor, w, cur) is want
+
     def test_negative_workload_still_raises(self, toy_library):
         mgr = RuntimeManager(toy_library)
         mgr.compile_policy_table()
@@ -226,6 +256,44 @@ class TestTableLifecycle:
         got = table.lookup(100.0, stranger)
         assert got is None or got is mgr.select(100.0)
         assert mgr.select(100.0, stranger) is not None
+
+
+class CountingModel(PartialReconfigModel):
+    """A graded cost model that counts its ``switch_time_s`` calls."""
+
+    calls = 0
+
+    def switch_time_s(self, current, target):
+        CountingModel.calls += 1
+        return super().switch_time_s(current, target)
+
+
+class TestCompileCost:
+    def test_graded_compile_calls_switch_time_at_most_a_squared(self):
+        """One A x A switch-cost matrix per compile, shared by every
+        position, slot and accuracy level."""
+        rng = np.random.default_rng(11)
+        lib = Library()
+        for rate in np.round(np.linspace(0.0, 0.9, 10), 2):
+            for variant, pruned in (("ee", True), ("ee", False),
+                                    ("backbone", True)):
+                for ct in (0.2, 0.5, 0.8):
+                    lib.add(make_entry(
+                        rate=float(rate), ct=ct, variant=variant,
+                        pruned=pruned,
+                        acc=float(rng.choice([0.80, 0.85, 0.90])),
+                        ips=float(rng.uniform(100.0, 900.0)),
+                        energy=float(rng.choice([1e-3, 2e-3]))))
+        accels = len(lib.accelerators())
+        assert accels == 30
+        ref = RuntimeManager(lib, reconfig_model=PartialReconfigModel())
+        mgr = RuntimeManager(lib, reconfig_model=CountingModel())
+        CountingModel.calls = 0
+        mgr.compile_policy_table(extra_accuracy_levels=(0.8, 0.7))
+        assert 0 < CountingModel.calls <= accels ** 2
+        for w in probe_workloads(lib, rng):
+            for cur in (None, lib.entries[int(rng.integers(len(lib)))]):
+                assert mgr.select(w, cur) is ref.select(w, cur)
 
 
 class TestPolicyTableDirect:
