@@ -38,13 +38,16 @@ deterministic sweep order, so parallel libraries are bit-identical to
 serial ones. A :class:`~repro.core.pointcache.PointCache` can additionally
 skip any point characterized by a previous (possibly interrupted) sweep.
 
-The compiled plans of one sweep share a :class:`~repro.ir.engine.StepMemo`
-(one in the serial sweep, one per pool worker): a layer that an earlier
-design point already computed on the test batch is not computed again.
-That needs points that share weights (no retraining) and a test set
-that runs as one batch; other sweeps get no memo
-(``LibraryGenerator._sweep_memo``). Hits are exact, so the library does
-not depend on which points a process saw before.
+The compiled plans of one sweep share a
+:class:`~repro.ir.engine.StepMemo` (one in the serial sweep, one per
+pool worker): a layer that an earlier design point already computed on
+the test batch is not computed again. That needs points that share
+weights (no retraining) and a test set that runs as one batch; other
+sweeps get no memo (``LibraryGenerator._sweep_memo``). Hits are exact,
+so the library does not depend on which points a process saw before. The
+serial sweep runs its points in the order that keeps shared layers held
+(``LibraryGenerator._memo_order``); the library is still assembled in
+sweep order.
 """
 
 from __future__ import annotations
@@ -417,6 +420,23 @@ class LibraryGenerator:
             return None
         return StepMemo()
 
+    def _memo_order(self, points: list, variants: dict) -> list:
+        """``points`` in the order one step memo serves best: grouped by
+        trained base, rate-major within a base (a stable sort).
+
+        The variants that share a base (pruned and unpruned exits) share
+        the backbone at each rate, and neighbouring rates share the
+        layers that folding leaves at the same width; this order runs
+        both pairs back to back, so a step is still held when the next
+        point asks for it. A variant with another base (the backbone-only
+        one) shares nothing and would only evict in between."""
+        base_rank: dict = {}
+        for exits_cfg in variants.values():
+            base_rank.setdefault(self._topology_key(exits_cfg),
+                                 len(base_rank))
+        return sorted(points, key=lambda point: (
+            base_rank[self._topology_key(variants[point[0]])], point[1]))
+
     # ------------------------------------------------------------------
     # the full sweep
     # ------------------------------------------------------------------
@@ -600,7 +620,8 @@ class LibraryGenerator:
                                           criterion=crit, schedule=sched,
                                           memo=memo)
 
-            pool.run(characterize_point, pending,
+            pool.run(characterize_point,
+                     self._memo_order(pending, variants),
                      on_result=on_point_done,
                      on_failure=on_point_failed)
 

@@ -6,7 +6,6 @@ from .graph import IRGraph, IRNode, TensorInfo
 from .passes import (
     absorb_batchnorm,
     count_unabsorbed_batchnorms,
-    slice_channels,
     streamline,
     weight_density,
     with_widths,
@@ -16,6 +15,6 @@ __all__ = [
     "ExecutionPlan", "StepMemo", "compile_graph",
     "export_model",
     "IRGraph", "IRNode", "TensorInfo",
-    "absorb_batchnorm", "count_unabsorbed_batchnorms", "slice_channels",
+    "absorb_batchnorm", "count_unabsorbed_batchnorms",
     "streamline", "weight_density", "with_widths",
 ]

@@ -1,13 +1,10 @@
 """Compiled execution engine for the IR: fused, buffer-reusing plans.
 
-:func:`compile_graph` turns a (preferably streamlined) :class:`IRGraph`
-into an :class:`ExecutionPlan` — a flat list of pre-bound steps that runs
-the same network function as :meth:`IRGraph.execute` but without the
+:func:`compile_graph` turns a streamlined :class:`IRGraph` into an
+:class:`ExecutionPlan` — a flat list of pre-bound steps that runs the
+same network function as :meth:`IRGraph.execute` but without the
 per-node interpretation overhead:
 
-* **BatchNorm folding** — inference-time affine nodes are folded into the
-  weight/bias initializers of the producing ``Conv``/``MatMul`` (mirrors
-  FINN's streamlining when the graph was exported without it).
 * **Conv/MatMul → MultiThreshold fusion** — thresholding is applied to
   the post-GEMM ``(rows, channels)`` matrix, so the quantization step
   touches a contiguous matrix.
@@ -16,9 +13,9 @@ per-node interpretation overhead:
   channels-last (NHWC) memory, the values FINN streams between MVTUs.
   MaxPool (for ``step > 0``, where decoding is monotone), Flatten and
   DuplicateStreams pass codes through. A float consumer (an exit logit
-  layer, an unfoldable BatchNorm, a graph output) reads a decode step
-  that writes ``code × step`` in the plan's dtype, in the layout the
-  float oracle reads.
+  layer, a graph output) reads a decode step that writes
+  ``code × step`` in the plan's dtype, in the layout the float oracle
+  reads.
 * **Integer MVTU layers** — a Conv/MatMul whose input is codes, whose
   weights lie on a grid ``q · g_w`` and whose output is thresholded runs
   as an exact integer dot product, as an MVTU does: im2col in
@@ -54,33 +51,34 @@ per-node interpretation overhead:
 Step memo: a plan compiled with ``memo=`` (a :class:`StepMemo`) shares
 step outputs with every other plan compiled against the same memo, as a
 design-time sweep's design points do (FINN's folding snaps many pruning
-rates onto the same layer widths, and the pruned-exit and
-unpruned-exit variants share their backbone). At compile time each step
-gets an exact content key: its kind, the plan dtype, the sample shape
-of its output, the dtype, shape and bytes of every initializer and
-attribute of the IR nodes fused into it (a folded BatchNorm and a fused
-MultiThreshold included, and any sparse-mode channel selection), and
-the key of its input, so a key spells out the whole computation back to
-the graph input. The memo holds one graph input at a time, a
-read-only copy of the batch, and a run whose batch differs from it bit
-for bit (dtype, shape and bytes, so ``-0.0`` is not ``0.0``) drops
-everything held and holds the new batch. A lookup compares the full
-key, not only its hash, so a hit returns what the same computation made
-from the same bytes: outputs stay bit-identical, and no certificate or
-integer guard is involved. A run serves the held steps it needs, runs
-only the rest (a step whose output feeds only held steps is skipped),
-and stores a read-only, layout-preserving copy of each output it
-computed. The memo is bounded in bytes (:data:`MEMO_BUDGET`, the batch
-included) and evicts least recently used outputs; a batch larger than
-the budget runs memo-free. Reuse therefore needs plans that share
-weights and run one batch that fits; retrained design points or a test
-set split into several batches share nothing, and the design-time
-sweep gives those no memo.
+rates onto the same layer widths, and the pruned-exit and unpruned-exit
+variants share their backbone). At compile time each step gets an exact
+content key: its kind, the plan dtype, the sample shape of its output,
+the dtype, shape and bytes of every initializer and attribute of the IR
+nodes fused into it (a fused MultiThreshold included), and the key of
+its input, so a key spells out the whole computation back to the graph
+input. The memo holds one graph input at a time, a read-only copy of the
+batch, and a run whose batch differs from it bit for bit (dtype, shape
+and bytes, so ``-0.0`` is not ``0.0``) drops everything held and holds
+the new batch. A lookup compares the full key, not only its hash, so a
+hit returns what the same computation made from the same bytes: outputs
+stay bit-identical, and no certificate or integer guard is involved. A
+run serves the held steps it needs, runs only the rest (a step whose
+output feeds only held steps is skipped), and stores a read-only,
+layout-preserving copy of each output it computed. The memo is bounded
+in bytes (:data:`MEMO_BUDGET`, the batch included) and evicts least
+recently used outputs; a batch larger than the budget runs memo-free.
+Reuse therefore needs plans that share weights and run one batch that
+fits; retrained design points or a test set split into several batches
+share nothing, and the design-time sweep gives those no memo.
 Plans compiled without a memo run every step, as before.
 
-Numerical contract: on streamlined graphs (no ``BatchNorm`` nodes) the
-plan is **bit-identical** to the reference executors in float64, on any
-BLAS.
+The plan runs streamlined graphs only: :func:`compile_graph` rejects a
+graph that still holds a ``BatchNorm`` node (run
+:func:`repro.ir.passes.streamline` first, as every flow does).
+
+Numerical contract: the plan is **bit-identical** to the reference
+executors in float64, on any BLAS.
 
 * Float steps (the layers whose output is not thresholded, i.e. the
   exit logit layers; float32 plans' first layer; and every fallback
@@ -125,12 +123,10 @@ BLAS.
   ``step ≤ 0``; :meth:`ExecutionPlan.stats` names the reason.
 
 Float32 plans have the same structure; their integer layers reproduce
-the float32 float path's codes (the guard uses float32's ``u``). Folding
-a BatchNorm into a Conv/MatMul changes rounding, so BN-bearing graphs
-agree only to floating-point tolerance. Threshold inputs containing NaN
-are undefined (the oracle yields code 0, the plan yields 0 below
-``_SWEEP_MAX_LEVELS`` levels and ``levels`` above); exported models never
-produce NaN activations.
+the float32 float path's codes (the guard uses float32's ``u``).
+Threshold inputs containing NaN are undefined (the oracle yields code 0,
+the plan yields 0 below ``_SWEEP_MAX_LEVELS`` levels and ``levels``
+above); exported models never produce NaN activations.
 """
 
 from __future__ import annotations
@@ -162,14 +158,6 @@ class _Threshold(NamedTuple):
     def v(self) -> np.ndarray:
         """The thresholds channel-major, ``(C, L)`` (a view)."""
         return self.lv.T
-
-    def take(self, keep: np.ndarray | None) -> "_Threshold":
-        """The thresholds of the kept channels only."""
-        if keep is None:
-            return self
-        signs = None if self.signs is None else self.signs[keep]
-        return _Threshold(np.ascontiguousarray(self.lv[:, keep]), signs,
-                          self.code_dtype)
 
     def tile(self, reps: int) -> "_Threshold":
         """The thresholds of ``reps`` consecutive rows, laid end to end
@@ -283,7 +271,7 @@ def _integer_operands(layers: list, dtype) -> list:
 
     ``layers`` holds one ``(weight, bias, threshold, codes)`` per
     candidate layer: ``weight``/``bias``/``threshold`` are what the float
-    step would use (cast, folded, compacted) and ``codes`` describes its
+    step would use (cast to the plan's dtype) and ``codes`` describes its
     input. ``q`` is the float32 ``(out, K)`` integer weight matrix with
     sign flips folded in, in the float step's column order; the returned
     threshold holds the sorted integer-domain thresholds
@@ -559,7 +547,7 @@ class _Step:
 
 
 class _ConvStep(_Step):
-    """Float Conv (+ folded BatchNorm) (+ fused MultiThreshold → codes)."""
+    """Float Conv (+ fused MultiThreshold → codes)."""
 
     op = "Conv"
 
@@ -730,7 +718,7 @@ class _CertifiedConvStep(_ConvStep):
 
 
 class _MatMulStep(_Step):
-    """Float MatMul (+ folded BatchNorm) (+ fused MultiThreshold → codes)."""
+    """Float MatMul (+ fused MultiThreshold → codes)."""
 
     op = "MatMul"
 
@@ -910,35 +898,6 @@ class _DecodeStep(_Step):
         env[self.out] = dst.reshape(x.shape[0], -1) if self.flat else dst
 
 
-class _BatchNormStep(_Step):
-    """Unfoldable BatchNorm, executed with the reference arithmetic."""
-
-    op = "BatchNorm"
-
-    def __init__(self, node: IRNode, src: str, out: str, slot: int, dtype,
-                 keep=None):
-        self.name = node.name
-        self.src = src
-        self.out = out
-        self.slot = slot
-        self.scale = node.initializers["scale"].astype(dtype, copy=False)
-        self.shift = node.initializers["shift"].astype(dtype, copy=False)
-        if keep is not None:  # sparse mode: channel-compacted input
-            self.scale = self.scale[keep]
-            self.shift = self.shift[keep]
-
-    def run(self, env, arena, plan):
-        x = env[self.src]
-        dst = arena.view(self.slot, x.shape)
-        if x.ndim == 4:
-            np.multiply(x, self.scale.reshape(1, -1, 1, 1), out=dst)
-            dst += self.shift.reshape(1, -1, 1, 1)
-        else:
-            np.multiply(x, self.scale, out=dst)
-            dst += self.shift
-        env[self.out] = dst
-
-
 class _MaxPoolStep(_Step):
     """Max pooling as a running ``np.maximum`` over the k*k strided slices.
 
@@ -1022,40 +981,6 @@ class _CodeFlattenStep(_Step):
 # compilation
 # ----------------------------------------------------------------------
 
-def _compact(node: IRNode, weight: np.ndarray, bias: np.ndarray | None,
-             threshold: _Threshold | None, in_keep: np.ndarray | None,
-             out_keep: dict):
-    """Apply sparse-mode channel compaction to one GEMM's operands.
-
-    ``in_keep`` slices the K dimension (input columns: Conv in-channels,
-    MatMul columns); ``out_keep[node.name]`` slices the N dimension (own
-    output rows, plus bias and fused-threshold rows).
-    """
-    if in_keep is not None:
-        weight = weight[:, in_keep]
-    keep = out_keep.get(node.name)
-    if keep is not None:
-        weight = weight[keep]
-        if bias is not None:
-            bias = bias[keep]
-        if threshold is not None:
-            threshold = threshold.take(keep)
-    return weight, bias, threshold
-
-
-def _fold_batchnorm(node: IRNode, weight: np.ndarray,
-                    bias: np.ndarray | None, dtype):
-    """Fold a BatchNorm affine into Conv/MatMul weight+bias."""
-    scale = node.initializers["scale"].astype(dtype, copy=False)
-    shift = node.initializers["shift"].astype(dtype, copy=False)
-    if weight.ndim == 4:
-        weight = weight * scale.reshape(-1, 1, 1, 1)
-    else:
-        weight = weight * scale.reshape(-1, 1)
-    bias = shift if bias is None else bias * scale + shift
-    return weight, bias
-
-
 class _SlotAllocator:
     """Compile-time register allocation over arena slots."""
 
@@ -1100,73 +1025,41 @@ class _SlotAllocator:
                 self.free.append(slot)
 
 
-def compile_graph(graph: IRGraph, dtype=np.float64,
-                  timer=None, sparse: bool = False,
+def compile_graph(graph: IRGraph, dtype=np.float64, timer=None,
                   memo: StepMemo | None = None) -> "ExecutionPlan":
-    """Compile an :class:`IRGraph` into a fused :class:`ExecutionPlan`.
+    """Compile a streamlined :class:`IRGraph` into a fused
+    :class:`ExecutionPlan`.
 
     ``dtype`` selects the compute precision (``float64`` default keeps
-    the plan bit-identical to the reference executors on streamlined
-    graphs). ``timer`` is an optional
-    :class:`repro.core.instrument.PhaseTimer`; compilation is recorded
-    under ``engine_compile`` and attached to the plan for runtime phases.
-    ``memo`` is an optional :class:`StepMemo`: the plan keys its steps
-    and shares their outputs with every plan compiled against the same
-    memo (see the module docstring).
+    the plan bit-identical to the reference executors). ``timer`` is an
+    optional :class:`repro.core.instrument.PhaseTimer`; compilation is
+    recorded under ``engine_compile`` and attached to the plan for
+    runtime phases. ``memo`` is an optional :class:`StepMemo`: the plan
+    keys its steps and shares their outputs with every plan compiled
+    against the same memo (see the module docstring).
 
-    ``sparse=True`` enables compile-time **dead-channel elimination** for
-    channel-pruned (masked) graphs: an output channel of a Conv/MatMul is
-    removed from the fused GEMM when (a) its weight row and bias are
-    exactly zero and (b) it provably influences nothing downstream —
-    every consumer either reads it through all-zero weight columns or
-    passes it through per-channel ops (MaxPool/MultiThreshold/BatchNorm/
-    Flatten) into consumers that do, and it never reaches a graph output.
-    Both the GEMM's N dimension (its own rows) and every downstream
-    GEMM's K dimension (input columns) shrink; all compaction happens
-    here at compile time — the runtime steps are the ordinary dense
-    steps over smaller matrices, with no gather/scatter.
-
-    Numerical contract of sparse mode: the sparse plan of a masked graph
-    is **bit-identical** to the dense plan (and the reference executors)
-    of the same graph with the dropped channels explicitly sliced out via
-    :func:`repro.ir.passes.slice_channels` — both execute literally the
-    same BLAS calls on the same operands. Against the dense plan of the
-    *unsliced* masked graph it is numerically equivalent but not bitwise:
-    shrinking the K dimension changes BLAS reduction order, perturbing
-    the surviving terms' rounding at the ulp level.
+    Raises ``ValueError`` if the graph still holds a ``BatchNorm`` node:
+    :func:`repro.ir.passes.streamline` absorbs them into thresholds.
     """
     t0 = time.perf_counter()
     dtype = np.dtype(dtype)
     graph.validate()
     order = graph.topological_order()
+    for node in order:
+        if node.op_type == "BatchNorm":
+            raise ValueError(
+                f"cannot compile BatchNorm node {node.name!r}: run "
+                "streamline() on the graph first")
     producer = {t: n for n in graph.nodes for t in n.outputs}
 
-    # Pass 1: fold BatchNorm nodes whose producer is a single-consumer
-    # Conv/MatMul.  ``resolve`` maps original tensor names to the tensor
-    # that actually carries the value in the compiled plan.
+    # ``resolve`` maps original tensor names to the tensor that actually
+    # carries the value in the compiled plan.
     resolve: dict[str, str] = {}
 
     def _r(t: str) -> str:
         while t in resolve:
             t = resolve[t]
         return t
-
-    folded: dict[str, IRNode] = {}  # host node name -> folded BN node
-    removed: set[str] = set()       # node names absorbed into a host
-    for node in order:
-        if node.op_type != "BatchNorm":
-            continue
-        host = producer.get(node.inputs[0])
-        if host is None or host.op_type not in ("Conv", "MatMul"):
-            continue
-        if host.name in folded:
-            continue
-        out = host.outputs[0]
-        if len(graph.consumers(out)) != 1 or out in graph.output_names:
-            continue
-        folded[host.name] = node
-        removed.add(node.name)
-        resolve[node.outputs[0]] = out
 
     # DuplicateStreams emits no runtime work: both outputs alias the
     # input tensor.  Resolving them here keeps the liveness accounting
@@ -1176,11 +1069,10 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
             for out in node.outputs:
                 resolve[out] = node.inputs[0]
 
-    # Pass 2: fuse MultiThreshold into its producing Conv/MatMul.  The
-    # effective producer is found through ``resolve`` so conv->BN->MT
-    # chains fuse fully.  A host whose output is multiply consumed (e.g.
-    # feeds a DuplicateStreams) or is itself a graph output keeps its
-    # pre-threshold value and the MultiThreshold stays standalone.
+    # Pass 1: fuse MultiThreshold into its producing Conv/MatMul.  A host
+    # whose output is multiply consumed (e.g. feeds a DuplicateStreams)
+    # or is itself a graph output keeps its pre-threshold value and the
+    # MultiThreshold stays standalone.
     pre_pinned = {_r(t) for t in graph.output_names}
     # Resolved tensor -> names of the nodes reading it, kept current as
     # fusion resolves a MultiThreshold's output to its host's.
@@ -1189,14 +1081,15 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
         for src in {_r(t) for t in c.inputs}:
             readers.setdefault(src, set()).add(c.name)
     fused: dict[str, IRNode] = {}  # host node name -> fused MT node
+    removed: set[str] = set()      # fused MultiThreshold node names
     for node in order:
-        if node.op_type != "MultiThreshold" or node.name in removed:
+        if node.op_type != "MultiThreshold":
             continue
         src = _r(node.inputs[0])
         host = producer.get(src)
         if host is None or host.op_type not in ("Conv", "MatMul"):
             continue
-        if host.name in fused or host.name in removed:
+        if host.name in fused:
             continue
         if len(readers.get(src, set()) - removed) != 1 or src in pre_pinned:
             continue
@@ -1209,102 +1102,10 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
     # Liveness: reads per resolved tensor (graph outputs pinned so their
     # slots survive until the end of the run).
     pinned = {_r(t) for t in graph.output_names}
-
-    # Pass 3 (sparse mode): dead-channel elimination. ``out_keep`` maps a
-    # Conv/MatMul node name to the output channels it keeps; ``in_keep_of``
-    # maps a resolved tensor to the original channel (or flat feature)
-    # indices still flowing through it, used to slice consumers.
-    out_keep: dict[str, np.ndarray] = {}
-    in_keep_of: dict[str, np.ndarray] = {}
-    dropped_channels = 0
     eff_nodes = [n for n in order if n.name not in removed
                  and n.op_type != "DuplicateStreams"]
-    if sparse:
-        consumers_eff: dict[str, list[IRNode]] = {}
-        for n in eff_nodes:
-            for t in n.inputs:
-                consumers_eff.setdefault(_r(t), []).append(n)
 
-        drop_cache: dict[str, np.ndarray] = {}
-
-        def _droppable(tensor: str) -> np.ndarray:
-            """Bool per channel of ``tensor``: True iff zeroing it out
-            cannot change any graph output (all consumer weight columns
-            are zero, transitively through per-channel ops)."""
-            if tensor in drop_cache:
-                return drop_cache[tensor]
-            n_ch = graph.tensors[tensor].shape[0]
-            mask = np.ones(n_ch, dtype=bool)
-            if tensor in pinned:
-                mask[:] = False
-            else:
-                consumers = consumers_eff.get(tensor, [])
-                if not consumers:
-                    mask[:] = False  # dangling: leave untouched
-                for c in consumers:
-                    if c.op_type == "Conv":
-                        w = c.initializers["weight"]
-                        if w.shape[1] != n_ch:
-                            mask[:] = False
-                        else:
-                            mask &= ~(w != 0).any(axis=(0, 2, 3))
-                    elif c.op_type == "MatMul":
-                        w = c.initializers["weight"]
-                        if w.shape[1] != n_ch:
-                            mask[:] = False
-                        else:
-                            mask &= ~(w != 0).any(axis=0)
-                    elif c.op_type in ("MaxPool", "MultiThreshold",
-                                       "BatchNorm"):
-                        mask &= _droppable(_r(c.outputs[0]))
-                    elif c.op_type == "Flatten":
-                        flat = _droppable(_r(c.outputs[0]))
-                        shape = graph.tensors[c.inputs[0]].shape
-                        hw = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-                        mask &= flat.reshape(n_ch, hw).all(axis=1)
-                    else:
-                        mask[:] = False
-            drop_cache[tensor] = mask
-            return mask
-
-        for node in eff_nodes:
-            if node.op_type not in ("Conv", "MatMul"):
-                continue
-            w = node.initializers["weight"]
-            rows = w.shape[0]
-            row_zero = ~(w.reshape(rows, -1) != 0).any(axis=1)
-            bias = node.initializers.get("bias")
-            if bias is not None:
-                row_zero &= bias == 0
-            if node.name in folded:
-                # Folding a BatchNorm adds its shift to the bias; a dead
-                # row must stay dead after folding.
-                row_zero &= folded[node.name].initializers["shift"] == 0
-            if not row_zero.any():
-                continue
-            dead = row_zero & _droppable(_r(node.outputs[0]))
-            keep_idx = np.flatnonzero(~dead)
-            if 0 < keep_idx.size < rows:
-                out_keep[node.name] = keep_idx
-                in_keep_of[_r(node.outputs[0])] = keep_idx
-                dropped_channels += rows - keep_idx.size
-
-        # Propagate kept-channel sets forward through per-channel ops so
-        # downstream GEMMs and threshold/BN params can be sliced.
-        for node in eff_nodes:
-            src_keep = in_keep_of.get(_r(node.inputs[0])) if node.inputs \
-                else None
-            if src_keep is None:
-                continue
-            if node.op_type in ("MaxPool", "MultiThreshold", "BatchNorm"):
-                in_keep_of[_r(node.outputs[0])] = src_keep
-            elif node.op_type == "Flatten":
-                shape = graph.tensors[node.inputs[0]].shape
-                hw = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-                in_keep_of[_r(node.outputs[0])] = \
-                    (src_keep[:, None] * hw + np.arange(hw)).ravel()
-
-    # Pass 4: value domains. Every MultiThreshold, fused or standalone,
+    # Pass 2: value domains. Every MultiThreshold, fused or standalone,
     # writes codes; MaxPool (when decoding is monotone, ``step > 0``) and
     # Flatten pass them on. ``codes`` maps each code tensor to what it
     # holds.
@@ -1325,7 +1126,7 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
                 and codes[src].step > 0:
             codes[out] = codes[src]._replace(hw=tuple(shape[1:]))
 
-    # Pass 5: the operands of every Conv/MatMul; integer where the guard
+    # Pass 3: the operands of every Conv/MatMul; integer where the guard
     # proves the codes unchanged, else float with the reason.
     gemms: dict[str, list] = {}
     candidates: list[tuple] = []  # (node name, guard inputs)
@@ -1337,14 +1138,9 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
         bias = node.initializers.get("bias")
         if bias is not None:
             bias = bias.astype(dtype, copy=False)
-        if node.name in folded:
-            weight, bias = _fold_batchnorm(folded[node.name], weight,
-                                           bias, dtype)
         threshold = None
         if node.name in fused:
             threshold = _prepare_thresholds(fused[node.name], dtype)
-        weight, bias, threshold = _compact(node, weight, bias, threshold,
-                                           in_keep_of.get(src), out_keep)
         reason = None
         if src not in codes:
             reason = "first layer" if src == graph.input_name \
@@ -1426,7 +1222,6 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
         src = step_src[node.name]
         out = node.outputs[0]
         code_src = _r(node.inputs[0])
-        in_k = in_keep_of.get(code_src)
         if src != code_src:
             _decode(code_src)
         if node.op_type in ("Conv", "MatMul"):
@@ -1468,10 +1263,7 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
         elif node.op_type == "MultiThreshold":
             steps.append(_ThresholdStep(
                 node, src, out, alloc.acquire(out),
-                _prepare_thresholds(node, dtype).take(in_k)))
-        elif node.op_type == "BatchNorm":
-            steps.append(_BatchNormStep(node, src, out, alloc.acquire(out),
-                                        dtype, keep=in_k))
+                _prepare_thresholds(node, dtype)))
         elif node.op_type == "MaxPool":
             steps.append(_MaxPoolStep(
                 node, src, out, "integer" if out in codes else "float"))
@@ -1485,15 +1277,13 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
         else:  # pragma: no cover - _VALID_OPS guards this
             raise ValueError(f"cannot compile op {node.op_type!r}")
         _key(steps[-1], graph.tensors[out].shape, _node_key(node),
-             _node_key(folded.get(node.name)), _node_key(fused.get(node.name)),
-             _frozen(in_k), _frozen(out_keep.get(node.name)))
+             _node_key(fused.get(node.name)))
         alloc.consume(src)
     for t in decoded:  # code graph outputs not decoded for a reader yet
         _decode(t)
 
     gemm_steps = [s for s in steps if s.op in ("Conv", "MatMul")]
-    stats = {"nodes": len(eff_nodes), "folded_batchnorm": len(folded),
-             "fused_thresholds": len(fused), "sparse": bool(sparse),
+    stats = {"nodes": len(eff_nodes), "fused_thresholds": len(fused),
              "integer_layers": sum(s.domain == "integer"
                                    for s in gemm_steps),
              "float_layers": {s.name: s.reason for s in gemm_steps
@@ -1501,11 +1291,6 @@ def compile_graph(graph: IRGraph, dtype=np.float64,
              "certified_layers": [s.name for s in gemm_steps
                                   if isinstance(s, _CertifiedConvStep)],
              "steps": [s.describe() for s in steps]}
-    if sparse:
-        stats["compacted_nodes"] = len(out_keep)
-        stats["dropped_channels"] = dropped_channels
-        stats["channel_keep"] = {name: [int(i) for i in idx]
-                                 for name, idx in out_keep.items()}
 
     plan = ExecutionPlan(
         graph_name=graph.name,

@@ -193,20 +193,18 @@ class IRGraph:
                 values[t] = v
         return [values[t] for t in self.output_names]
 
-    def compile(self, dtype=np.float64, timer=None, sparse: bool = False,
-                memo=None):
+    def compile(self, dtype=np.float64, timer=None, memo=None):
         """Compile into a fused :class:`~repro.ir.engine.ExecutionPlan`.
 
         Convenience wrapper around :func:`repro.ir.engine.compile_graph`;
-        see there for the numerical contract. ``sparse=True`` enables
-        compile-time dead-channel elimination for masked/pruned graphs;
-        ``memo`` (a :class:`~repro.ir.engine.StepMemo`) shares step
-        outputs with the other plans compiled against it.
+        see there for the numerical contract. The graph must be
+        streamlined (no ``BatchNorm`` node); ``memo`` (a
+        :class:`~repro.ir.engine.StepMemo`) shares step outputs with the
+        other plans compiled against it.
         """
         from .engine import compile_graph
 
-        return compile_graph(self, dtype=dtype, timer=timer, sparse=sparse,
-                             memo=memo)
+        return compile_graph(self, dtype=dtype, timer=timer, memo=memo)
 
     # ------------------------------------------------------------------
     # mutation helpers for passes

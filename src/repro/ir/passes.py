@@ -18,7 +18,7 @@ import numpy as np
 from .graph import IRGraph, IRNode, TensorInfo
 
 __all__ = ["absorb_batchnorm", "streamline", "count_unabsorbed_batchnorms",
-           "slice_channels", "weight_density", "with_widths"]
+           "weight_density", "with_widths"]
 
 
 def _fold_affine_into_thresholds(thresholds: np.ndarray, signs: np.ndarray,
@@ -83,114 +83,6 @@ def absorb_batchnorm(graph: IRGraph) -> int:
 
 def count_unabsorbed_batchnorms(graph: IRGraph) -> int:
     return sum(1 for n in graph.nodes if n.op_type == "BatchNorm")
-
-
-def slice_channels(graph: IRGraph, keep: dict) -> IRGraph:
-    """Return a copy of ``graph`` with only the given channels kept.
-
-    ``keep`` maps Conv/MatMul node names (full scoped form or the bare
-    trailing segment) to sorted, unique arrays of **output** channels to
-    keep. The pass is purely mechanical: it slices producer weight rows
-    (plus bias), propagates the kept set through every per-channel op
-    (MultiThreshold, BatchNorm, MaxPool, DuplicateStreams, Flatten) and
-    slices each consumer's input columns to match. It performs *no*
-    dead-channel analysis of its own — deciding what is safe to remove
-    is the caller's job — which is exactly what makes it the independent
-    oracle the compiled engine's ``sparse`` mode is tested against: the
-    engine must produce bit-identical outputs to the dense plan of the
-    graph this pass builds from the pruner's keep sets.
-    """
-    g = copy.deepcopy(graph)
-    orig_shape = {name: tuple(info.shape) for name, info in graph.tensors.items()}
-    # tensor name -> kept original channel (or flat feature) indices
-    chan_keep: dict[str, np.ndarray | None] = {}
-
-    def _keep_for(node):
-        idx = keep.get(node.name)
-        if idx is None:
-            idx = keep.get(node.name.split("/")[-1])
-        if idx is None:
-            return None
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError(f"{node.name}: cannot keep zero channels")
-        if idx[0] < 0:
-            raise ValueError(f"{node.name}: keep indices must be >= 0")
-        if (np.diff(idx) <= 0).any():
-            raise ValueError(f"{node.name}: keep indices must be sorted unique")
-        return idx
-
-    def _narrow(tensor: str, channels: int) -> None:
-        info = g.tensors[tensor]
-        info.shape = (channels,) + tuple(info.shape[1:])
-
-    for node in g.topological_order():
-        in_keep = chan_keep.get(node.inputs[0]) if node.inputs else None
-
-        if node.op_type in ("Conv", "MatMul"):
-            w = node.initializers["weight"]
-            if in_keep is not None:
-                w = w[:, in_keep]
-            out_keep = _keep_for(node)
-            if out_keep is not None:
-                if out_keep[-1] >= w.shape[0]:
-                    raise ValueError(
-                        f"{node.name}: keep index {int(out_keep[-1])} out of "
-                        f"range for {w.shape[0]} output channels")
-                w = w[out_keep]
-                bias = node.initializers.get("bias")
-                if bias is not None:
-                    node.initializers["bias"] = bias[out_keep]
-                _narrow(node.outputs[0], out_keep.size)
-            node.initializers["weight"] = np.ascontiguousarray(w)
-            chan_keep[node.outputs[0]] = out_keep
-
-        elif node.op_type == "MultiThreshold":
-            if in_keep is not None:
-                node.initializers["thresholds"] = \
-                    node.initializers["thresholds"][in_keep]
-                node.initializers["signs"] = node.initializers["signs"][in_keep]
-                _narrow(node.outputs[0], in_keep.size)
-            chan_keep[node.outputs[0]] = in_keep
-
-        elif node.op_type == "BatchNorm":
-            if in_keep is not None:
-                node.initializers["scale"] = node.initializers["scale"][in_keep]
-                node.initializers["shift"] = node.initializers["shift"][in_keep]
-                _narrow(node.outputs[0], in_keep.size)
-            chan_keep[node.outputs[0]] = in_keep
-
-        elif node.op_type == "MaxPool":
-            if in_keep is not None:
-                _narrow(node.outputs[0], in_keep.size)
-            chan_keep[node.outputs[0]] = in_keep
-
-        elif node.op_type == "DuplicateStreams":
-            for out in node.outputs:
-                if in_keep is not None:
-                    _narrow(out, in_keep.size)
-                chan_keep[out] = in_keep
-
-        elif node.op_type == "Flatten":
-            if in_keep is not None:
-                shape = orig_shape[node.inputs[0]]
-                hw = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-                flat = (in_keep[:, None] * hw + np.arange(hw)).ravel()
-                g.tensors[node.outputs[0]].shape = (flat.size,)
-                chan_keep[node.outputs[0]] = flat
-            else:
-                chan_keep[node.outputs[0]] = None
-
-        else:
-            if in_keep is not None:
-                raise ValueError(
-                    f"cannot slice channels through {node.op_type!r} "
-                    f"({node.name})")
-            for out in node.outputs:
-                chan_keep[out] = None
-
-    g.validate()
-    return g
 
 
 def weight_density(weight: np.ndarray) -> float:
@@ -258,9 +150,11 @@ def streamline(graph: IRGraph) -> dict:
     """Run the full streamlining pipeline; returns a small report dict.
 
     After streamlining, a dataflow-mappable graph contains only Conv,
-    MatMul, MultiThreshold, MaxPool, Flatten, and DuplicateStreams nodes
-    (BatchNorm remains only if it feeds a graph output directly, which the
-    CNV topology never does for intermediate layers).
+    MatMul, MultiThreshold, MaxPool, Flatten, and DuplicateStreams nodes.
+    A BatchNorm whose only consumer is not a MultiThreshold (a graph
+    output, a MaxPool) remains, counted in ``batchnorms_remaining``; the
+    CNV topology has none, and :func:`repro.ir.engine.compile_graph`
+    rejects a graph that does.
     """
     folded = absorb_batchnorm(graph)
     graph.validate()

@@ -15,19 +15,11 @@ Exit CONV layers are pruned at the same rate when the exit's ``pruned``
 flag is set ("Pruned Exits") and left untouched otherwise ("Not Pruned
 Exits").
 
-Two application modes share the identical ranking and decisions:
-
-* ``mode="slice"`` (default) — pruned channels are physically removed;
-  layer widths shrink. This is the network the Library Generator
-  retrains, measures and compiles to hardware.
-* ``mode="mask"`` — pruned channels are zeroed in place everywhere a
-  slice would have removed them (weights, bias, BatchNorm affine,
-  consumer input columns); shapes are unchanged. This is what the sparse
-  compiled engine (:func:`repro.ir.engine.compile_graph` with
-  ``sparse=True``) compacts back out at compile time. Masked and sliced
-  models agree only approximately at the network level — quantizer
-  scales see the masked zeros — but exactly at the IR level via
-  :func:`repro.ir.passes.slice_channels`.
+Pruned channels are physically removed, so layer widths shrink: this is
+the network the Library Generator retrains, measures and compiles to
+hardware. Soft pruning
+(:func:`repro.pruning.schedule.soft_prune_epoch`) zeroes the weakest
+filters in place between epochs instead; its final hard prune slices.
 """
 
 from __future__ import annotations
@@ -141,48 +133,14 @@ def _layer_input_shapes(seq: Sequential, input_shape: tuple) -> list[tuple]:
     return shapes
 
 
-def _dropped(total: int, keep: np.ndarray) -> np.ndarray:
-    """Boolean mask of the channels a keep-set removes."""
-    drop = np.ones(total, dtype=bool)
-    drop[keep] = False
-    return drop
-
-
-def _mask_bn(bn: BatchNorm, keep: np.ndarray) -> None:
-    drop = _dropped(bn.num_features, keep)
-    bn.params["gamma"][drop] = 0.0
-    bn.params["beta"][drop] = 0.0
-    bn.grads["gamma"] = np.zeros_like(bn.params["gamma"])
-    bn.grads["beta"] = np.zeros_like(bn.params["beta"])
-
-
 def _mask_conv_out(conv: Conv2D, keep: np.ndarray) -> None:
-    drop = _dropped(conv.out_channels, keep)
+    """Zero the weight rows and bias of every filter not in ``keep``."""
+    drop = np.ones(conv.out_channels, dtype=bool)
+    drop[keep] = False
     conv.params["weight"][drop] = 0.0
     if conv.has_bias:
         conv.params["bias"][drop] = 0.0
     conv.zero_grad()
-
-
-def _mask_conv_in(conv: Conv2D, keep: np.ndarray) -> None:
-    drop = _dropped(conv.in_channels, keep)
-    conv.params["weight"][:, drop] = 0.0
-    conv.zero_grad()
-
-
-def _mask_linear_in_channels(linear: Linear, keep: np.ndarray,
-                             spatial: tuple) -> None:
-    h, w = spatial
-    out_f, in_f = linear.params["weight"].shape
-    c = in_f // (h * w)
-    if c * h * w != in_f:
-        raise PruningError(
-            f"{linear.name}: in_features={in_f} not divisible by "
-            f"spatial {h}x{w}"
-        )
-    drop = _dropped(c, keep)
-    linear.params["weight"].reshape(out_f, c, h, w)[:, drop] = 0.0
-    linear.zero_grad()
 
 
 def _slice_bn(bn: BatchNorm, keep: np.ndarray) -> None:
@@ -226,15 +184,6 @@ def _slice_linear_in_channels(linear: Linear, keep: np.ndarray,
     linear.zero_grad()
 
 
-# mode -> (conv_out, conv_in, bn, linear_in) channel-removal appliers.
-_APPLY = {
-    "slice": (_slice_conv_out, _slice_conv_in, _slice_bn,
-              _slice_linear_in_channels),
-    "mask": (_mask_conv_out, _mask_conv_in, _mask_bn,
-             _mask_linear_in_channels),
-}
-
-
 def _find_next(layers: list, start: int, cls) -> int | None:
     for j in range(start, len(layers)):
         if isinstance(layers[j], cls):
@@ -265,22 +214,21 @@ def _spatial_upto(layers: list, stop: int, hw: tuple) -> tuple:
 
 
 def _apply_downstream(seq: Sequential, conv_pos: int, keep: np.ndarray,
-                      shapes: list[tuple], mode: str = "slice") -> bool:
+                      shapes: list[tuple]) -> bool:
     """Propagate an out-channel removal to consumers inside one Sequential.
 
     Returns True if a consumer was found inside this Sequential; False if
     the pruned channels flow out of the Sequential (i.e., the caller must
     handle cross-segment consumers).
     """
-    _, conv_in, bn_apply, linear_in = _APPLY[mode]
     layers = seq.layers
     j = conv_pos + 1
     while j < len(layers):
         layer = layers[j]
         if isinstance(layer, BatchNorm):
-            bn_apply(layer, keep)
+            _slice_bn(layer, keep)
         elif isinstance(layer, Conv2D):
-            conv_in(layer, keep)
+            _slice_conv_in(layer, keep)
             return True
         elif isinstance(layer, Flatten):
             lin_pos = _find_next(layers, j + 1, Linear)
@@ -289,7 +237,7 @@ def _apply_downstream(seq: Sequential, conv_pos: int, keep: np.ndarray,
                     f"{seq.name}: Flatten without a following Linear"
                 )
             _, h, w = shapes[j]
-            linear_in(layers[lin_pos], keep, (h, w))
+            _slice_linear_in_channels(layers[lin_pos], keep, (h, w))
             return True
         j += 1
     return False
@@ -300,7 +248,6 @@ def _prune_sequential_convs(
     input_shape: tuple,
     plan: CountPlan,
     report: PruneReport,
-    mode: str = "slice",
     criterion="l1",
 ) -> np.ndarray | None:
     """Prune every CONV inside one Sequential by the plan's counts.
@@ -308,7 +255,6 @@ def _prune_sequential_convs(
     Returns the keep-set of the last conv if its channels escape the
     Sequential (no internal consumer), else None.
     """
-    conv_out = _APPLY[mode][0]
     escaping = None
     for pos, layer in enumerate(seq.layers):
         if not isinstance(layer, Conv2D):
@@ -318,8 +264,8 @@ def _prune_sequential_convs(
         keep = select_keep_filters(layer.params["weight"],
                                    count.achieved_removal,
                                    criterion=criterion)
-        conv_out(layer, keep)
-        consumed = _apply_downstream(seq, pos, keep, shapes, mode)
+        _slice_conv_out(layer, keep)
+        consumed = _apply_downstream(seq, pos, keep, shapes)
         report.decisions.append(PruneDecision(
             layer.name, count.channels_before, count.requested_removal,
             count.achieved_removal, tuple(int(k) for k in keep)
@@ -440,7 +386,6 @@ def prune_model(
     rate: float,
     constraints: dict[str, LayerFoldConstraint] | None = None,
     prune_exits: bool = True,
-    mode: str = "slice",
     criterion="l1",
 ) -> tuple[BranchedModel, PruneReport]:
     """Prune a (possibly branched) model at one pruning rate.
@@ -459,18 +404,6 @@ def prune_model(
     prune_exits:
         Prune exit CONV layers at the same rate (the "Pruned Exits"
         variant). Ignored for models without exits.
-    mode:
-        ``"slice"`` removes pruned channels physically; ``"mask"`` zeroes
-        them in place (shapes unchanged). Both modes make the *same*
-        decisions — masked channels contribute zero to the l1 ranking of
-        downstream layers, exactly like removed ones — and their reports
-        carry identical keep sets. The resulting *networks* agree only
-        approximately: quantized layers derive their weight scale from
-        the whole tensor (``auto_weight_scale``), so the masked zeros
-        shift the scale the surviving weights quantize against. Exact
-        equivalence is recovered at the IR level, where
-        :func:`repro.ir.passes.slice_channels` compacts a masked export
-        without requantizing.
     criterion:
         Ranking criterion — a registry name (``"l1"``, ``"fpgm"``,
         ``"hapm"``) or a :class:`repro.pruning.ranking.PruningCriterion`
@@ -481,7 +414,8 @@ def prune_model(
 
     Returns
     -------
-    ``(pruned_model, report)``; the model is in eval mode.
+    ``(pruned_model, report)``: a clone whose pruned channels are
+    physically removed, in eval mode.
 
     Raises
     ------
@@ -496,9 +430,6 @@ def prune_model(
         pass. The error is permanent, so supervision quarantines the
         design point instead of retrying it.
     """
-    if mode not in _APPLY:
-        raise ValueError(f"mode must be one of {sorted(_APPLY)}, got {mode!r}")
-    _, conv_in, _, linear_in = _APPLY[mode]
     criterion = get_criterion(criterion)
     # Counts come from the unpruned model; per-layer rankings later run
     # on the progressively pruned tensors, which is deterministic
@@ -518,20 +449,21 @@ def prune_model(
             handled = False
             for pos, layer in enumerate(seg.layers):
                 if isinstance(layer, Conv2D):
-                    conv_in(layer, pending)
+                    _slice_conv_in(layer, pending)
                     handled = True
                     break
                 if isinstance(layer, Flatten):
                     lin_pos = _find_next(seg.layers, pos + 1, Linear)
                     h, w = _spatial_upto(seg.layers, pos, shape[1:])
-                    linear_in(seg.layers[lin_pos], pending, (h, w))
+                    _slice_linear_in_channels(seg.layers[lin_pos], pending,
+                                              (h, w))
                     handled = True
                     break
             if not handled:
                 raise PruningError(f"segment {si}: no consumer for pruned channels")
             pending = None
 
-        escaping = _prune_sequential_convs(seg, shape, plan, report, mode,
+        escaping = _prune_sequential_convs(seg, shape, plan, report,
                                            criterion)
 
         # Exit branches see the segment output. Their input channels must
@@ -540,7 +472,7 @@ def prune_model(
             first = new.exits[si].layers[0]
             if not isinstance(first, Conv2D):
                 raise PruningError("exit branches must start with a CONV layer")
-            conv_in(first, escaping)
+            _slice_conv_in(first, escaping)
         if si + 1 < len(new.segments):
             pending = escaping
         elif escaping is not None:
@@ -552,7 +484,7 @@ def prune_model(
         for si, branch in new.exits.items():
             branch_input = new.segments[si].output_shape(seg_input_shapes[si])
             _prune_sequential_convs(branch, branch_input, plan, report,
-                                    mode, criterion)
+                                    criterion)
 
     _check_structure(new)
     new.eval()

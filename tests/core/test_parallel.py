@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core import AdaPExConfig, LibraryGenerator
+from repro.core import AdaPExConfig, LibraryGenerator, PhaseTimer
 from repro.core.parallel import fork_available, parallel_map, resolve_workers
 from repro.ir import engine
 from repro.nn.trainer import EVAL_BATCH
@@ -120,6 +120,21 @@ class TestStepMemoIdentity:
         parallel = LibraryGenerator(config).generate()
         assert no_memo.to_json() == quick_library.to_json()
         assert parallel.to_json() == quick_library.to_json()
+
+    def test_small_budget_runs_no_more_steps(self):
+        """The serial sweep runs each trained base's points rate-major,
+        so a step another point shares is still held when it is asked
+        for: at half the default budget the quick sweep runs no more
+        engine steps than at the default."""
+        generator = LibraryGenerator(AdaPExConfig.quick(seed=1))
+        steps = []
+        for budget in (engine.MEMO_BUDGET, engine.MEMO_BUDGET // 2):
+            timer = PhaseTimer()
+            with mock.patch.object(engine, "MEMO_BUDGET", budget):
+                generator.generate(timer=timer)
+            steps.append(
+                timer.as_dict()["phases"]["engine_memo_miss"]["count"])
+        assert steps[1] <= steps[0], steps
 
     def test_memo_only_where_points_share_steps(self):
         # Retrained points carry their own weights, and a test set of

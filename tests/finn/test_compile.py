@@ -12,6 +12,7 @@ from repro.finn import (
 from repro.finn.hls import DuplicateStreamsUnit, PoolUnit, SlidingWindowUnit
 from repro.ir import export_model, streamline
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
+from repro.pruning import soft_prune_epoch
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +130,26 @@ class TestCompile:
         assert isinstance(m, MVTU)
         with pytest.raises(KeyError):
             accel.module_by_name("zzz")
+
+
+class TestZeroSkipFloor:
+    """A zero-skipping accelerator pays off on zeroed filters: per exit
+    it needs no more cycles than the dense datapath, and strictly fewer
+    once filters are zeroed (here by soft pruning, in place)."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_exit_cycles(self, rate):
+        model = build_cnv(CNVConfig(width_scale=0.25, seed=0),
+                          ExitsConfiguration.paper_default(pruned=True))
+        soft_prune_epoch(model, rate)
+        model.eval()
+        graph = export_model(model)
+        streamline(graph)
+        dense = compile_accelerator(graph)
+        skip = compile_accelerator(graph, zero_skip=True)
+        assert dense.num_exits == skip.num_exits == 3
+        for i in range(dense.num_exits):
+            if rate:
+                assert skip.exit_cycles(i) < dense.exit_cycles(i)
+            else:
+                assert skip.exit_cycles(i) <= dense.exit_cycles(i)

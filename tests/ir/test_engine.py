@@ -1,5 +1,5 @@
 """Compiled execution engine: bit-identity against the interpreted
-executors, fusion/folding bookkeeping, buffer reuse, and dtype policy."""
+executors, fusion bookkeeping, buffer reuse, and dtype policy."""
 
 from types import SimpleNamespace
 
@@ -17,17 +17,7 @@ from repro.ir.engine import (
 )
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
-from repro.nn import (
-    BatchNorm,
-    BranchedModel,
-    Flatten,
-    QuantLinear,
-    QuantReLU,
-    QuantSpec,
-    Sequential,
-    evaluate_exits,
-    exit_scores,
-)
+from repro.nn import evaluate_exits, exit_scores
 from repro.pruning import prune_model
 
 
@@ -67,15 +57,22 @@ class TestBitIdentity:
         got = graph.compile().run(x)
         assert_outputs_equal(ref, got)
 
-    def test_raw_export_with_batchnorm(self):
-        """BN folding changes rounding: allclose, and every BN is folded."""
-        graph = export_model(_cnv())
-        assert any(n.op_type == "BatchNorm" for n in graph.nodes)
+    @settings(max_examples=12, deadline=None)
+    @given(rate=st.floats(0.0, 0.9, exclude_max=True),
+           criterion=st.sampled_from(["l1", "fpgm"]),
+           exits=st.booleans(), prune_exits=st.booleans())
+    @example(rate=0.0, criterion="l1", exits=True, prune_exits=True)
+    @example(rate=0.8, criterion="fpgm", exits=True, prune_exits=False)
+    def test_streamlined_pruned_random(self, rate, criterion, exits,
+                                       prune_exits):
+        model, _ = prune_model(_cnv(exits=exits), rate,
+                               prune_exits=prune_exits, criterion=criterion)
+        graph = export_model(model)
+        streamline(graph)
         x = _batch()
         ref = graph.execute(x)
-        plan = graph.compile()
-        assert plan.stats()["folded_batchnorm"] > 0
-        assert_outputs_equal(ref, plan.run(x), exact=False)
+        got = graph.compile().run(x)
+        assert_outputs_equal(ref, got)
 
     def test_matches_model_forward(self):
         model = _cnv()
@@ -117,7 +114,22 @@ class TestBufferReuse:
 
 
 class TestUnfoldableBatchNorm:
-    def test_batchnorm_after_maxpool_stays(self):
+    """The plan compiles streamlined graphs only: a BatchNorm node left
+    in the graph fails the compile, naming the node."""
+
+    def test_raw_export_rejected(self):
+        graph = export_model(_cnv())
+        bn = next(n for n in graph.topological_order()
+                  if n.op_type == "BatchNorm")
+        with pytest.raises(ValueError, match="streamline") as info:
+            graph.compile()
+        assert repr(bn.name) in str(info.value)
+        streamline(graph)
+        graph.compile()
+
+    def test_batchnorm_after_maxpool_rejected(self):
+        """``streamline`` cannot absorb a BatchNorm that feeds no
+        MultiThreshold; it stays, and the compile fails closed."""
         g = IRGraph("g")
         g.set_input("input", (2, 8, 8))
         g.add_tensor("t0", (2, 4, 4))
@@ -128,10 +140,9 @@ class TestUnfoldableBatchNorm:
                           initializers={"scale": np.array([2.0, 0.5]),
                                         "shift": np.array([-1.0, 3.0])}))
         g.mark_output("t1")
-        plan = g.compile()
-        assert plan.stats()["folded_batchnorm"] == 0
-        x = np.random.default_rng(0).standard_normal((3, 2, 8, 8))
-        assert_outputs_equal(g.execute(x), plan.run(x))
+        assert streamline(g)["batchnorms_remaining"] == 1
+        with pytest.raises(ValueError, match="'bn'.*streamline"):
+            compile_graph(g)
 
     def test_multiconsumer_conv_keeps_threshold_standalone(self):
         """A Conv feeding a graph output and an MT must not fuse."""
@@ -345,7 +356,6 @@ class TestPlanInterface:
     def test_stats(self, plan):
         stats = plan.stats()
         assert stats["fused_thresholds"] > 0
-        assert stats["folded_batchnorm"] == 0  # streamline absorbed them
         assert stats["num_steps"] < stats["nodes"] + stats["fused_thresholds"]
         plan.run(_batch(n=1))
         assert plan.stats()["arena_bytes"] > 0
@@ -413,137 +423,6 @@ class TestRunMany:
         plan.run(_batch(n=5, seed=11))  # stomp the arena
         for outs, snap in zip(many, snapshots):
             assert_outputs_equal(snap, outs)
-
-
-class TestSparseCompaction:
-    """sparse=True compile: pruned-channel GEMM column/row compaction,
-    bit-identical to the slice_channels oracle."""
-
-    @pytest.fixture(scope="class")
-    def setup(self):
-        from repro.ir import slice_channels
-
-        masked, report = prune_model(_cnv(), 0.5, mode="mask")
-        graph = export_model(masked)
-        streamline(graph)
-        keeps = {d.layer_name: list(d.keep) for d in report.decisions}
-        sliced = slice_channels(graph, keeps)
-        return graph, sliced, report
-
-    def test_stats_report_compaction(self, setup):
-        graph, _, report = setup
-        plan = graph.compile(sparse=True)
-        stats = plan.stats()
-        assert stats["sparse"] is True
-        assert stats["compacted_nodes"] > 0
-        dropped = sum(d.achieved_removal for d in report.decisions)
-        assert stats["dropped_channels"] == dropped
-
-    def test_channel_keep_matches_prune_report(self, setup):
-        graph, _, report = setup
-        plan = graph.compile(sparse=True)
-        keep = plan.stats()["channel_keep"]
-        by_bare = {name.split("/")[-1]: idx for name, idx in keep.items()}
-        for d in report.decisions:
-            if d.achieved_removal:
-                assert by_bare[d.layer_name] == sorted(d.keep)
-
-    def test_bit_identical_to_sliced_oracle(self, setup):
-        graph, sliced, _ = setup
-        x = _batch(6, seed=5)
-        got = graph.compile(sparse=True).run(x)
-        assert_outputs_equal(sliced.execute(x), got)
-        assert_outputs_equal(sliced.compile().run(x), got)
-
-    def test_allclose_to_dense_plan(self, setup):
-        graph, _, _ = setup
-        x = _batch(6, seed=5)
-        dense = graph.compile().run(x)
-        sparse = graph.compile(sparse=True).run(x)
-        assert_outputs_equal(dense, sparse, exact=False)
-
-    def test_dense_graph_not_compacted(self):
-        graph = export_model(_cnv())
-        streamline(graph)
-        plan = graph.compile(sparse=True)
-        stats = plan.stats()
-        assert stats["compacted_nodes"] == 0
-        assert stats["dropped_channels"] == 0
-        x = _batch(4)
-        assert_outputs_equal(graph.compile().run(x), plan.run(x))
-
-    def test_default_compile_is_dense(self, setup):
-        graph, _, _ = setup
-        stats = graph.compile().stats()
-        assert stats["sparse"] is False
-        assert "compacted_nodes" not in stats
-
-    def test_sparse_float32(self, setup):
-        graph, sliced, _ = setup
-        x = _batch(4, seed=7)
-        got = graph.compile(dtype=np.float32, sparse=True).run(x)
-        ref = sliced.compile(dtype=np.float32).run(x)
-        assert_outputs_equal(ref, got)
-
-    def test_outputs_never_dropped(self, setup):
-        graph, _, _ = setup
-        plan = graph.compile(sparse=True)
-        keep = plan.stats()["channel_keep"]
-        # No compacted node writes a graph output: logits stay 10-wide.
-        x = _batch(2)
-        for out in plan.run(x):
-            assert out.shape[-1] == 10
-        assert all(len(idx) > 0 for idx in keep.values())
-
-
-def _fc_model(width=64, seed=0):
-    """TFC-shaped FC-only model (784 -> W -> W -> W -> 10): no Conv
-    nodes, so sparse mode can compact only through MatMuls."""
-    rng = np.random.default_rng(seed)
-    quant = QuantSpec()
-    layers = [Flatten(name="flatten")]
-    for i, in_f in enumerate((28 * 28, width, width)):
-        layers += [QuantLinear(in_f, width, quant=quant, name=f"h{i}_fc",
-                               rng=rng),
-                   BatchNorm(width, name=f"h{i}_bn"),
-                   QuantReLU(quant, name=f"h{i}_act")]
-    layers.append(QuantLinear(width, 10, quant=quant, name="out", rng=rng))
-    return BranchedModel([Sequential(layers, name="seg0")],
-                         input_shape=(1, 28, 28), name="fc")
-
-
-class TestSparseTFC:
-    """MatMul-only models: the FC compaction path of sparse mode."""
-
-    def test_dense_tfc_is_a_noop(self):
-        graph = export_model(_fc_model())
-        streamline(graph)
-        plan = graph.compile(sparse=True)
-        assert plan.stats()["compacted_nodes"] == 0
-        x = np.random.default_rng(0).standard_normal((4, 1, 28, 28))
-        assert_outputs_equal(graph.compile().run(x), plan.run(x))
-
-    def test_masked_hidden_units_compact(self):
-        from repro.ir import slice_channels
-
-        graph = export_model(_fc_model())
-        streamline(graph)
-        mms = [n for n in graph.topological_order()
-               if n.op_type == "MatMul"]
-        host, nxt = mms[0], mms[1]
-        rows = host.initializers["weight"].shape[0]
-        drop = np.arange(3, 11)
-        host.initializers["weight"][drop] = 0.0
-        if "bias" in host.initializers:
-            host.initializers["bias"][drop] = 0.0
-        nxt.initializers["weight"][:, drop] = 0.0
-
-        plan = graph.compile(sparse=True)
-        assert plan.stats()["dropped_channels"] == len(drop)
-        keep = sorted(set(range(rows)) - set(drop.tolist()))
-        sliced = slice_channels(graph, {host.name: keep})
-        x = np.random.default_rng(1).standard_normal((6, 1, 28, 28))
-        assert_outputs_equal(sliced.execute(x), plan.run(x))
 
 
 class TestMalformedInput:

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import AdaPExConfig
 from repro.core.design_time import LibraryGenerator
-from repro.ir import (IRGraph, IRNode, engine, export_model, slice_channels,
-                      streamline)
+from repro.ir import IRGraph, IRNode, engine, export_model, streamline
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
 from repro.pruning import prune_model
 
@@ -59,15 +58,12 @@ def _spread(rng, centre, scale, channels, levels):
     return centre[:, None] + scale * rng.standard_normal((channels, levels))
 
 
-def grid_graph(seed, levels, grid, pad, stride, pool, signs_mode, dead=0,
-               code_output=True):
+def grid_graph(seed, levels, grid, pad, stride, pool, signs_mode):
     """input -> float Conv + MT (first layer) -> integer-grid Conv + MT
     -> [MaxPool] -> Flatten -> integer-grid MatMul + MT -> logits.
 
-    ``grid`` is the largest |q| (1: ternary). Outputs: the logits and,
-    with ``code_output``, the integer Conv's codes (decoded). ``dead``
-    output channels of the integer Conv are zeroed together with the
-    MatMul columns they feed, so sparse mode can drop them.
+    ``grid`` is the largest |q| (1: ternary). Outputs: the logits and
+    the integer Conv's codes (decoded).
     """
     rng = np.random.default_rng(seed)
     c_in, c0, c1, hidden, classes, size = 2, 4, 5, 6, 3, 9
@@ -96,8 +92,6 @@ def grid_graph(seed, levels, grid, pad, stride, pool, signs_mode, dead=0,
     q1 = rng.integers(-grid, grid + 1, size=(c1, c0, 3, 3))
     q1[0, 0, 0, 0] = 1  # the grid step itself occurs
     bias1 = rng.standard_normal(c1) * g_w * step0
-    q1[c1 - dead:] = 0
-    bias1[c1 - dead:] = 0.0
     scale1 = g_w * step0 * np.sqrt(q1[0].size) * grid * max(levels[0], 1)
     g.add_node(IRNode("Conv", "conv1", ["q0"], ["c1"],
                       attrs={"stride": stride, "padding": pad},
@@ -116,7 +110,6 @@ def grid_graph(seed, levels, grid, pad, stride, pool, signs_mode, dead=0,
     g_w2 = float(rng.choice([0.5, 0.2, 3.0]))
     q2 = rng.integers(-grid, grid + 1, size=(hidden, c1 * sp * sp))
     q2[0, 0] = -1
-    q2[:, (c1 - dead) * sp * sp:] = 0
     bias2 = rng.standard_normal(hidden) * g_w2 * step1
     scale2 = g_w2 * step1 * np.sqrt(q2.shape[1]) * grid * levels[1]
     g.add_node(IRNode("MatMul", "fc0", ["f1"], ["m2"],
@@ -128,8 +121,7 @@ def grid_graph(seed, levels, grid, pad, stride, pool, signs_mode, dead=0,
                       initializers={
                           "weight": rng.standard_normal((classes, hidden))}))
     g.mark_output("logits")
-    if code_output:
-        g.mark_output("q1")
+    g.mark_output("q1")
     return g
 
 
@@ -169,28 +161,6 @@ class TestRandomGridGraphs:
             plan32 = g.compile(dtype=np.float32)
             _assert_equal(_float_only(g, dtype=np.float32).run(x),
                           plan32.run(x))
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**16),
-           levels=st.tuples(_LEVELS, _LEVELS, _LEVELS),
-           grid=st.sampled_from([1, 3]), pad=st.integers(0, 1),
-           pool=st.booleans(), dead=st.integers(1, 3),
-           batch=st.integers(1, 5))
-    def test_sparse_matches_sliced_interpreter(self, seed, levels, grid, pad,
-                                               pool, dead, batch):
-        g = grid_graph(seed, levels, grid, pad, 1, pool, "mixed", dead=dead,
-                       code_output=False)
-        x = np.random.default_rng(seed + 2).standard_normal(
-            (batch, 2, 9, 9))
-        sparse = g.compile(sparse=True)
-        stats = sparse.stats()
-        assert stats["dropped_channels"] == dead
-        assert stats["integer_layers"] == 2, stats["float_layers"]
-        sliced = slice_channels(g, stats["channel_keep"])
-        _assert_equal(sliced.execute(x), sparse.run(x))
-        sparse32 = g.compile(dtype=np.float32, sparse=True)
-        _assert_equal(_float_only(g, dtype=np.float32, sparse=True).run(x),
-                      sparse32.run(x))
 
 
 def _planted(offset_ulps, channel, dtype=np.float64):
@@ -304,13 +274,12 @@ class TestTrainedQuickCNV:
         model.eval()
         graph = export_model(model)
         streamline(graph)
-        for sparse in (False, True):
-            plan = graph.compile(sparse=sparse)
-            reasons = plan.stats()["float_layers"]
-            assert set(reasons.values()) == _ELIGIBLE_FLOAT, reasons
-            assert plan.stats()["integer_layers"] == 11
+        plan = graph.compile()
+        reasons = plan.stats()["float_layers"]
+        assert set(reasons.values()) == _ELIGIBLE_FLOAT, reasons
+        assert plan.stats()["integer_layers"] == 11
         x = np.random.default_rng(7).standard_normal((8, 3, 32, 32))
-        _assert_equal(graph.execute(x), graph.compile().run(x))
+        _assert_equal(graph.execute(x), plan.run(x))
         plan32 = graph.compile(dtype=np.float32)
         assert plan32.stats()["integer_layers"] > 0
         _assert_equal(_float_only(graph, dtype=np.float32).run(x),

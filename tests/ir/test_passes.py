@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import (IRGraph, IRNode, export_model, slice_channels,
-                      streamline, with_widths)
+from repro.ir import IRGraph, IRNode, export_model, streamline, with_widths
 from repro.ir.passes import (_fold_affine_into_thresholds, absorb_batchnorm,
                               count_unabsorbed_batchnorms)
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
@@ -157,84 +156,6 @@ class TestStreamlineCNV:
         streamline(graph)
         report = streamline(graph)
         assert report["batchnorms_absorbed"] == 0
-
-
-class TestSliceChannels:
-    """Mechanical channel slicing: the sparse engine's semantics oracle."""
-
-    @pytest.fixture(scope="class")
-    def masked(self):
-        from repro.pruning import prune_model
-
-        model = build_cnv(CNVConfig(width_scale=0.25, seed=0),
-                          ExitsConfiguration.paper_default(pruned=True))
-        pruned, report = prune_model(model, 0.5, mode="mask")
-        graph = export_model(pruned)
-        streamline(graph)
-        keeps = {d.layer_name: list(d.keep) for d in report.decisions}
-        return graph, keeps, report
-
-    def test_original_graph_untouched(self, masked):
-        graph, keeps, _ = masked
-        before = {n.name: {k: v.copy() for k, v in n.initializers.items()}
-                  for n in graph.topological_order()}
-        slice_channels(graph, keeps)
-        for node in graph.topological_order():
-            for key, arr in node.initializers.items():
-                np.testing.assert_array_equal(arr, before[node.name][key])
-
-    def test_shapes_shrink(self, masked):
-        graph, keeps, report = masked
-        sliced = slice_channels(graph, keeps)
-        by_bare = {n.name.split("/")[-1]: n
-                   for n in sliced.topological_order()}
-        for d in report.decisions:
-            node = by_bare[d.layer_name]
-            if node.op_type == "Conv":
-                assert node.initializers["weight"].shape[0] == len(d.keep)
-
-    def test_function_close_to_masked(self, masked):
-        """Masked channels contribute exact zeros, so slicing them out
-        changes only BLAS reduction order: allclose, not bit-identity."""
-        graph, keeps, _ = masked
-        sliced = slice_channels(graph, keeps)
-        x = np.random.default_rng(3).standard_normal((4, 3, 32, 32))
-        ref = graph.execute(x)
-        got = sliced.execute(x)
-        assert len(ref) == len(got)
-        for a, b in zip(ref, got):
-            np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_sliced_graph_validates(self, masked):
-        graph, keeps, _ = masked
-        sliced = slice_channels(graph, keeps)
-        sliced.validate()
-
-    def test_unknown_layer_ignored(self, masked):
-        graph, keeps, _ = masked
-        extra = dict(keeps)
-        extra["no_such_layer"] = [0, 1]
-        ref = slice_channels(graph, keeps)
-        got = slice_channels(graph, extra)
-        x = np.random.default_rng(1).standard_normal((2, 3, 32, 32))
-        for a, b in zip(ref.execute(x), got.execute(x)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bad_keeps_rejected(self, masked):
-        graph, keeps, _ = masked
-        name = next(iter(keeps))
-        for bad in ([], [1, 0], [0, 0], [-1]):
-            broken = dict(keeps)
-            broken[name] = bad
-            with pytest.raises(ValueError):
-                slice_channels(graph, broken)
-
-    def test_empty_keep_dict_is_identity(self, masked):
-        graph, _, _ = masked
-        sliced = slice_channels(graph, {})
-        x = np.random.default_rng(2).standard_normal((2, 3, 32, 32))
-        for a, b in zip(graph.execute(x), sliced.execute(x)):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestWithWidths:

@@ -123,61 +123,6 @@ class TestPruneModel:
         assert 1 not in d.keep and 3 not in d.keep
 
 
-class TestMaskMode:
-    """mode='mask' zeroes channels in place; decisions match slicing."""
-
-    def test_decisions_identical_to_slice(self, base_model):
-        _, slice_report = prune_model(base_model, 0.5, mode="slice")
-        _, mask_report = prune_model(base_model, 0.5, mode="mask")
-        assert mask_report.achieved_rate == slice_report.achieved_rate
-        for ds, dm in zip(slice_report.decisions, mask_report.decisions):
-            assert ds.layer_name == dm.layer_name
-            assert ds.keep == dm.keep
-
-    def test_shapes_unchanged(self, base_model):
-        masked, report = prune_model(base_model, 0.5, mode="mask")
-        assert report.achieved_rate > 0
-        for orig, new in zip(base_model.all_layers(), masked.all_layers()):
-            if isinstance(orig, QuantConv2D):
-                assert new.out_channels == orig.out_channels
-                assert new.params["weight"].shape == \
-                    orig.params["weight"].shape
-
-    def test_pruned_channels_are_zero(self, base_model):
-        masked, report = prune_model(base_model, 0.5, mode="mask")
-        by_name = {l.name: l for l in masked.all_layers()}
-        for d in report.decisions:
-            if not d.achieved_removal:
-                continue
-            w = by_name[d.layer_name].params["weight"]
-            drop = np.setdiff1d(np.arange(d.channels_before),
-                                np.asarray(d.keep))
-            assert not np.any(w[drop])
-
-    def test_function_close_to_sliced(self, base_model):
-        """Same decisions, but quantizer scales see the masked zeros, so
-        the two modes agree only approximately at the network level
-        (exact equivalence is recovered at the IR level via
-        slice_channels — see tests/ir/test_engine.py)."""
-        base_model.eval()
-        x = np.random.default_rng(0).normal(size=(4, 3, 32, 32))
-        sliced, _ = prune_model(base_model, 0.3, mode="slice")
-        masked, _ = prune_model(base_model, 0.3, mode="mask")
-        for a, b in zip(sliced.forward(x), masked.forward(x)):
-            assert a.shape == b.shape
-
-    def test_unknown_mode_rejected(self, base_model):
-        with pytest.raises(ValueError):
-            prune_model(base_model, 0.3, mode="shuffle")
-
-
-def _patch_slice(monkeypatch, index, applier):
-    """Swap one of slice mode's channel-removal appliers."""
-    appliers = list(pruner._APPLY["slice"])
-    appliers[index] = applier
-    monkeypatch.setitem(pruner._APPLY, "slice", tuple(appliers))
-
-
 def _stale_weight(real, name):
     """An applier that, on the layer called ``name``, updates the width
     attribute but leaves the weight unsliced."""
@@ -203,7 +148,7 @@ class TestStructureCheck:
     @pytest.mark.parametrize("key", ["gamma", "beta", "running_mean",
                                      "running_var"])
     def test_batchnorm_length(self, base_model, monkeypatch, key):
-        real = pruner._APPLY["slice"][2]
+        real = pruner._slice_bn
 
         def slice_bn(bn, keep):
             stale = bn.params[key] if key in bn.params else getattr(bn, key)
@@ -214,23 +159,23 @@ class TestStructureCheck:
                 else:
                     setattr(bn, key, stale)
 
-        _patch_slice(monkeypatch, 2, slice_bn)
+        monkeypatch.setattr(pruner, "_slice_bn", slice_bn)
         self._fails(base_model, "b1_bn0", f"{key} has shape")
 
     def test_conv_input_channels(self, base_model, monkeypatch):
         # b1_conv0 reads the channels escaping segment 0.
-        _patch_slice(monkeypatch, 1,
-                     _stale_weight(pruner._APPLY["slice"][1], "b1_conv0"))
+        monkeypatch.setattr(pruner, "_slice_conv_in", _stale_weight(
+            pruner._slice_conv_in, "b1_conv0"))
         self._fails(base_model, "b1_conv0", "expected")
 
     def test_exit_branch_input_channels(self, base_model, monkeypatch):
-        _patch_slice(monkeypatch, 1,
-                     _stale_weight(pruner._APPLY["slice"][1], "exit0_conv"))
+        monkeypatch.setattr(pruner, "_slice_conv_in", _stale_weight(
+            pruner._slice_conv_in, "exit0_conv"))
         self._fails(base_model, "exit0_conv", "expected")
 
     def test_flatten_linear_columns(self, base_model, monkeypatch):
-        _patch_slice(monkeypatch, 3,
-                     _stale_weight(pruner._APPLY["slice"][3], "fc0"))
+        monkeypatch.setattr(pruner, "_slice_linear_in_channels", _stale_weight(
+            pruner._slice_linear_in_channels, "fc0"))
         self._fails(base_model, "fc0", "expected")
 
     def test_no_forward_pass(self, base_model, monkeypatch):
@@ -238,6 +183,5 @@ class TestStructureCheck:
             raise AssertionError("prune_model ran a forward pass")
 
         monkeypatch.setattr(BranchedModel, "forward", forward)
-        for mode in ("slice", "mask"):
-            pruned, _ = prune_model(base_model, 0.5, mode=mode)
-            assert not any(layer.training for layer in pruned.all_layers())
+        pruned, _ = prune_model(base_model, 0.5)
+        assert not any(layer.training for layer in pruned.all_layers())
