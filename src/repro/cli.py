@@ -30,6 +30,9 @@ from .edge.server import SIM_MODES, ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
                     FleetFaultSpec, ReconfigCoordinator, make_tenants,
                     simulate_fleet)
+from .nn.quant import PRECISION_SPECS
+from .pruning.ranking import CRITERIA
+from .pruning.schedule import SCHEDULES
 from .runtime.baselines import make_policy, policy_class
 from .runtime.faults import FaultSpec
 from .runtime.library import Library
@@ -94,6 +97,25 @@ def _policy_names(text: str) -> str:
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err))
     return text
+
+
+def _names(what: str, known):
+    """Type of a comma-separated sweep axis: distinct names from
+    ``known``, at least one."""
+    def parse(text: str) -> list[str]:
+        names = [name.strip() for name in text.split(",") if name.strip()]
+        if not names:
+            raise argparse.ArgumentTypeError(
+                f"expected at least one {what}, e.g. {known[0]!r}")
+        for name in names:
+            if name not in known:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {what} {name!r}: expected one of "
+                    f"{', '.join(known)}")
+        if len(set(names)) != len(names):
+            raise argparse.ArgumentTypeError(f"duplicate {what} in {text!r}")
+        return names
+    return parse
 
 
 def _rate_sweep(text: str) -> list[float]:
@@ -247,18 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retries per design point on transient failures "
                           "(crash/timeout/divergence) before quarantine")
     gen.add_argument("--precision", dest="precisions", metavar="P,P,...",
+                     type=_names("precision", ("base", *PRECISION_SPECS)),
                      help="comma-separated precision sweep, e.g. "
                           "'base,int8': 'base' is the trained W2A2 model, "
                           "'int8' adds a W8A8 post-training-quantized "
                           "variant of every design point (DSP-packed in "
                           "the resource model)")
     gen.add_argument("--criterion", dest="criteria", metavar="C,C,...",
+                     type=_names("pruning criterion", tuple(CRITERIA)),
                      help="comma-separated pruning-criterion sweep, e.g. "
                           "'l1,fpgm,hapm': l1 = magnitude ranking (paper "
                           "default), fpgm = geometric-median redundancy, "
                           "hapm = hardware-aware allocation weighted by "
                           "per-layer cycle cost from the FINN model")
     gen.add_argument("--schedule", dest="schedules", metavar="S,S,...",
+                     type=_names("retraining schedule", SCHEDULES),
                      help="comma-separated retraining-schedule sweep, "
                           "e.g. 'hard,psfp': hard = prune once then "
                           "retrain (paper default), psfp = progressive "
@@ -467,15 +492,9 @@ def _cmd_generate(args) -> int:
     config.compute_dtype = args.compute_dtype
     if args.rates:
         config.pruning_rates = args.rates
-    if args.precisions:
-        config.precisions = [p.strip() for p in args.precisions.split(",")
-                             if p.strip()]
-    if args.criteria:
-        config.criteria = [c.strip() for c in args.criteria.split(",")
-                           if c.strip()]
-    if args.schedules:
-        config.schedules = [s.strip() for s in args.schedules.split(",")
-                            if s.strip()]
+    for axis in ("precisions", "criteria", "schedules"):
+        if getattr(args, axis):
+            setattr(config, axis, getattr(args, axis))
     if args.zero_skip:
         config.zero_skip = True
     if args.resource_width_scale is not None:

@@ -26,32 +26,42 @@ densities are the accuracy twin's quantized weights'.
 
 Execution model
 ---------------
-The sweep is a flat list of independent design points ``(variant,
-pruned_exits, rate, precision)`` — the precision axis applies
-post-training quantization (e.g. INT8) on top of each pruned model. With ``config.parallel_workers > 1`` the points
-run on a process pool (:mod:`repro.core.parallel` — the work is NumPy
-Python loops that hold the GIL, so threads cannot help): the base models
-are trained once in the parent, their weights shipped to each worker via
-:func:`repro.nn.serialize.state_arrays`, and every worker reconstructs
-datasets and twins once in its initializer. Results are merged in
-deterministic sweep order, so parallel libraries are bit-identical to
-serial ones. A :class:`~repro.core.pointcache.PointCache` can additionally
-skip any point characterized by a previous (possibly interrupted) sweep.
+The sweep is a flat list of independent design points ``((variant,
+pruned_exits), rate, precision, criterion, schedule)``; the precision
+axis applies post-training quantization (e.g. INT8) on top of each
+pruned model. One stage runner (``_Stages.run``) takes points to
+results, for this sweep and for every stage of the successive-halving
+search (:mod:`repro.core.halving`). It sorts the points into cached,
+quarantined (by an earlier run) and pending ones, keeps the
+:class:`~repro.core.checkpoint.SweepManifest` beside a
+:class:`~repro.core.pointcache.PointCache` (so a killed sweep resumes
+with nothing recomputed), trains the base models the pending points
+need (once, in the parent) and runs them on a
+:class:`~repro.core.supervise.SupervisedPool`, which retries transient
+failures and quarantines the rest. With ``config.parallel_workers > 1``
+the pool forks worker processes (the work is NumPy and Python loops that
+hold the GIL, so threads cannot help): the trained weights travel in one
+shared-memory block (:func:`repro.nn.shmstate.publish_state_arrays`),
+and every worker rebuilds datasets and twins once in its initializer.
+Each stage has one task function, called with the parent's generator,
+contexts and step memo or with a worker's. Results are merged in sweep
+order, so parallel libraries are bit-identical to serial ones.
 
 The compiled plans of one sweep share a
-:class:`~repro.ir.engine.StepMemo` (one in the serial sweep, one per
-pool worker): a layer that an earlier design point already computed on
-the test batch is not computed again. That needs points that share
-weights (no retraining) and a test set that runs as one batch; other
-sweeps get no memo (``LibraryGenerator._sweep_memo``). Hits are exact,
-so the library does not depend on which points a process saw before. The
-serial sweep runs its points in the order that keeps shared layers held
+:class:`~repro.ir.engine.StepMemo` (one per serial stage, one per pool
+worker): a layer that an earlier design point already computed on the
+test batch is not computed again. That needs points that share weights
+(no retraining) and a test set that runs as one batch; other sweeps get
+no memo (``LibraryGenerator._sweep_memo``). Hits are exact, so the
+library does not depend on which points a process saw before. A stage
+runs its pending points in the order that keeps shared layers held
 (``LibraryGenerator._memo_order``); the library is still assembled in
 sweep order.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -480,14 +490,181 @@ class LibraryGenerator:
             the sweep.
         """
         cfg = self.config
-        log = progress or (lambda msg: None)
-        timer = timer or PhaseTimer()
-        supervise = supervise or SuperviseConfig()
         if isinstance(point_cache, (str, os.PathLike)):
             point_cache = PointCache(point_cache)
+        stages = _Stages(self, progress, timer, supervise, point_cache)
+        cache = None if point_cache is None else (
+            lambda point, key: point_cache.get(key), point_cache.put)
+        results, _ = stages.run(stages.points, _characterize_point,
+                                cache=cache)
+        library = stages.library(results)
+        if stages.failures:
+            stages.log(f"[{cfg.dataset}] library partial: {len(library)} "
+                       f"entries, {len(stages.failures)} design point(s) "
+                       f"quarantined")
+        else:
+            stages.log(f"[{cfg.dataset}] library complete: {len(library)} "
+                       f"entries")
+        return library
+
+
+class _Stages:
+    """The crash-safe loop that takes design points to results, shared
+    by every stage of a sweep: the exhaustive sweep is one stage, a
+    halving search two per rung (leads, then followers) and one final.
+
+    It owns the sweep's checkpoint manifest (only with a point cache),
+    the base models and variant contexts of pending points, the
+    supervised pool (serial, or forked with the trained bases shipped in
+    one shared-memory block) and the points quarantined so far.
+    """
+
+    def __init__(self, gen: LibraryGenerator, progress, timer, supervise,
+                 point_cache: PointCache | None = None):
+        self.gen = gen
+        self.log = progress or (lambda msg: None)
+        self.timer = timer or PhaseTimer()
+        self.supervise = supervise or SuperviseConfig()
+        self.variants = {(variant, pruned_exits): exits_cfg
+                         for variant, exits_cfg, pruned_exits
+                         in gen._variants()}
+        # The sweep as a flat, deterministically ordered point list:
+        # (variant key, pruning rate, precision, criterion, schedule).
+        self.points = sweep_points(gen.config, self.variants)
+        self.config_key = gen.config.point_cache_key()
+        self.manifest = None if point_cache is None else SweepManifest.open(
+            point_cache.root / "manifest.json", self.config_key)
+        self.contexts: dict[tuple, _VariantContext] = {}
+        self.failures: dict = {}  # point -> FailedPoint (this run or resumed)
+
+    def key(self, point, fidelity: str = "full") -> str:
+        """The point's cache and manifest key at ``fidelity``."""
+        (variant, pruned_exits), rate, prec, crit, sched = point
+        return PointCache.point_key(self.config_key, variant, pruned_exits,
+                                    rate, prec, crit, sched,
+                                    fidelity=fidelity)
+
+    def run(self, points, task, label: str = "", fidelity: str = "full",
+            cache=None, extra=None):
+        """Take ``points`` through one stage; returns ``(results,
+        pending)``: every point's result, cached or computed here, and
+        the points this call ran.
+
+        ``cache`` is a ``(read, write)`` pair: ``read(point, key)`` gives
+        a cached result or ``None``, ``write(key, result)`` persists one;
+        it is used only with the manifest. A point with a cached result
+        is not run, nor is one the manifest has quarantined. The others
+        run as ``task(state, (point, extra(point)))``, which returns
+        ``(result, timer.as_dict())``; ``state`` is ``(generator,
+        contexts, step memo)``, the caller's own or a pool worker's.
+        ``label`` suffixes each point's log label.
+        """
+        gen, manifest, log = self.gen, self.manifest, self.log
+        cfg = gen.config
+
+        def describe(point):
+            return describe_point(cfg, point) + label
+
+        keys = {} if manifest is None else {
+            point: self.key(point, fidelity) for point in points}
+        results: dict = {}
+        pending = []
+        for point in points:
+            if manifest is None:
+                pending.append(point)
+                continue
+            key = keys[point]
+            (variant, pruned_exits), rate, prec, crit, sched = point
+            manifest.ensure(key, variant, pruned_exits, rate, prec, crit,
+                            sched, fidelity=fidelity)
+            cached = cache[0](point, key)
+            if cached is not None:
+                results[point] = cached
+                if manifest.status(key) != "done":
+                    manifest.mark(key, "done")
+                log(f"{describe(point)} (cached)")
+            elif manifest.status(key) == "quarantined":
+                failed = self.failures[point] = manifest.failure(key)
+                log(f"{describe(point)} skipped "
+                    f"(quarantined: {failed.reason()})")
+            else:
+                # Never run, or a transient failure of an earlier run.
+                pending.append(point)
+        if manifest is not None:
+            manifest.save()
+        if not pending:
+            return results, pending
+
+        # Base models (the expensive training) are only needed for
+        # variants that still have pending points: a fully warm cache
+        # rerun trains nothing at all.
+        for vkey, exits_cfg in self.variants.items():
+            if vkey not in self.contexts \
+                    and any(point[0] == vkey for point in pending):
+                base = gen.base_model(vkey, exits_cfg, log, self.timer)
+                self.contexts[vkey] = gen._variant_context(
+                    vkey[0], exits_cfg, vkey[1], base)
+        pending = gen._memo_order(pending, self.variants)
+
+        # Checkpoint every completion immediately: a sweep killed at any
+        # instant loses at most the points that were in flight.
+        def on_done(index, item, out):
+            point = item[0]
+            results[point], timing = out
+            self.timer.merge(timing)
+            if manifest is not None:
+                cache[1](keys[point], results[point])
+                manifest.mark(keys[point], "done")
+                manifest.save()
+
+        def on_failed(index, item, failed):
+            self.failures[item[0]] = failed
+            if manifest is not None:
+                # Permanent failures stay quarantined across resumes;
+                # exhausted transient/timeout/crash budgets are retried
+                # by the next resume.
+                manifest.mark(keys[item[0]], "quarantined"
+                              if failed.kind == "permanent" else "failed",
+                              failed)
+                manifest.save()
+
+        items = [(point, extra(point) if extra else None)
+                 for point in pending]
+        workers = min(cfg.parallel_workers, len(items))
+        shipment = None
+        if workers > 1 and fork_available():
+            # Weights travel through one shared-memory block instead of
+            # being pickled once per worker; the shipment must outlive
+            # the whole run because the supervisor may recreate pools
+            # (and re-run the initializer) after worker crashes.
+            shipment = publish_state_arrays(
+                {topo: state_arrays(model)
+                 for topo, model in gen._base_cache.items()})
+            fn = functools.partial(_in_worker, task)
+            init = {"initializer": _parallel_worker_init,
+                    "initargs": (cfg, shipment.payload)}
+        else:
+            # One step memo for the whole stage, like each worker's.
+            fn = functools.partial(task, (gen, self.contexts,
+                                          gen._sweep_memo()))
+            init = {}
+        try:
+            SupervisedPool(workers=workers, config=self.supervise,
+                           progress=log, label=lambda item: describe(item[0]),
+                           **init).run(fn, items, on_result=on_done,
+                                       on_failure=on_failed)
+        finally:
+            if shipment is not None:
+                shipment.close()
+        return results, pending
+
+    def library(self, results: dict, **metadata) -> Library:
+        """The Library of ``results``: entries and quarantine records in
+        sweep order; ``metadata`` extends the sweep's own."""
+        cfg = self.gen.config
         library = Library(metadata={
             "dataset": cfg.dataset,
-            "num_classes": self.num_classes,
+            "num_classes": self.gen.num_classes,
             "width_scale": cfg.width_scale,
             "resource_width_scale": cfg.resource_width_scale,
             "quant": cfg.quant.name,
@@ -501,147 +678,20 @@ class LibraryGenerator:
             **({"schedules": list(cfg.schedules)}
                if list(cfg.schedules) != ["hard"] else {}),
             **({"zero_skip": True} if cfg.zero_skip else {}),
+            **metadata,
         })
-
-        variants = {(variant, pruned_exits): exits_cfg
-                    for variant, exits_cfg, pruned_exits in self._variants()}
-
-        # The sweep as a flat, deterministically ordered point list:
-        # (variant key, pruning rate, precision, criterion, schedule).
-        points = sweep_points(cfg, variants)
-
-        def _describe(point):
-            return describe_point(cfg, point)
-
-        manifest = None
-        point_keys: dict = {}
-        if point_cache is not None:
-            config_key = cfg.point_cache_key()
-            point_keys = {
-                point: PointCache.point_key(config_key, point[0][0],
-                                            point[0][1], point[1],
-                                            point[2], point[3], point[4])
-                for point in points}
-            manifest = SweepManifest.open(
-                point_cache.root / "manifest.json", config_key)
-
-        results: dict = {}
-        failures: dict = {}  # point -> FailedPoint (this run or resumed)
-        pending = []
-        for point in points:
-            key, rate, prec, crit, sched = point
-            pkey = point_keys.get(point)
-            if manifest is not None:
-                manifest.ensure(pkey, key[0], key[1], rate, prec,
-                                crit, sched)
-            cached = point_cache.get(pkey) if point_cache is not None \
-                else None
-            if cached is not None:
-                results[point] = cached
-                if manifest.status(pkey) != "done":
-                    manifest.mark(pkey, "done")
-                log(f"{_describe(point)} (cached)")
-            elif manifest is not None \
-                    and manifest.status(pkey) == "quarantined":
-                failed = manifest.failure(pkey)
-                failures[point] = failed
-                log(f"{_describe(point)} skipped "
-                    f"(quarantined: {failed.reason()})")
-            else:
-                pending.append(point)
-        if manifest is not None:
-            manifest.save()
-
-        # Base models (the expensive training) are only needed for
-        # variants that still have uncached points — a fully warm cache
-        # rerun trains nothing at all.
-        contexts: dict[tuple, _VariantContext] = {}
-        for key in variants:
-            if any(p[0] == key for p in pending):
-                scaled_base = self.base_model(key, variants[key], log,
-                                              timer)
-                contexts[key] = self._variant_context(
-                    key[0], variants[key], key[1], scaled_base)
-
-        def point_label(point):
-            return _describe(point)
-
-        # Checkpoint every completion immediately: a sweep killed at any
-        # instant loses at most the points that were in flight.
-        def on_point_done(index, point, entries):
-            results[point] = entries
-            if point_cache is not None:
-                point_cache.put(point_keys[point], entries)
-                manifest.mark(point_keys[point], "done")
-                manifest.save()
-
-        def on_point_failed(index, point, failed):
-            failures[point] = failed
-            if manifest is not None:
-                # Permanent failures stay quarantined across resumes;
-                # exhausted transient/timeout/crash budgets are retried
-                # by the next resume.
-                status = "quarantined" if failed.kind == "permanent" \
-                    else "failed"
-                manifest.mark(point_keys[point], status, failed)
-                manifest.save()
-
-        workers = min(cfg.parallel_workers, len(pending))
-        if workers > 1 and fork_available():
-            base_states = {topo: state_arrays(model)
-                           for topo, model in self._base_cache.items()}
-            # Weights travel through one shared-memory block instead of
-            # being pickled once per worker; the shipment must outlive
-            # the whole run because the supervisor may recreate pools
-            # (and re-run the initializer) after worker crashes.
-            shipment = publish_state_arrays(base_states)
-            try:
-                pool = SupervisedPool(
-                    workers=workers, config=supervise, progress=log,
-                    label=point_label, initializer=_parallel_worker_init,
-                    initargs=(cfg, shipment.payload))
-                pool.run(
-                    _characterize_task, pending,
-                    on_result=lambda i, point, out: (
-                        timer.merge(out[1]),
-                        on_point_done(i, point, out[0])),
-                    on_failure=on_point_failed)
-            finally:
-                shipment.close()
-        else:
-            pool = SupervisedPool(workers=1, config=supervise,
-                                  progress=log, label=point_label)
-            memo = self._sweep_memo()  # lives as long as this sweep
-
-            def characterize_point(point):
-                key, rate, prec, crit, sched = point
-                return self._characterize(contexts[key], rate,
-                                          precision=prec, timer=timer,
-                                          criterion=crit, schedule=sched,
-                                          memo=memo)
-
-            pool.run(characterize_point,
-                     self._memo_order(pending, variants),
-                     on_result=on_point_done,
-                     on_failure=on_point_failed)
-
-        for point in points:
+        for point in self.points:
             for entry in results.get(point, ()):
                 library.add(entry)
-        if failures:
+        if self.failures:
             library.metadata["quarantined"] = [
                 {"variant": point[0][0], "pruned_exits": point[0][1],
                  "rate": point[1],
                  **({"precision": point[2]} if point[2] != "base" else {}),
                  **({"criterion": point[3]} if point[3] != "l1" else {}),
                  **({"schedule": point[4]} if point[4] != "hard" else {}),
-                 **failures[point].to_dict()}
-                for point in points if point in failures]
-            log(f"[{cfg.dataset}] library partial: {len(library)} entries,"
-                f" {len(failures)} design point(s) quarantined")
-        else:
-            log(f"[{cfg.dataset}] library complete: {len(library)} "
-                f"entries")
+                 **self.failures[point].to_dict()}
+                for point in self.points if point in self.failures]
         return library
 
 
@@ -697,11 +747,16 @@ def _parallel_worker_init(config: AdaPExConfig, base_states: dict) -> None:
     _WORKER_STATE = (gen, contexts, gen._sweep_memo())
 
 
-def _characterize_task(point):
-    """Characterize one ``((variant, pruned_exits), rate, precision,
-    criterion, schedule)`` work unit."""
-    variant_key, rate, precision, criterion, schedule = point
-    gen, contexts, memo = _WORKER_STATE
+def _in_worker(task, item):
+    """Run a stage task on the state this worker's initializer built."""
+    return task(_WORKER_STATE, item)
+
+
+def _characterize_point(state, item):
+    """The exhaustive sweep's task: Library entries of one ``(point,
+    None)`` item."""
+    gen, contexts, memo = state
+    (variant_key, rate, precision, criterion, schedule), _ = item
     timer = PhaseTimer()
     entries = gen._characterize(contexts[variant_key], rate,
                                 precision=precision, timer=timer,

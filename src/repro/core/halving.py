@@ -32,6 +32,12 @@ because training is expressed as deterministic single-epoch units
 with the rung boundaries — any partition of the epoch sequence into
 rungs yields bit-identical weights.
 
+Each rung (leads, then followers) and the final characterization is
+one call of the exhaustive sweep's stage runner
+(``repro.core.design_time._Stages``): the same cache and quarantine
+classification, manifest, base-model training and supervised pool,
+serial or forked, with a rung or final task in place of the sweep's.
+
 Two fidelity-scoring shortcuts keep rungs cheap without biasing the
 final results:
 
@@ -51,24 +57,21 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from ..nn.quant import post_training_quantize
 from ..nn.serialize import load_state_arrays, state_arrays
-from ..nn.shmstate import publish_state_arrays
 from ..nn.trainer import Trainer, cascade_sweep, evaluate_exits
 from ..pruning.pruner import prune_model
 from ..pruning.schedule import psfp_retrain_epochs
 from ..runtime.library import Library
-from .checkpoint import SweepManifest
 from .config import AdaPExConfig
-from .design_time import (LibraryGenerator, _parallel_worker_init,
-                          describe_point, sweep_points)
+from .design_time import LibraryGenerator, _Stages, describe_point
 from .instrument import PhaseTimer
-from .parallel import fork_available
 from .pointcache import PointCache
-from .supervise import SuperviseConfig, SupervisedPool
+from .supervise import SuperviseConfig
 
 __all__ = ["HalvingConfig", "HalvingReport", "HalvingSearch",
            "pareto_ranks", "pareto_front"]
@@ -291,24 +294,26 @@ def _train_point(point):
     return (key, rate, "base", crit, sched)
 
 
-def _run_rung_point(gen, contexts, cache, spec):
-    """Train one point's rung delta and score it; returns (score, timing).
+def _run_rung_point(cache, rung, lead, state, item):
+    """A rung's task: train one point's rung delta and score it; returns
+    (score, timing).
 
-    ``spec`` is ``(point, f_prev, f_cur, key, prev_key, prev_cycles,
-    total_epochs, lead)``. ``key``/``prev_key`` are the precision-
-    stripped *state* keys (see :func:`_train_point`); the precision-
-    salted score key stays with the caller. The weight checkpoint is
-    written *before* the caller persists the score, so a crash can never
-    leave a score without its matching state.
+    ``rung`` is ``(f_prev, f_cur, total_epochs)`` and ``item`` is
+    ``(point, (key, prev_key, prev_cycles))``. ``key``/``prev_key`` are
+    the precision-stripped *state* keys (see :func:`_train_point`); the
+    precision-salted score key stays with the stage runner. The weight
+    checkpoint is written *before* the runner persists the score, so a
+    crash can never leave a score without its matching state.
 
-    The lead of each train group rebuilds and trains the rung delta from
-    the previous checkpoint (ignoring any current-state file, so resumed
-    runs recompute deterministically); a follower reuses the shared
-    state its lead already wrote, and only falls back to training when
-    the lead was lost to quarantine.
+    The ``lead`` of each train group rebuilds and trains the rung delta
+    from the previous checkpoint (ignoring any current-state file, so
+    resumed runs recompute deterministically); a follower reuses the
+    shared state its lead already wrote, and only falls back to training
+    when the lead was lost to quarantine.
     """
-    (point, f_prev, f_cur, key, prev_key, prev_cycles, total_epochs,
-     lead) = spec
+    gen, contexts, _memo = state
+    f_prev, f_cur, total_epochs = rung
+    point, (key, prev_key, prev_cycles) = item
     variant_key, rate, prec, crit_name, sched = point
     cfg = gen.config
     ctx = contexts[variant_key]
@@ -389,16 +394,18 @@ def _run_rung_point(gen, contexts, cache, spec):
     return score, timer.as_dict()
 
 
-def _finalize_point(gen, contexts, cache, spec, memo):
-    """Turn a top-rung survivor into LibraryEntry rows (no training).
+def _finalize_point(cache, state, item):
+    """The final stage's task: turn a top-rung survivor into
+    LibraryEntry rows (no training).
 
-    ``spec`` is ``(point, state_key)``; the checkpointed weights are
+    ``item`` is ``(point, state_key)``; the checkpointed weights are
     restored and handed to ``LibraryGenerator._characterize`` via
     ``scaled_override``, so the survivor flows through the exact
     characterization pipeline of the exhaustive sweep, step memo
-    (``memo``) included.
+    included.
     """
-    point, state_key = spec
+    gen, contexts, memo = state
+    point, state_key = item
     variant_key, rate, prec, crit_name, sched = point
     ctx = contexts[variant_key]
     timer = PhaseTimer()
@@ -424,24 +431,6 @@ def _finalize_point(gen, contexts, cache, spec, memo):
                                 criterion=crit_name, schedule=sched,
                                 scaled_override=(scaled, report), memo=memo)
     return entries, timer.as_dict()
-
-
-def _rung_task(item):
-    """Pool worker wrapper: rebuild the cache handle, run the rung."""
-    from .design_time import _WORKER_STATE
-
-    spec, cache_root = item
-    gen, contexts, _ = _WORKER_STATE
-    return _run_rung_point(gen, contexts, PointCache(cache_root), spec)
-
-
-def _final_task(item):
-    from .design_time import _WORKER_STATE
-
-    spec, cache_root = item
-    gen, contexts, memo = _WORKER_STATE
-    return _finalize_point(gen, contexts, PointCache(cache_root), spec,
-                           memo)
 
 
 # ----------------------------------------------------------------------
@@ -471,75 +460,26 @@ class HalvingSearch:
         on promotion.
         """
         cfg = self.config
-        gen = self.generator
-        log = progress or (lambda msg: None)
-        timer = timer or PhaseTimer()
-        supervise = supervise or SuperviseConfig()
         if point_cache is None:
             raise ValueError("halving requires a point cache directory")
         if isinstance(point_cache, (str, os.PathLike)):
             point_cache = PointCache(point_cache)
+        stages = _Stages(self.generator, progress, timer, supervise,
+                         point_cache)
+        points = stages.points
 
         full_epochs = cfg.retraining.epochs
         rung_fidelities = self.halving.rungs(full_epochs)
-        variants = {(variant, pruned_exits): exits_cfg
-                    for variant, exits_cfg, pruned_exits
-                    in gen._variants()}
-        points = sweep_points(cfg, variants)
-        config_key = cfg.point_cache_key()
-        manifest = SweepManifest.open(point_cache.root / "manifest.json",
-                                      config_key)
         report = HalvingReport(
             exhaustive_epochs=full_epochs * sum(1 for p in points
                                                 if p[1] > 0))
 
-        def rung_key(point, fidelity):
-            return PointCache.point_key(
-                config_key, point[0][0], point[0][1], point[1], point[2],
-                point[3], point[4], fidelity=fidelity)
-
         def state_key(point, fidelity):
             # Checkpoints are shared across precision twins (PTQ is an
             # evaluation-only transform); scores stay precision-salted.
-            return rung_key(_train_point(point), fidelity)
-
-        contexts: dict = {}
-
-        def ensure_contexts(pending_points):
-            """Train the base models the pending points need (cached)."""
-            for vkey in {p[0] for p in pending_points}:
-                if vkey in contexts:
-                    continue
-                scaled_base = gen.base_model(vkey, variants[vkey], log,
-                                             timer)
-                contexts[vkey] = gen._variant_context(
-                    vkey[0], variants[vkey], vkey[1], scaled_base)
-
-        def run_pool(task_fn, serial_fn, items, label_fn, on_result,
-                     on_failure):
-            """Run work items on the supervised pool (serial or forked)."""
-            workers = min(cfg.parallel_workers, len(items))
-            if workers > 1 and fork_available():
-                base_states = {topo: state_arrays(model)
-                               for topo, model in gen._base_cache.items()}
-                shipment = publish_state_arrays(base_states)
-                try:
-                    pool = SupervisedPool(
-                        workers=workers, config=supervise, progress=log,
-                        label=label_fn, initializer=_parallel_worker_init,
-                        initargs=(cfg, shipment.payload))
-                    pool.run(task_fn, items, on_result=on_result,
-                             on_failure=on_failure)
-                finally:
-                    shipment.close()
-            else:
-                pool = SupervisedPool(workers=1, config=supervise,
-                                      progress=log, label=label_fn)
-                pool.run(serial_fn, items, on_result=on_result,
-                         on_failure=on_failure)
+            return stages.key(_train_point(point), fidelity)
 
         scores: dict = {}    # point -> latest rung score dict
-        failures: dict = {}  # point -> FailedPoint
         cohort = list(points)
 
         # --------------------------------------------------------------
@@ -548,99 +488,44 @@ class HalvingSearch:
         prev_fid = 0
         for rung_idx, fid in enumerate(rung_fidelities):
             tag = f"e{fid}"
-            pending = []
+
+            def read_score(point, key, _tag=tag):
+                # A score without its state reruns the rung over a fresh
+                # checkpoint (the state is written first, so only a
+                # deleted state file leaves one).
+                score = point_cache.get_aux(key)
+                if score is not None and point_cache.state_path_for(
+                        state_key(point, _tag)).exists():
+                    return score
+                return None
+
+            def rung_args(point, _tag=tag, _prev=f"e{prev_fid}"):
+                prev = scores.get(point)
+                return (state_key(point, _tag), state_key(point, _prev),
+                        prev["cycles"] if prev else None)
+
+            # The first member of each precision train group leads
+            # (trains the shared checkpoint); the rest follow and reuse
+            # it. Followers run in a second call so the lead's state
+            # exists by the time they look for it.
+            leads, followers, groups = [], [], set()
             for point in cohort:
-                key = rung_key(point, tag)
-                manifest.ensure(key, point[0][0], point[0][1], point[1],
-                                point[2], point[3], point[4], fidelity=tag)
-                cached = point_cache.get_aux(key)
-                if cached is not None \
-                        and point_cache.state_path_for(
-                            state_key(point, tag)).exists():
-                    scores[point] = cached
-                    if manifest.status(key) != "done":
-                        manifest.mark(key, "done")
-                elif manifest.status(key) == "quarantined":
-                    failures[point] = manifest.failure(key)
-                    log(f"{describe_point(cfg, point)} skipped "
-                        f"(quarantined: {failures[point].reason()})")
-                else:
-                    # "failed" (exhausted transient budget) and plain
-                    # pending both rerun; score-without-state cannot
-                    # happen (state is written first); state-without-
-                    # score reruns the rung over a fresh checkpoint.
-                    pending.append(point)
-            manifest.save()
-
-            if pending:
-                ensure_contexts(pending)
-                # The first pending member of each precision train group
-                # leads (trains the shared checkpoint); the rest follow
-                # and reuse it. Followers run in a second batch so the
-                # lead's state exists by the time they look for it.
-                leads, followers = [], []
-                seen_groups: set = set()
-                for point in pending:
-                    group = _train_point(point)
-                    if group in seen_groups:
-                        followers.append(point)
-                    else:
-                        seen_groups.add(group)
-                        leads.append(point)
-
-                def rung_spec(point, lead):
-                    prev = scores.get(point) if rung_idx > 0 else None
-                    return (
-                        point, prev_fid if rung_idx > 0 else 0, fid,
-                        state_key(point, tag),
-                        state_key(point, f"e{prev_fid}")
-                        if rung_idx > 0 else None,
-                        prev.get("cycles") if prev else None,
-                        full_epochs, lead)
-
-                def serial_rung(item):
-                    spec, _root = item
-                    return _run_rung_point(gen, contexts, point_cache,
-                                           spec)
-
-                for batch, is_lead in ((leads, True), (followers, False)):
-                    if not batch:
-                        continue
-                    items = [(rung_spec(point, is_lead),
-                              str(point_cache.root)) for point in batch]
-
-                    def on_done(index, item, out, _batch=batch,
-                                _tag=tag):
-                        score, timing = out
-                        point = _batch[index]
-                        scores[point] = score
-                        timer.merge(timing)
-                        report.epochs_this_run += int(
-                            score.get("epochs", 0))
-                        key = rung_key(point, _tag)
-                        point_cache.put_aux(key, score)
-                        manifest.mark(key, "done")
-                        manifest.save()
-
-                    def on_failed(index, item, failed, _batch=batch,
-                                  _tag=tag):
-                        point = _batch[index]
-                        failures[point] = failed
-                        key = rung_key(point, _tag)
-                        manifest.mark(key, "quarantined"
-                                      if failed.kind == "permanent"
-                                      else "failed", failed)
-                        manifest.save()
-
-                    run_pool(
-                        _rung_task, serial_rung, items,
-                        lambda item: (f"{describe_point(cfg, item[0][0])}"
-                                      f" (rung e{item[0][2]})"),
-                        on_done, on_failed)
+                group = _train_point(point)
+                (followers if group in groups else leads).append(point)
+                groups.add(group)
+            for batch, lead in ((leads, True), (followers, False)):
+                out, ran = stages.run(
+                    batch, partial(_run_rung_point, point_cache,
+                                   (prev_fid, fid, full_epochs), lead),
+                    f" (rung {tag})", tag,
+                    (read_score, point_cache.put_aux), rung_args)
+                scores.update(out)
+                report.epochs_this_run += sum(
+                    int(out[p].get("epochs", 0)) for p in ran if p in out)
 
             # Unscored points (failed or quarantined) cannot be ranked.
             cohort = [p for p in cohort
-                      if p in scores and p not in failures]
+                      if p in scores and p not in stages.failures]
             report.epochs_total += sum(
                 int(scores[p].get("epochs", 0)) for p in cohort
                 if scores[p].get("fidelity") == fid)
@@ -657,115 +542,40 @@ class HalvingSearch:
                 cohort = self._promote(cohort, scores, protect)
             rung_record["kept"] = len(cohort)
             report.rungs.append(rung_record)
-            log(f"[{cfg.dataset}] halving rung {tag}: "
-                f"{rung_record['cohort']} scored, "
-                f"{rung_record['kept']} promoted")
+            stages.log(f"[{cfg.dataset}] halving rung {tag}: "
+                       f"{rung_record['cohort']} scored, "
+                       f"{rung_record['kept']} promoted")
             prev_fid = fid
 
         # --------------------------------------------------------------
         # full characterization of the top-rung survivors
         # --------------------------------------------------------------
         final_tag = f"e{rung_fidelities[-1]}"
-        lib_tag = f"lib-{final_tag}"
-        results: dict = {}
-        pending_final = []
-        for point in cohort:
-            key = rung_key(point, lib_tag)
-            manifest.ensure(key, point[0][0], point[0][1], point[1],
-                            point[2], point[3], point[4], fidelity=lib_tag)
-            cached = point_cache.get(key)
-            if cached is not None:
-                results[point] = cached
-                if manifest.status(key) != "done":
-                    manifest.mark(key, "done")
-            elif manifest.status(key) == "quarantined":
-                failures[point] = manifest.failure(key)
-            else:
-                pending_final.append(point)
-        manifest.save()
-
-        if pending_final:
-            ensure_contexts(pending_final)
-            items = [((point, state_key(point, final_tag)),
-                      str(point_cache.root)) for point in pending_final]
-
-            def on_final_done(index, item, out):
-                entries, timing = out
-                point = pending_final[index]
-                results[point] = entries
-                timer.merge(timing)
-                key = rung_key(point, lib_tag)
-                point_cache.put(key, entries)
-                manifest.mark(key, "done")
-                manifest.save()
-
-            def on_final_failed(index, item, failed):
-                point = pending_final[index]
-                failures[point] = failed
-                key = rung_key(point, lib_tag)
-                manifest.mark(key, "quarantined"
-                              if failed.kind == "permanent" else "failed",
-                              failed)
-                manifest.save()
-
-            memo = gen._sweep_memo()  # shared by the survivors' plans
-
-            def serial_final(item):
-                spec, _root = item
-                return _finalize_point(gen, contexts, point_cache, spec,
-                                       memo)
-
-            run_pool(
-                _final_task, serial_final, items,
-                lambda item: f"{describe_point(cfg, item[0][0])} (final)",
-                on_final_done, on_final_failed)
+        results, _ = stages.run(
+            cohort, partial(_finalize_point, point_cache), " (final)",
+            f"lib-{final_tag}",
+            (lambda point, key: point_cache.get(key), point_cache.put),
+            lambda point: state_key(point, final_tag))
 
         survivors = [p for p in cohort if p in results]
-        report.quarantined = len(failures)
+        report.quarantined = len(stages.failures)
         report.survivors = [describe_point(cfg, p) for p in survivors]
         self.last_report = report
 
-        library = Library(metadata={
-            "dataset": cfg.dataset,
-            "num_classes": gen.num_classes,
-            "width_scale": cfg.width_scale,
-            "resource_width_scale": cfg.resource_width_scale,
-            "quant": cfg.quant.name,
-            "cache_key": cfg.cache_key(),
-            **({"precisions": list(cfg.precisions)}
-               if list(cfg.precisions) != ["base"] else {}),
-            **({"criteria": list(cfg.criteria)}
-               if list(cfg.criteria) != ["l1"] else {}),
-            **({"schedules": list(cfg.schedules)}
-               if list(cfg.schedules) != ["hard"] else {}),
-            **({"zero_skip": True} if cfg.zero_skip else {}),
-            # Deterministic search summary only — per-run counters (how
-            # much was cached vs. trained here) live in the report, so
-            # resumed runs stay byte-identical to uninterrupted ones.
-            "halving": {
-                "min_epochs": self.halving.min_epochs,
-                "eta": self.halving.eta,
-                "extra_keep": self.halving.extra_keep,
-                "keep_schedule_twins": self.halving.keep_schedule_twins,
-                "rungs": [dict(r) for r in report.rungs],
-            },
+        # Deterministic search summary only — per-run counters (how
+        # much was cached vs. trained here) live in the report, so
+        # resumed runs stay byte-identical to uninterrupted ones.
+        library = stages.library(results, halving={
+            "min_epochs": self.halving.min_epochs,
+            "eta": self.halving.eta,
+            "extra_keep": self.halving.extra_keep,
+            "keep_schedule_twins": self.halving.keep_schedule_twins,
+            "rungs": [dict(r) for r in report.rungs],
         })
-        for point in points:
-            for entry in results.get(point, ()):
-                library.add(entry)
-        if failures:
-            library.metadata["quarantined"] = [
-                {"variant": point[0][0], "pruned_exits": point[0][1],
-                 "rate": point[1],
-                 **({"precision": point[2]} if point[2] != "base" else {}),
-                 **({"criterion": point[3]} if point[3] != "l1" else {}),
-                 **({"schedule": point[4]} if point[4] != "hard" else {}),
-                 **failures[point].to_dict()}
-                for point in points if point in failures]
-        log(f"[{cfg.dataset}] halving search complete: "
-            f"{len(survivors)}/{len(points)} points characterized, "
-            f"{report.epochs_total} training epochs total "
-            f"(exhaustive: {report.exhaustive_epochs})")
+        stages.log(f"[{cfg.dataset}] halving search complete: "
+                   f"{len(survivors)}/{len(points)} points characterized, "
+                   f"{report.epochs_total} training epochs total "
+                   f"(exhaustive: {report.exhaustive_epochs})")
         return library
 
     # ------------------------------------------------------------------

@@ -137,7 +137,8 @@ class TestInfeasibleFold:
     on every attempt: the point is quarantined as permanent after one
     attempt, and a resume does not retry it."""
 
-    def test_quarantined_as_permanent_after_one_attempt(self, tmp_path):
+    @staticmethod
+    def infeasible_config():
         from repro.nn.trainer import TrainConfig
 
         cfg = AdaPExConfig.quick(seed=0)
@@ -149,6 +150,10 @@ class TestInfeasibleFold:
         cfg.initial_training = TrainConfig(epochs=0, batch_size=32)
         cfg.include_not_pruned_exits = False
         cfg.include_backbone_variant = False
+        return cfg
+
+    def test_quarantined_as_permanent_after_one_attempt(self, tmp_path):
+        cfg = self.infeasible_config()
         for _ in range(2):  # the run, then a resume
             messages = []
             library = LibraryGenerator(cfg).generate(
@@ -160,6 +165,24 @@ class TestInfeasibleFold:
             assert failed["message"].startswith("exit1_conv: ")
             assert len(library) == 0
         assert any("skipped (quarantined" in m for m in messages)
+
+    def test_quarantined_the_same_way_without_a_point_cache(
+            self, tmp_path, monkeypatch):
+        """No point cache, no manifest: the sweep still quarantines the
+        point (same record as with a cache) and writes nothing."""
+        cached = LibraryGenerator(self.infeasible_config()).generate(
+            point_cache=tmp_path / "points")
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        library = LibraryGenerator(self.infeasible_config()).generate()
+        [failed] = library.metadata["quarantined"]
+        assert failed["kind"] == "permanent"
+        assert failed["attempts"] == 1
+        assert len(library) == 0
+        assert library.metadata["quarantined"] \
+            == cached.metadata["quarantined"]
+        assert list(workdir.iterdir()) == []
 
 
 class TestPrecisionSweep:

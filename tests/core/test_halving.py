@@ -21,6 +21,7 @@ from repro.core.config import AdaPExConfig
 from repro.core.design_time import LibraryGenerator
 from repro.core.halving import (HalvingConfig, HalvingReport,
                                 HalvingSearch, pareto_front, pareto_ranks)
+from repro.core.parallel import fork_available
 from repro.core.pointcache import PointCache
 from repro.core.supervise import SuperviseConfig
 from repro.nn.trainer import TrainConfig
@@ -297,6 +298,52 @@ class TestHalvingEndToEnd:
         assert report.epochs_total == 0
         assert report.exhaustive_epochs == 0
         assert len(library) > 0
+
+
+def twin_config(workers=1):
+    """``base``/``int8`` twins at both rates over rungs [1, 2]: every
+    rung runs two leads and then two followers."""
+    cfg = tiny_config(workers=workers)
+    cfg.precisions = ["base", "int8"]
+    cfg.resource_width_scale = 0.25  # so the W8A8 twin fits the device
+    cfg.__post_init__()
+    return cfg
+
+
+class TestPrecisionTwinStages:
+    def search(self, cache, workers=1):
+        engine = HalvingSearch(twin_config(workers),
+                               halving=HalvingConfig(extra_keep=10))
+        return engine.run(cache, supervise=FAST), engine.last_report
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="needs fork start method")
+    def test_two_workers_match_serial(self, tmp_path):
+        """Forked leads, followers and the final stage give the serial
+        library, byte for byte, and the same epoch count."""
+        serial, serial_report = self.search(tmp_path / "serial")
+        forked, forked_report = self.search(tmp_path / "forked", workers=2)
+        assert [r["fidelity"] for r in serial_report.rungs] == [1, 2]
+        assert len(serial_report.survivors) == 4
+        assert forked.to_json() == serial.to_json()
+        assert forked_report.epochs_total == serial_report.epochs_total
+        assert forked_report.epochs_this_run \
+            == serial_report.epochs_this_run
+
+    def test_resumed_follower_reuses_its_leads_checkpoint(self, tmp_path):
+        """A run stopped after a lead's rung score but before its
+        follower's resumes without training the follower: it reuses the
+        checkpoint the lead persisted, as an uninterrupted run does."""
+        full, full_report = self.search(tmp_path)
+        follower = PointCache.point_key(
+            twin_config().point_cache_key(), "ee", True, 0.6, "int8",
+            fidelity="e1")
+        PointCache(tmp_path).aux_path_for(follower).unlink()
+
+        resumed, report = self.search(tmp_path)
+        assert report.epochs_this_run == 0
+        assert report.epochs_total == full_report.epochs_total
+        assert resumed.to_json() == full.to_json()
 
 
 class TestHalvingQuarantine:

@@ -140,6 +140,31 @@ class TestValidation:
                                        "--policies", policies])
         assert "--policies" in err and "unknown policy" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--precision", "bogus", "unknown precision 'bogus'"),
+        ("--criterion", "bogus", "unknown pruning criterion 'bogus'"),
+        ("--schedule", "bogus", "unknown retraining schedule 'bogus'"),
+        ("--precision", ",", "at least one precision"),
+        ("--criterion", " , ", "at least one pruning criterion"),
+        ("--schedule", "", "at least one retraining schedule"),
+        ("--precision", "base,int8,base", "duplicate precision"),
+        ("--criterion", "l1,fpgm,l1", "duplicate pruning criterion"),
+        ("--schedule", "psfp, psfp", "duplicate retraining schedule"),
+    ])
+    def test_sweep_axes_checked_up_front(self, capsys, flag, value,
+                                         message):
+        err = self.error_text(capsys, ["generate", "-o", "x.json", flag,
+                                       value])
+        assert flag in err and message in err
+
+    def test_sweep_axes_parse_to_lists(self):
+        args = build_parser().parse_args(
+            ["generate", "-o", "x.json", "--precision", "base, int8",
+             "--criterion", "hapm,l1", "--schedule", "psfp"])
+        assert args.precisions == ["base", "int8"]
+        assert args.criteria == ["hapm", "l1"]
+        assert args.schedules == ["psfp"]
+
 
 class TestGenerate:
     def test_quick_generate_writes_library(self, tmp_path, capsys):
