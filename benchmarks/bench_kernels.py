@@ -7,9 +7,9 @@ against the reference executors they replace:
   chunked) vs the engine's level-sweep (few levels) and per-channel
   ``searchsorted`` (many levels) paths writing integer codes; all three
   must produce identical values.
-* **im2col** — the allocating :func:`repro.nn.functional.im2col` vs the
-  engine's :func:`~repro.ir.engine._im2col_into` writing into a
-  preallocated buffer.
+* **im2col** — the allocating :func:`repro.nn.functional.im2col` vs
+  :func:`repro.nn.functional.im2col_into` (the engine's and the
+  trainer's kernel) writing into a preallocated buffer.
 * **full forward** — interpreted :meth:`IRGraph.execute` vs the compiled
   :class:`~repro.ir.engine.ExecutionPlan` on the CNV smoke model.
 
@@ -23,14 +23,10 @@ import numpy as np
 import pytest
 
 from repro.ir import IRNode, export_model, streamline
-from repro.ir.engine import (
-    _im2col_into,
-    _prepare_thresholds,
-    _threshold,
-)
+from repro.ir.engine import _prepare_thresholds, _threshold
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import conv_output_size, im2col, im2col_into
 
 _ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=1)
 
@@ -103,7 +99,7 @@ def test_im2col_engine_preallocated(benchmark):
     n, c = x.shape[0], x.shape[1]
     cols = np.empty((n * out_h * out_w, c * kernel * kernel))
     got = benchmark.pedantic(
-        _im2col_into, args=(x, kernel, stride, padding, out_h, out_w, cols),
+        im2col_into, args=(x, kernel, stride, padding, cols),
         **_ROUNDS)
     ref = im2col(x, kernel, stride, padding)
     np.testing.assert_array_equal(got, ref)

@@ -27,28 +27,43 @@ dynamics, unbatched or micro-batched, as one kernel:
   is a count over the sorted arrivals, those in ``(tick - window,
   tick]``: two ``searchsorted`` calls give it for every tick and the
   horizon, and the kernel keeps no monitor;
-* latency accumulation uses ``np.cumsum`` (sequential left-to-right
-  accumulation, bit-identical to the event loop's ``+=`` chain), and
-  power integration is per-tick scalar work, as in the event loop.
+* power integration is per-tick scalar work, as in the event loop.
 
 The only irreducibly sequential part — the bounded-queue admission /
-single-server start-time recursion — runs as one scalar loop per
-segment over plain Python floats held in locals, with the *same* float
-operations (``max`` and one addition per frame) as the event loop, so
-completions, queue-full losses, and end-of-run in-flight frames are
-decided identically. Only the service start depends on the kind of
-run, which is fixed per run and tested most common first. A plain start
-(unbatched and fault-free, such as the paper's Table I traffic) is one
-addition; the segment's served latencies and hits are sliced from its
-tables after the loop. A micro-batched start takes the queue head plus
-every queued frame that arrived within ``batch_window_s`` of it (the
-kernel keeps a deque of the queued arrival times for it) and charges
-one dispatch overhead per batch.
+single-server start-time recursion — is a scalar loop per segment over
+plain Python floats held in locals, with the *same* float operations
+as the event loop (``max`` and one addition per start), so completions,
+queue-full losses, and end-of-run in-flight frames are decided
+identically. The kind of run is fixed by its config, so
+:func:`run_fast` picks one of three loops per run, each carrying only
+its own state; the tables, the tick and tie checks and the
+``RunMetrics`` assembly are shared:
 
-Unbatched fault campaigns (``sim.faults`` set) are the third kind, so
-fault-free runs do no fault work per served frame; the admission reads
-the pending retry only for an arrival that meets the queue or shedding
-limit. The kernel builds the run's
+* **plain** (unbatched and fault-free: every run of the paper's Table I
+  traffic and every fleet server run). While the last start ends inside
+  a swap window (``c < reconfig_until``), a short blocked phase applies
+  the event loop's ``max(c, reconfig_until)`` rule. After it every
+  start is one addition, ``c + service``; an arrival that finds the
+  server idle starts at once, and admission is one length test. The
+  segment's served latencies are a slice of its latency array and its
+  hits one vectorized compare over its correctness draws;
+* **micro-batched**: a start takes the queue head plus every queued
+  frame that arrived within ``batch_window_s`` of it (the loop keeps a
+  deque of the queued arrival times for it) and charges one dispatch
+  overhead per batch. The loop records each counted batch's first table
+  index and size; the segment's latencies are then
+  ``lat[idx] + np.repeat(overhead / k, k)`` and its hits one compare;
+* **faulted** (unbatched with ``sim.faults`` set), described next.
+
+No loop keeps a Python float per served frame past its segment: the
+served latencies are per-segment NumPy arrays, and ``latency_sum`` is
+one ``np.cumsum`` over their concatenation (a sequential left-to-right
+accumulation, bit-identical to the event loop's ``latency_sum +=``
+chain).
+
+The faulted loop is the only one that does fault work per served frame;
+its admission reads the pending retry only for an arrival that meets
+the queue or shedding limit. The kernel builds the run's
 :class:`~repro.runtime.faults.FaultPlan` exactly as the event loop does;
 each fault category has a private stream, so drawing one ahead of time
 in the event loop's order gives the same decisions:
@@ -59,9 +74,10 @@ in the event loop's order gives the same decisions:
   the monitor or the queue;
 * inference errors are decided when a service starts, against its
   completion time and in completion order (one decision per completion
-  inside the active window, ``FaultPlan.inference_failures``). A failed
-  service burns its time and takes no correctness draw, so the stream
-  position advances by 1, not 2. Its frame goes back to the queue head
+  inside the active window, read by index from the 1024-wide blocks of
+  ``FaultPlan.inference_failure_block``). A failed service burns its
+  time and takes no correctness draw, so the stream position advances
+  by 1, not 2. Its frame goes back to the queue head
   through a single pending-retry state: the next start serves it, and
   it counts toward the queue length only from its failed completion on
   (arrivals at that instant fire first; the requeue checks no
@@ -179,7 +195,7 @@ def run_fast(sim):
         if dropped:
             arrivals = arrivals[~drop]
     # A fault-free run serves at most ``n`` frames, two uniforms each;
-    # failed services can outrun that, and ``draw_tables`` draws more.
+    # failed services can outrun that, and ``stream`` draws more.
     draws = rng.random(2 * n + 2)
     arr_list = arrivals.tolist()
 
@@ -223,10 +239,9 @@ def run_fast(sim):
     base_floor = getattr(policy, "min_accuracy", None)
     ladder = brownout and select_at is not None and base_floor is not None
 
-    # --- run state (plain Python floats/ints: the scalar loop below
+    # --- run state (plain Python floats/ints: the scalar loops below
     # must use the exact float ops of the event loop) -----------------
     qlen = 0              # frames waiting (excludes in-service)
-    pend: deque = deque()  # their arrival times, kept only for batching
     c_last = -_INF        # completion time of the last *started* service
     reconfig_until = 0.0
     p = 0                 # next unconsumed position in the draw stream
@@ -238,7 +253,7 @@ def run_fast(sim):
     brownout_since = 0.0
     correct = 0           # integer-exact accuracy_sum
     batches = 0
-    served_latencies: list[float] = []  # in completion (== start) order
+    served: list = []     # per-segment served latencies, completion order
     energy_j = 0.0
     last_power_t = 0.0
     ai = 0                # next arrival index to admit
@@ -246,7 +261,7 @@ def run_fast(sim):
     # inference puts back at the queue head (0 = none): the next start
     # serves it, so at most one exists. ``qlen`` counts it from the
     # failing start on, but the event loop's queue holds it only from
-    # the failed completion ``c_last`` on (see the admission below).
+    # the failed completion ``c_last`` on (see the faulted admission).
     # ``next_retry`` is the scheduled reconfiguration retry ``(time,
     # target entry, attempt)``; while it is pending the event loop's
     # ``reconfig_inflight`` is set.
@@ -258,44 +273,24 @@ def run_fast(sim):
     reconfig_retries = 0
     fault_dead_time_s = 0.0
 
-    # Inference errors. Each failed service with budget left serves its
-    # frame once more, one draw beyond the segment's two-per-frame
-    # bound, so a faulted start regrows the tables when it runs out.
-    if plan is not None and spec.inference_error_prob > 0.0:
-        inference_fails = plan.inference_failures()
-        infer_from = spec.active_from_s
-        infer_until = _INF if spec.active_until_s is None \
-            else spec.active_until_s
-    else:
-        inference_fails = None
-        infer_from = infer_until = _INF  # never active
-
-    # Only the service start differs between the three kinds of run, and
-    # the kind is fixed per run: plain (unbatched and fault-free, such as
-    # the paper's Table I traffic), micro-batched, or faulted.
-    plain = plan is None and not batching
     # Exit CDF and latencies per deployed entry, built on its first table
     # (where ``_exit_cdf`` rejects bad exit rates, as ``choice`` does at
     # the event loop's first start); holding the entry keeps its ``id``.
     exit_tables: dict = {}
 
-    def draw_tables(pos: int, m: int):
-        """The deployed entry's tables over the ``m`` draws from stream
-        position ``pos``: the service latency an exit draw there gives
-        and whether a correctness draw there hits; for plain runs only
-        the latencies at ``pos``, ``pos + 2``, ..., one per frame. A
-        segment asks for two draws per frame that could start in it, a
-        faulted start for more when retries outrun that. Over-computing
-        has no RNG side effects: the next segment rebuilds from the first
-        unconsumed position."""
+    def stream(pos: int, m: int) -> np.ndarray:
+        """The ``m`` draws from stream position ``pos``. Only faulted
+        runs outrun the bulk draw; extending the private stream gives
+        the draws one longer ``rng.random`` call would have given."""
         nonlocal draws
-        if m <= 0:
-            return [], []
         if pos + m > len(draws):
-            # Faulted runs only: extending the private stream gives the
-            # draws one longer ``rng.random`` call would have given.
             draws = np.concatenate([draws, rng.random(pos + m - len(draws))])
-        u = draws[pos:pos + m]
+        return draws[pos:pos + m]
+
+    def exit_latencies(u: np.ndarray) -> np.ndarray:
+        """The deployed entry's service latency for each exit draw in
+        ``u``. Over-computing has no RNG side effects: the next segment
+        rebuilds from the first unconsumed position."""
         known = exit_tables.get(id(entry))
         if known is None:
             cdf = _exit_cdf(entry.exit_rates)  # same validation as choice
@@ -303,49 +298,120 @@ def run_fast(sim):
                 if entry.exit_latencies_s else None
             known = exit_tables[id(entry)] = (entry, cdf, latencies)
         _, cdf, latencies = known
-        exits = u[::2] if plain else u
         if latencies is None:
-            services = [entry.latency_s] * len(exits)
-        else:
-            services = latencies[cdf.searchsorted(exits, side="right")] \
-                .tolist()
-        return services, None if plain else (u < entry.accuracy).tolist()
+            return np.full(len(u), entry.latency_s, dtype=np.float64)
+        return latencies[cdf.searchsorted(u, side="right")]
 
-    pend_append, pend_popleft = pend.append, pend.popleft
+    def serve_plain(t_end: float, is_tick: bool) -> None:
+        """Admit arrivals and run services with start times <= t_end,
+        unbatched and fault-free.
 
-    def serve_segment(t_end: float, is_tick: bool) -> bool:
-        """Admit arrivals and run services with start times <= t_end.
-
-        Returns False when an exact event-time tie on a decision tick
-        (or a reconfiguration retry) makes the event ordering
-        scheduling-dependent (caller falls back to the event loop).
+        The swap window, the deployed entry and the brownout rung are
+        fixed within the segment. Table index ``i`` is frame ``i`` of the
+        segment: its exit draw sits at stream position ``base + 2i`` and
+        its correctness draw right after it.
         """
-        nonlocal ai, qlen, c_last, p, retry, correct, lost, shed, batches, \
-            retries, failed
+        nonlocal ai, qlen, c_last, p, correct, lost, shed
         hi = bisect_right(arr_list, t_end, ai)
-        # The run state lives in locals for the segment; the swap window,
-        # the deployed entry and the brownout rung are fixed within it.
-        # Table index ``i`` is stream position ``base + i`` (plain runs:
-        # frame ``i`` of the segment, position ``base + 2i``).
-        q, c, ru, requeued, base, i = qlen, c_last, reconfig_until, retry, p, 0
-        services, hits = draw_tables(base, 2 * (q + hi - ai))
-        n_correct = n_lost = n_shed = n_batches = n_retries = n_failed = 0
+        q, c, ru, base = qlen, c_last, reconfig_until, p
+        lat = exit_latencies(stream(base, 2 * (q + hi - ai))[::2])
+        services = lat.tolist()
         shedding = brownout and rung == bottom_rung
         admit_below = shed_len if shedding else capacity
-        # The segment's arrivals, then its limit: services up to the
-        # boundary start too. At a decision tick, a start exactly *on* it
-        # comes from a completion/resume event tied with the decision
-        # event; at the run horizon every event <= duration fires, so
-        # that boundary is inclusive.
+        # At a decision tick, a start exactly *on* it comes from a
+        # completion/resume event tied with the decision event (the
+        # caller declines those runs); at the run horizon every event
+        # <= duration fires, so that limit is inclusive.
+        limit = t_end if is_tick else nextafter(t_end, _INF)
+        i = refused = 0
+        j = ai
+        if c < ru:
+            # Blocked phase: nothing starts before the swap ends at
+            # ``ru``. Arrivals up to it queue; one exactly at ``ru`` finds
+            # the server idle and starts the head at once (the resume
+            # event fires after the arrival).
+            while j < hi and arr_list[j] <= ru:
+                t = arr_list[j]
+                j += 1
+                if q >= admit_below:
+                    refused += 1
+                elif t < ru:
+                    q += 1
+                else:
+                    c = t + services[i]
+                    i += 1
+                    break
+            else:
+                # The resume starts the head, unless the segment ends
+                # first (then nothing else happens in it).
+                if q and (j < hi or ru < limit):
+                    q -= 1
+                    c = ru + services[i]
+                    i += 1
+        # From here on ``c >= ru`` (or the queue is empty), so a start
+        # is ``c + service``. Queued frames whose service begins strictly
+        # before an arrival have left the queue when it is admitted
+        # (starts *at* its time come from completion events that fire
+        # after the arrival event).
+        for t in arr_list[j:hi]:
+            if c < t:
+                while q:
+                    q -= 1
+                    c += services[i]
+                    i += 1
+                    if c >= t:
+                        break
+                else:             # idle: the arrival starts at once
+                    c = t + services[i]
+                    i += 1
+                    continue
+            if q < admit_below:
+                q += 1
+            else:
+                refused += 1
+        if c >= ru:
+            while q and c < limit:
+                q -= 1
+                c += services[i]
+                i += 1
+        # Completions at or before the horizon always fire. A later one,
+        # only ever the last, is in flight at the end of the run — its
+        # exit draw consumed but the frame neither processed nor lost, as
+        # in the event loop.
+        done = i if c <= duration else i - 1
+        if done > 0:
+            served.append(lat[:done])
+            correct += int(np.count_nonzero(
+                draws[base + 1:base + 2 * done:2] < entry.accuracy))
+        if shedding:
+            shed += refused
+        else:
+            lost += refused
+        ai, qlen, c_last, p = hi, q, c, base + 2 * i
+
+    pend: deque = deque()  # arrival times of the queued frames
+    pend_append, pend_popleft = pend.append, pend.popleft
+
+    def serve_batched(t_end: float, is_tick: bool) -> None:
+        """:func:`serve_plain` for micro-batched runs. Table index ``i``
+        is stream position ``base + i``."""
+        nonlocal ai, qlen, c_last, p, correct, lost, shed, batches
+        hi = bisect_right(arr_list, t_end, ai)
+        q, c, ru, base = qlen, c_last, reconfig_until, p
+        u = stream(base, 2 * (q + hi - ai))
+        lat = exit_latencies(u)
+        services = lat.tolist()
+        shedding = brownout and rung == bottom_rung
+        admit_below = shed_len if shedding else capacity
+        # The segment's arrivals, then its limit (see ``serve_plain``).
         limits = arr_list[ai:hi]
         limits.append(t_end if is_tick else nextafter(t_end, _INF))
         left = hi - ai
+        i = refused = 0
+        firsts: list[int] = []  # first table index of each counted batch
+        sizes: list[int] = []
         free = False          # an admitted arrival found the server idle
         for t in limits:
-            # Queued frames whose service begins strictly before t have
-            # left the queue by the time it is admitted (starts *at* t
-            # are triggered by completion events that fire after the
-            # arrival event — still waiting).
             while q:
                 if free:
                     free = False  # ``sigma`` is that arrival's time
@@ -353,47 +419,121 @@ def run_fast(sim):
                     sigma = c if c >= ru else ru
                     if sigma >= t:
                         break
-                if plain:
-                    q -= 1
-                    c = sigma + services[i]
-                    i += 1    # served frames are counted below
-                elif batching:
-                    # The head plus every queued frame within
-                    # ``batch_window`` of its arrival share one plan
-                    # invocation and one dispatch overhead.
-                    window_end = pend_popleft() + batch_window
-                    k = 1
-                    while pend and pend[0] <= window_end:
-                        pend_popleft()
-                        k += 1
-                    q -= k
-                    batch = services[i:i + k]
-                    total = overhead
-                    for service in batch:
-                        total += service
-                    c = sigma + total
-                    if c <= duration:
-                        n_batches += 1
-                        share = overhead / k
-                        served_latencies.extend([s + share for s in batch])
-                        n_correct += hits[i + k:i + 2 * k].count(True)
-                    i += 2 * k
+                # The head plus every queued frame within
+                # ``batch_window`` of its arrival share one plan
+                # invocation and one dispatch overhead.
+                window_end = pend_popleft() + batch_window
+                k = 1
+                while pend and pend[0] <= window_end:
+                    pend_popleft()
+                    k += 1
+                q -= k
+                total = overhead
+                for service in services[i:i + k]:
+                    total += service
+                c = sigma + total
+                if c <= duration:
+                    firsts.append(i)
+                    sizes.append(k)
+                i += 2 * k
+            if not left:
+                break             # t is the segment's limit
+            left -= 1
+            if q >= admit_below:
+                refused += 1
+                continue
+            q += 1
+            pend_append(t)
+            if c < t and ru <= t:
+                # Idle and unblocked: the head starts at t, before any
+                # later arrival. It is an older frame only when a resume
+                # at this very time has not fired yet (arrivals go first).
+                free = True
+                sigma = t
+        if sizes:
+            # Frame ``f`` of a batch of ``k`` from index ``i0``: exit
+            # draw at ``i0 + f``, correctness draw at ``i0 + k + f``, and
+            # latency its service plus the batch's overhead share.
+            ks = np.array(sizes)
+            k_each = np.repeat(ks, ks)
+            idx = np.repeat(np.array(firsts) - (np.cumsum(ks) - ks), ks) \
+                + np.arange(len(k_each))
+            served.append(lat[idx] + np.repeat(overhead / ks, ks))
+            correct += int(np.count_nonzero(
+                u[idx + k_each] < entry.accuracy))
+            batches += len(sizes)
+        if shedding:
+            shed += refused
+        else:
+            lost += refused
+        ai, qlen, c_last, p = hi, q, c, base + i
+
+    # Inference errors. Each failed service with budget left serves its
+    # frame once more, one draw beyond the segment's two-per-frame
+    # bound, so a faulted start regrows the tables when it runs out.
+    if plan is not None and spec.inference_error_prob > 0.0:
+        infer_from = spec.active_from_s
+        infer_until = _INF if spec.active_until_s is None \
+            else spec.active_until_s
+    else:
+        infer_from = infer_until = _INF  # never active
+    fail_block: list = []  # the current block of inference decisions
+    fail_at = 0            # the next decision's index in it
+
+    def fault_tables(pos: int, m: int):
+        """Per stream position from ``pos`` on: the service latency an
+        exit draw there gives and whether a correctness draw there hits."""
+        u = stream(pos, m)
+        return exit_latencies(u).tolist(), (u < entry.accuracy).tolist()
+
+    def serve_faulted(t_end: float, is_tick: bool) -> None:
+        """:func:`serve_batched`'s loop for unbatched fault campaigns:
+        a start serves the requeued frame first, and a service whose
+        completion fails burns its time without a correctness draw."""
+        nonlocal ai, qlen, c_last, p, retry, correct, lost, shed, \
+            retries, failed, fail_block, fail_at
+        hi = bisect_right(arr_list, t_end, ai)
+        q, c, ru, requeued, base = qlen, c_last, reconfig_until, retry, p
+        fails, fk = fail_block, fail_at
+        n_fails = len(fails)
+        services, hits = fault_tables(base, 2 * (q + hi - ai))
+        last = len(services) - 1
+        seg: list[float] = []  # this segment's served latencies
+        seg_append = seg.append
+        i = n_correct = n_lost = n_shed = n_retries = n_failed = 0
+        shedding = brownout and rung == bottom_rung
+        admit_below = shed_len if shedding else capacity
+        limits = arr_list[ai:hi]
+        limits.append(t_end if is_tick else nextafter(t_end, _INF))
+        left = hi - ai
+        free = False
+        for t in limits:
+            while q:
+                if free:
+                    free = False
                 else:
-                    # Faulted: the requeued frame goes first, and a
-                    # service whose completion fails burns its time
-                    # without a correctness draw, then requeues its frame
-                    # or, out of budget, counts it as failed.
-                    q -= 1
-                    attempts, requeued = requeued, 0
-                    if i >= len(services) - 1:
-                        # Retries outran the segment's tables.
-                        base, i = base + i, 0
-                        services, hits = draw_tables(base, 64)
-                    service = services[i]
-                    c = sigma + service
-                    if c <= duration:
-                        if infer_from <= c < infer_until \
-                                and next(inference_fails):
+                    sigma = c if c >= ru else ru
+                    if sigma >= t:
+                        break
+                q -= 1
+                attempts, requeued = requeued, 0
+                if i >= last:
+                    # Retries outran the segment's tables.
+                    base, i = base + i, 0
+                    services, hits = fault_tables(base, 64)
+                    last = len(services) - 1
+                service = services[i]
+                c = sigma + service
+                if c <= duration:
+                    if infer_from <= c < infer_until:
+                        if fk == n_fails:
+                            fails, fk = plan.inference_failure_block(), 0
+                            n_fails = len(fails)
+                        failing = fails[fk]
+                        fk += 1
+                        if failing:
+                            # The frame goes back to the queue head or,
+                            # out of budget, counts as failed.
                             i += 1
                             if attempts < spec.inference_retries:
                                 n_retries += 1
@@ -402,12 +542,12 @@ def run_fast(sim):
                             else:
                                 n_failed += 1
                             continue
-                        served_latencies.append(service)
-                        if hits[i + 1]:
-                            n_correct += 1
-                    i += 2
+                    seg_append(service)
+                    if hits[i + 1]:
+                        n_correct += 1
+                i += 2
             if not left:
-                break             # t is the segment's limit
+                break
             left -= 1
             # A requeued frame whose failed completion has not fired yet
             # (arrival events go first) is not in the event loop's queue:
@@ -422,35 +562,25 @@ def run_fast(sim):
                     n_lost += 1
                     continue
             q += 1
-            if batching:
-                pend_append(t)
             if c < t and ru <= t:
-                # Idle and unblocked: the head starts at t, before any
-                # later arrival. It is an older frame only when a resume
-                # at this very time has not fired yet (arrivals go first).
                 free = True
                 sigma = t
-        if plain:
-            # Each frame's correctness draw follows its exit draw.
-            # Completions at or before the horizon always fire. A later
-            # one, only ever the last, is in flight at the end of the run
-            # — its exit draw consumed but the frame neither processed
-            # nor lost, as in the event loop.
-            served = i if c <= duration else i - 1
-            if served > 0:
-                served_latencies.extend(services[:served])
-                n_correct += int(np.count_nonzero(
-                    draws[base + 1:base + 2 * served:2] < entry.accuracy))
-            i *= 2
+        if seg:
+            served.append(np.array(seg))
         ai, qlen, c_last, p, retry = hi, q, c, base + i, requeued
+        fail_block, fail_at = fails, fk
         correct += n_correct
         lost += n_lost
         shed += n_shed
-        batches += n_batches
         retries += n_retries
         failed += n_failed
-        return not (is_tick and q and sigma == t_end)
 
+    if batching:
+        serve_segment = serve_batched
+    elif plan is None:
+        serve_segment = serve_plain
+    else:
+        serve_segment = serve_faulted
     degrade = getattr(policy, "select_without_reconfig", None)
 
     def reconfigure(selected, attempt: int, now: float) -> None:
@@ -478,28 +608,28 @@ def run_fast(sim):
             # Out of retries: the best entry on the loaded accelerator.
             entry = degrade(entry) or entry
 
+    def tied(limit: float) -> bool:
+        """Serve up to a decision tick or reconfiguration retry and tell
+        whether a completion or reconfiguration resume lands exactly on
+        it: whether that precedes the boundary's event depends on event
+        scheduling order, so the oracle decides."""
+        serve_segment(limit, True)
+        return c_last == limit or reconfig_until == limit
+
     def retry_reconfig(limit: float) -> bool:
         """Run the scheduled reconfiguration retries due by ``limit``
         (a tick or the horizon); False on an exact-time tie."""
         nonlocal next_retry
         while next_retry is not None and next_retry[0] <= limit:
             r, selected, attempt = next_retry
-            if r == limit or not serve_segment(r, is_tick=True) \
-                    or c_last == r or reconfig_until == r:
+            if r == limit or tied(r):
                 return False
             next_retry = None
             reconfigure(selected, attempt, r)
         return True
 
     for tick, count in zip(ticks, window_counts):
-        if not retry_reconfig(tick):
-            return None
-        if not serve_segment(tick, is_tick=True):
-            return None
-        if c_last == tick or reconfig_until == tick:
-            # A completion or reconfiguration-resume lands exactly on
-            # the tick: whether it precedes the decision depends on
-            # event scheduling order. Let the oracle decide.
+        if not retry_reconfig(tick) or tied(tick):
             return None
         ips = count / window
         dt = tick - last_power_t
@@ -548,8 +678,7 @@ def run_fast(sim):
 
     if not retry_reconfig(duration):
         return None
-    if not serve_segment(duration, is_tick=False):  # pragma: no cover
-        return None
+    serve_segment(duration, False)
     lost += qlen  # still queued at the horizon: never served
     if rung > 0:
         brownout_time_s += duration - brownout_since
@@ -563,12 +692,9 @@ def run_fast(sim):
 
     # cumsum is a sequential left-to-right accumulation, bit-identical
     # to the event loop's `latency_sum += service` chain.
-    processed = len(served_latencies)
-    if processed:
-        latency_sum = float(np.cumsum(np.fromiter(
-            served_latencies, np.float64, processed))[-1])
-    else:
-        latency_sum = 0.0
+    latencies = np.concatenate(served) if served else np.empty(0)
+    processed = len(latencies)
+    latency_sum = float(np.cumsum(latencies)[-1]) if processed else 0.0
 
     post = controller.events[initial_events:]
     return RunMetrics(

@@ -215,6 +215,9 @@ def _count_levels(u: np.ndarray, lv: np.ndarray, code: np.ndarray,
         return
     for c in range(c_count):
         code[..., c] = np.searchsorted(lv[:, c], u[..., c], side="left")
+    # ``searchsorted`` orders NaN above every level, but no comparison
+    # holds for it: it crosses none, as in the sweep.
+    np.copyto(code, 0, where=np.isnan(u))
 
 
 # Widest row of tiled thresholds (see :func:`_row_tile`).

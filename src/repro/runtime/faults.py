@@ -22,9 +22,10 @@ The event-loop simulator asks the plan one question per event
 ``spike_arrivals`` into the workload before the run starts. The serving
 fast path (:mod:`repro.edge.fastsim`) asks the same questions in bulk:
 ``drop_mask`` decides every arrival's drop with one draw, and
-``inference_failures`` pre-draws the inference stream, one decision per
-completion inside the active window. Because each category's stream is
-private to the plan, both give exactly the scalar calls' decisions.
+``inference_failure_block`` pre-draws the inference stream 1024
+decisions at a time, one decision per completion inside the active
+window. Because each category's stream is private to the plan, both
+give exactly the scalar calls' decisions.
 When no spec is given the simulator never touches a plan, keeping
 fault-free runs bit-identical to the pre-fault code path.
 """
@@ -246,19 +247,19 @@ class FaultPlan:
         self.injected["drops"] += int(hits.sum())
         return mask
 
-    def inference_failures(self):
-        """Iterator over successive :meth:`inference_fails` outcomes.
+    def inference_failure_block(self) -> list[bool]:
+        """The next 1024 successive :meth:`inference_fails` outcomes.
 
-        Each ``next()`` is the decision the next *active* completion
-        gets (the caller checks :meth:`active` first, as
-        ``inference_fails`` does). Uniforms are drawn 1024 at a time,
-        so the iterator owns the inference stream from then on, and
+        Entry ``k`` of successive blocks is the decision the ``k``-th
+        *active* completion gets (the caller checks :meth:`active` first,
+        as ``inference_fails`` does), so a caller reads the decisions by
+        index and draws the next block when one runs out. The blocks own
+        the inference stream from the first call on, and
         ``injected["inference_errors"]`` is not updated: the caller
         knows how many decisions it consumed.
         """
-        prob = self.spec.inference_error_prob
-        while True:
-            yield from (self._inference_rng.random(1024) < prob).tolist()
+        return (self._inference_rng.random(1024)
+                < self.spec.inference_error_prob).tolist()
 
     # ------------------------------------------------------------------
     # workload spikes

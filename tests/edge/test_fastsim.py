@@ -13,6 +13,7 @@ dispatcher end-to-end under the heavy fault preset.
 from __future__ import annotations
 
 import dataclasses
+from math import nextafter
 
 import numpy as np
 import pytest
@@ -650,3 +651,129 @@ class TestConfig:
 
     def test_sim_modes_exported(self):
         assert SIM_MODES == ("auto", "event")
+
+
+class AlternatingPolicy:
+    """Deploys ``a``, then swaps between ``b`` and ``a`` at every tick,
+    so every segment but the first starts a swap window."""
+
+    name = "alternating"
+
+    def __init__(self, a, b):
+        self.entries, self.calls = (a, b), 0
+
+    def select(self, ips, current=None):
+        self.calls += 1
+        return self.entries[(self.calls - 1) % 2]
+
+
+# Exit latencies and arrivals on a 1/1024 s grid: every completion of a
+# service that an arrival started lands on that grid, exactly, so
+# arrivals tie with completions. Ticks (offset 0.137, interval 1/sqrt(2))
+# and the swap ends after them stay off it.
+_GRID = 1024
+_DYADIC_A = _entry(rate=0.0, ct=0.5, acc=0.9, ips=150.0,
+                   exit_lats=(4 / _GRID, 8 / _GRID, 12 / _GRID),
+                   rates=(0.5, 0.3, 0.2))
+_DYADIC_B = _entry(rate=0.5, ct=0.5, acc=0.8, ips=200.0,
+                   exit_lats=(2 / _GRID, 6 / _GRID, 16 / _GRID),
+                   rates=(0.4, 0.4, 0.2))
+_INTERVAL = 0.7071067811865476
+_LOOP_KINDS = {
+    "plain": ({}, None),
+    "batched": (dict(batch_window_s=3 / _GRID,
+                     dispatch_overhead_s=0.5 / _GRID), None),
+    "faulted": ({}, FaultSpec(inference_error_prob=0.3,
+                              inference_retries=1)),
+}
+
+
+class TestLoopSplit:
+    """Each kind of run has its own serving loop: plain (unbatched and
+    fault-free), micro-batched and faulted. Generated runs of each kind
+    match the event loop at the edges that split meets: swap windows
+    from none to longer than a decision interval, with arrivals before,
+    at and after their end; one- and two-frame queues; a bottom rung
+    that sheds every arrival finding a frame waiting; and arrivals tied
+    with a completion, a tick and the horizon."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_LOOP_KINDS)),
+        swap=st.sampled_from([0.0, 1e-4, 0.145, 1.5 * _INTERVAL]),
+        capacity=st.sampled_from([1, 2]),
+        shed=st.booleans(),
+        rate=st.sampled_from([5.0, 40.0, 300.0]),
+        planted=st.lists(st.sampled_from(["tick", "before", "end",
+                                          "after"]), max_size=4),
+        seed=st.integers(0, 2**20),
+    )
+    def test_event_vs_fast(self, kind, swap, capacity, shed, rate,
+                           planted, seed):
+        knobs, faults = _LOOP_KINDS[kind]
+        if shed:
+            # One waiting frame puts the server on the bottom rung, and
+            # there it sheds every arrival that finds one waiting.
+            knobs = dict(knobs, brownout_levels=(0.05,), brownout_high=0.5,
+                         brownout_low=0.25, brownout_shed_occupancy=0.01)
+        cfg = dict(queue_capacity=capacity, reconfig_time_s=swap,
+                   decision_interval_s=_INTERVAL, decision_offset_s=0.137,
+                   **knobs)
+        duration = 4.0
+        rng = np.random.default_rng(seed)
+        times = np.round(rng.uniform(0.0, duration,
+                                     rng.poisson(rate * duration)) * _GRID)
+        times = list(times / _GRID) + [duration]
+        # Frames at each tick and around each swap end (the event loop's
+        # ``tick + dead``; repeats tie with each other), and at the
+        # horizon.
+        tick = 0.0 + (0.137 + _INTERVAL)
+        while tick < duration:
+            end = tick + swap
+            at = {"tick": tick, "before": nextafter(end, 0.0), "end": end,
+                  "after": nextafter(end, 9.0)}
+            times += [at[name] for name in planted]
+            tick = tick + _INTERVAL
+        trace = FixedTrace(np.sort(times), duration)
+
+        def sim(mode):
+            return EdgeServerSimulator(
+                AlternatingPolicy(_DYADIC_A, _DYADIC_B), trace,
+                config=ServerConfig(sim_mode=mode, **cfg), seed=seed,
+                faults=faults, fault_seed=seed % 97)
+
+        fast = fastsim.run_fast(sim("auto"))
+        assert fast is not None
+        assert_identical(sim("event").run(), fast)
+        assert fast.reconfigurations == 5
+        if not shed:
+            assert fast.shed == 0
+
+    @pytest.mark.parametrize("kind", sorted(_LOOP_KINDS))
+    def test_arrival_tied_with_a_chained_completion(self, kind):
+        """Frames at 0, 1/1024 and 2/1024 fill the two slots behind the
+        first service; the second service completes exactly when two
+        more frames arrive. Arrival events fire before that completion,
+        so the first of them still finds one frame waiting and the
+        second finds the queue full."""
+        knobs = {"plain": {}, "faulted": {},
+                 "batched": dict(dispatch_overhead_s=0.5 / _GRID)}[kind]
+        faults = FaultSpec() if kind == "faulted" else None
+        service = 4 / _GRID
+        a = _entry(rate=0.0, ct=0.5, acc=0.9, ips=150.0,
+                   exit_lats=(service,) * 3)
+        cost = knobs.get("dispatch_overhead_s", 0.0) + service
+        second = (0.0 + cost) + cost  # the event loop's float ops
+        times = [0.0, 1 / _GRID, 2 / _GRID, second, second]
+
+        def sim(mode):
+            return EdgeServerSimulator(
+                ScriptedPolicy([a]), FixedTrace(times, 1.0),
+                config=ServerConfig(sim_mode=mode, queue_capacity=2,
+                                    **knobs),
+                seed=0, faults=faults)
+
+        fast = fastsim.run_fast(sim("auto"))
+        assert fast is not None
+        assert_identical(sim("event").run(), fast)
+        assert (fast.lost, fast.processed) == (1, 4)

@@ -17,7 +17,7 @@ from repro.ir.engine import (
 )
 from repro.ir.executors import _multithreshold
 from repro.models import CNVConfig, ExitsConfiguration, build_cnv
-from repro.nn import evaluate_exits, exit_scores
+from repro.nn import evaluate_exits, exit_scores, post_training_quantize
 from repro.pruning import prune_model
 
 
@@ -56,6 +56,17 @@ class TestBitIdentity:
         ref = graph.execute(x)
         got = graph.compile().run(x)
         assert_outputs_equal(ref, got)
+
+    def test_int8_plan_with_a_nan_pixel(self):
+        """A W8A8 CNV (255 activation levels: the searchsorted path)
+        matches the interpreter on a batch with one NaN pixel."""
+        model = post_training_quantize(_cnv(), 8, 8)
+        graph = export_model(model)
+        streamline(graph)
+        x = _batch()
+        x[1, 0, 5, 7] = np.nan
+        ref = graph.execute(x)
+        assert_outputs_equal(ref, graph.compile().run(x))
 
     @settings(max_examples=12, deadline=None)
     @given(rate=st.floats(0.0, 0.9, exclude_max=True),
@@ -216,6 +227,30 @@ class TestThresholdKernels:
         x = rng.standard_normal((6, channels))
         ref = _multithreshold(node, x)
         np.testing.assert_array_equal(_engine_threshold(node, x), ref)
+
+    @pytest.mark.parametrize("levels",
+                             [3, _SWEEP_MAX_LEVELS, _SWEEP_MAX_LEVELS + 1,
+                              255])
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 4), (6, 5)],
+                             ids=["tensor", "matrix"])
+    def test_non_finite_inputs(self, levels, shape):
+        """NaN crosses no level (no comparison holds for it), +inf every
+        finite one and -inf none, on both paths and for either sign."""
+        rng = np.random.default_rng(levels)
+        channels = shape[1]
+        thresholds = rng.standard_normal((channels, levels))
+        signs = np.where(np.arange(channels) % 2 == 0, 1.0, -1.0)
+        node = self._node(thresholds, signs)
+        x = rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        planted = {np.nan: flat[0::7], np.inf: flat[1::7],
+                   -np.inf: flat[2::7]}
+        for value, view in planted.items():
+            view[:] = value
+        ref = _multithreshold(node, x)
+        got = _engine_threshold(node, x)
+        np.testing.assert_array_equal(got, ref)
+        assert not got[np.isnan(x)].any()
 
     def test_exact_threshold_boundary(self):
         """x == t is NOT counted (strict >): both paths must agree."""

@@ -152,6 +152,20 @@ def sorted_times(draw):
     return np.sort(np.asarray(ticks, dtype=np.float64) * 0.25)
 
 
+def block_reader(plan):
+    """Successive decisions from ``plan.inference_failure_block``, read
+    by index the way the serving kernel reads them."""
+    block, at = [], 0
+
+    def next_decision():
+        nonlocal block, at
+        if at == len(block):
+            block, at = plan.inference_failure_block(), 0
+        at += 1
+        return block[at - 1]
+    return next_decision
+
+
 class TestVectorizedDecisions:
     """The fast path's batched fault draws give exactly the decisions of
     successive scalar calls on a plan with the same ``(spec, seed)``."""
@@ -177,25 +191,27 @@ class TestVectorizedDecisions:
            seed=st.integers(0, 2**16), times=sorted_times())
     def test_inference_failures_match_inference_fails(
             self, prob, window, seed, times):
-        """One ``next()`` per completion inside the active window, as
-        the kernel consumes it."""
+        """One decision per completion inside the active window, read
+        by index from successive blocks as the kernel consumes them."""
         spec = FaultSpec(inference_error_prob=prob,
                          active_from_s=window[0], active_until_s=window[1])
         scalar = FaultPlan(spec, seed=seed)
         vector = FaultPlan(spec, seed=seed)
-        fails = vector.inference_failures()
+        fails = block_reader(vector)
         expected = [scalar.inference_fails(float(t)) for t in times]
-        got = [vector.active(float(t)) and next(fails) for t in times]
+        got = [vector.active(float(t)) and fails() for t in times]
         assert got == expected
-        # Documented: the iterator leaves the counter to its caller.
+        # Documented: the blocks leave the counter to their caller.
         assert vector.injected["inference_errors"] == 0
 
     def test_inference_failures_span_draw_blocks(self):
         """Thousands of decisions: block refills are seamless."""
         spec = FaultSpec(inference_error_prob=0.3)
         scalar = FaultPlan(spec, seed=(4, 2))
-        fails = FaultPlan(spec, seed=(4, 2)).inference_failures()
-        assert [next(fails) for _ in range(3000)] == \
+        vector = FaultPlan(spec, seed=(4, 2))
+        assert len(vector.inference_failure_block()) == 1024
+        fails = block_reader(FaultPlan(spec, seed=(4, 2)))
+        assert [fails() for _ in range(3000)] == \
             [scalar.inference_fails(0.0) for _ in range(3000)]
 
 
