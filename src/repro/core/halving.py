@@ -45,7 +45,8 @@ final results:
   (one batched sweep over the test set), not the compiled inference
   plan. The plan is function-preserving, so the cheap path ranks
   identically; survivors are still characterized through the compiled
-  flow.
+  flow. The top rung is not scored at all: no promotion follows it,
+  and the final characterization measures its survivors anyway.
 * Cycles depend only on the architecture, never on training, so they
   are compiled once per point on the first rung — which also quarantines
   infeasible points (e.g. INT8 at low pruning rates overflowing the
@@ -296,7 +297,8 @@ def _train_point(point):
 
 def _run_rung_point(cache, rung, lead, state, item):
     """A rung's task: train one point's rung delta and score it; returns
-    (score, timing).
+    (score, timing). The score always records ``cycles``, ``fidelity``
+    and ``epochs``; below the top rung it also records ``accuracy``.
 
     ``rung`` is ``(f_prev, f_cur, total_epochs)`` and ``item`` is
     ``(point, (key, prev_key, prev_cycles))``. ``key``/``prev_key`` are
@@ -362,6 +364,13 @@ def _run_rung_point(cache, rung, lead, state, item):
     if not reuse:
         _atomic_save_state(state_path, model)
 
+    score = {"cycles": cycles, "fidelity": f_cur, "epochs": trained}
+    if f_cur == total_epochs:
+        # Only a promotion reads the accuracy, and none follows the top
+        # rung: the final stage characterizes its survivors on the
+        # compiled plan.
+        return score, timer.as_dict()
+
     with timer.phase("characterize"):
         eval_model = model
         if sched == "psfp" and rate > 0:
@@ -388,9 +397,7 @@ def _run_rung_point(cache, rung, lead, state, item):
             sweep = cascade_sweep(eval_model, test.images, test.labels,
                                   cfg.confidence_thresholds)
             accuracy = max(float(p["accuracy"]) for p in sweep)
-
-    score = {"accuracy": accuracy, "cycles": cycles, "fidelity": f_cur,
-             "epochs": trained}
+    score["accuracy"] = accuracy
     return score, timer.as_dict()
 
 

@@ -119,8 +119,10 @@ class PointCache:
         """Atomically store the entries for ``key``."""
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # One json.dumps call runs the C encoder; json.dump streams
+        # through the pure-Python one. Same bytes.
         with open(tmp, "w") as f:
-            json.dump({"entries": [e.to_dict() for e in entries]}, f)
+            f.write(json.dumps({"entries": [e.to_dict() for e in entries]}))
         os.replace(tmp, path)
 
     def get_aux(self, key: str):
@@ -143,7 +145,7 @@ class PointCache:
         path = self.aux_path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w") as f:
-            json.dump({"payload": payload}, f)
+            f.write(json.dumps({"payload": payload}))
         os.replace(tmp, path)
 
     def __contains__(self, key: str) -> bool:

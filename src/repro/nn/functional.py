@@ -1,16 +1,24 @@
 """Low-level numerical kernels for the NumPy neural-network substrate.
 
-Everything here operates on ``numpy.ndarray`` in NCHW layout (batch,
-channels, height, width). The convolution forward pass uses the classic
-im2col lowering so the heavy lifting happens inside one BLAS matrix
-multiply, which keeps pure-NumPy training tractable for the scaled-down
-CNV models used across the reproduction. The backward pass needs no
-col2im: the input gradient's single ``(rows, C*k*k)`` GEMM is scattered
-tap by tap into a channels-last image, in the (ki, kj) order of im2col's
-adjoint, a few whole images at a time (about ``_IM2COL_CHUNK`` elements
-of the GEMM's output) so the accumulator stays in cache, and each
-chunk's NCHW gradient is written in the same pass. Every gradient keeps
-the bits and the strides of the textbook lowering.
+Two layouts live here.
+
+*Training* (the ``*_cm`` kernels) works channel-major: every 4-D
+activation and gradient inside :mod:`repro.nn` is a C-contiguous
+``(C, N, H, W)`` array, so each channel is one contiguous row. A
+convolution is one GEMM ``W(O, C*k*k) @ cols(C*k*k, N*oh*ow)`` over a
+tap-major im2col whose output already is the next layer's channel-major
+input; its backward pass is the two GEMMs ``g @ cols.T`` (weights) and
+``W.T @ g`` (input), plus one add per kernel tap that scatters the
+latter's rows back into the image. BatchNorm reduces and scales
+contiguous per-channel rows, and pooling and the activations run
+elementwise over the same rows. In NCHW memory these passes ran inner
+loops only as long as the channel count (8 at quick scale).
+
+*Inference* keeps NCHW: :func:`im2col_into`, :func:`conv2d_forward` and
+:func:`maxpool2d_forward` serve the IR's reference executors (the
+oracle the compiled engine is checked against) and the engine's im2col.
+Exported graphs keep ONNX's NCHW order so their tensors read like
+FINN's, and nothing in the IR depends on how training lays out memory.
 """
 
 from __future__ import annotations
@@ -21,10 +29,13 @@ __all__ = [
     "im2col",
     "im2col_into",
     "conv2d_forward",
-    "conv2d_backward",
-    "conv2d_param_backward",
     "maxpool2d_forward",
-    "maxpool2d_backward",
+    "im2col_cm",
+    "conv2d_forward_cm",
+    "conv2d_backward_cm",
+    "conv2d_param_backward_cm",
+    "maxpool2d_forward_cm",
+    "maxpool2d_backward_cm",
     "conv_output_size",
     "softmax",
     "log_softmax",
@@ -50,9 +61,11 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Elements per chunk of whole images: of the (n, C, k, k, oh, ow) scratch
-# im2col_into fills, so its transposing second stage reads from cache, and
-# of the input gradient's GEMM output each scatter chunk reads.
+# ----------------------------------------------------------------------
+# NCHW inference kernels (IR executors and engine)
+# ----------------------------------------------------------------------
+# Elements per chunk of whole images of the (n, C, k, k, oh, ow) scratch
+# im2col_into fills, so its transposing second stage reads from cache.
 _IM2COL_CHUNK = 1 << 15
 
 
@@ -132,10 +145,9 @@ def conv2d_forward(
     stride: int = 1,
     padding: int = 0,
 ):
-    """2-D convolution forward pass.
+    """2-D convolution of an NCHW input (the IR's reference executor).
 
-    Returns ``(out, cols)`` where ``cols`` is the im2col matrix cached for
-    the backward pass.
+    Returns ``(out, cols)``: the NCHW output and its im2col matrix.
     """
     n, _, h, w = x.shape
     out_ch, _, kernel, _ = weight.shape
@@ -150,76 +162,11 @@ def conv2d_forward(
     return out, cols
 
 
-def _grad_rows(grad_out: np.ndarray) -> np.ndarray:
-    """``(N, C_out, H, W) -> (N*H*W, C_out)``, the row order of im2col."""
-    return grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])
-
-
-def _param_grads(grad_flat: np.ndarray, weight_shape: tuple, cols: np.ndarray):
-    grad_weight = (grad_flat.T @ cols).reshape(weight_shape)
-    return grad_weight, grad_flat.sum(axis=0)
-
-
-def _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding):
-    """im2col's adjoint without col2im: the single ``(rows, C*k*k)`` GEMM,
-    its tap columns added channels-last in (ki, kj) order, a few whole
-    images at a time so the accumulator stays in cache."""
-    n, c, h, w = x_shape
-    out_ch, _, kernel, _ = weight.shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-    grad_cols = (grad_flat @ weight.reshape(out_ch, -1)).reshape(
-        n, out_h, out_w, c, kernel, kernel)
-
-    hp, wp = h + 2 * padding, w + 2 * padding
-    chunk = max(1, _IM2COL_CHUNK // (out_h * out_w * c * kernel * kernel))
-    acc = np.empty((min(chunk, n), hp, wp, c), dtype=grad_cols.dtype)
-    # NCHW, with the strides of the padded image im2col's adjoint builds.
-    grad_x = np.empty((n, c, hp, wp), dtype=grad_cols.dtype)[
-        :, :, padding:padding + h, padding:padding + w]
-    for i0 in range(0, n, chunk):
-        i1 = min(n, i0 + chunk)
-        part, taps = acc[:i1 - i0], grad_cols[i0:i1]
-        part.fill(0)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                part[:, ki:ki + stride * out_h:stride,
-                     kj:kj + stride * out_w:stride] += taps[..., ki, kj]
-        grad_x[i0:i1] = part[:, padding:padding + h,
-                             padding:padding + w].transpose(0, 3, 1, 2)
-    return grad_x
-
-
-def conv2d_backward(
-    grad_out: np.ndarray,
-    x_shape: tuple,
-    weight: np.ndarray,
-    cols: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-):
-    """Gradients of :func:`conv2d_forward`.
-
-    Returns ``(grad_x, grad_weight, grad_bias)``.
-    """
-    grad_flat = _grad_rows(grad_out)
-    grad_weight, grad_bias = _param_grads(grad_flat, weight.shape, cols)
-    grad_x = _conv2d_input_grad(grad_flat, x_shape, weight, stride, padding)
-    return grad_x, grad_weight, grad_bias
-
-
-def conv2d_param_backward(grad_out: np.ndarray, weight_shape: tuple,
-                          cols: np.ndarray):
-    """Weight and bias gradients of :func:`conv2d_forward` without the
-    input gradient (for a model's first layer, whose input is the image).
-
-    Returns ``(grad_weight, grad_bias)``.
-    """
-    return _param_grads(_grad_rows(grad_out), weight_shape, cols)
-
-
 def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int | None = None):
-    """Max pooling. Returns ``(out, argmax)`` with argmax cached for backward."""
+    """Max pooling of an NCHW input (the IR's reference executor).
+
+    Returns ``(out, argmax)``, argmax indexing each flattened window.
+    """
     stride = kernel if stride is None else stride
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
@@ -238,33 +185,170 @@ def maxpool2d_forward(x: np.ndarray, kernel: int, stride: int | None = None):
     return out, argmax
 
 
-def maxpool2d_backward(
+# ----------------------------------------------------------------------
+# channel-major training kernels
+# ----------------------------------------------------------------------
+def _taps(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
+    """``(ki, kj, view)`` for every window tap of a ``(.., .., H, W)``
+    array: the ``(.., .., out_h, out_w)`` strided slice tap ``(ki, kj)``
+    of each window reads, in (ki, kj) order."""
+    for ki in range(kernel):
+        for kj in range(kernel):
+            yield ki, kj, x[:, :, ki:ki + stride * out_h:stride,
+                            kj:kj + stride * out_w:stride]
+
+
+def im2col_cm(x: np.ndarray, kernel: int, stride: int = 1,
+              padding: int = 0) -> np.ndarray:
+    """Patch columns of a channel-major ``(C, N, H, W)`` input.
+
+    Returns a C-contiguous ``(C * k * k, N * out_h * out_w)`` array. Row
+    ``(c, ki, kj)`` is tap ``(ki, kj)`` of channel ``c`` at every output
+    position (image-major, then raster order), matching the weight
+    layout ``W.reshape(out_ch, -1)``; it is the strided slice of the
+    input that tap reads, so one copy of a tap-major window view fills
+    the whole matrix with inner loops along output rows.
+    """
+    c, n, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                       (padding, padding)), mode="constant")
+    sc, sn, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
+    cols = np.empty(windows.shape, dtype=x.dtype)
+    np.copyto(cols, windows)
+    return cols.reshape(c * kernel * kernel, n * out_h * out_w)
+
+
+def conv2d_forward_cm(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int = 1,
+    padding: int = 0,
+):
+    """2-D convolution of a channel-major ``(C, N, H, W)`` input.
+
+    Returns ``(out, cols)``: the ``(C_out, N, out_h, out_w)`` output, one
+    GEMM ``W(O, C*k*k) @ cols`` away from the input, and the
+    :func:`im2col_cm` matrix ``cols`` the backward pass reads.
+    """
+    _, n, h, w = x.shape
+    out_ch, _, kernel, _ = weight.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    cols = im2col_cm(x, kernel, stride, padding)
+    out = weight.reshape(out_ch, -1) @ cols
+    if bias is not None:
+        out += bias[:, None]
+    return out.reshape(out_ch, n, out_h, out_w), cols
+
+
+def conv2d_param_backward_cm(grad_out: np.ndarray, weight_shape: tuple,
+                             cols: np.ndarray):
+    """Weight and bias gradients of :func:`conv2d_forward_cm` without the
+    input gradient (for a model's first layer, whose input is the image).
+
+    Returns ``(grad_weight, grad_bias)``.
+    """
+    g = np.ascontiguousarray(grad_out).reshape(grad_out.shape[0], -1)
+    return (g @ cols.T).reshape(weight_shape), g.sum(axis=1)
+
+
+def conv2d_backward_cm(
+    grad_out: np.ndarray,
+    x_shape: tuple,
+    weight: np.ndarray,
+    cols: np.ndarray,
+    stride: int = 1,
+    padding: int = 0,
+):
+    """Gradients of :func:`conv2d_forward_cm`.
+
+    Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_x`` is a
+    C-contiguous ``(C, N, H, W)`` array: ``W.T @ g``'s tap rows added
+    into a zeroed (padded) image in (ki, kj) order, im2col's adjoint.
+    """
+    c, n, h, w = x_shape
+    out_ch, _, kernel, _ = weight.shape
+    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
+    grad_weight, grad_bias = conv2d_param_backward_cm(grad_out, weight.shape,
+                                                      cols)
+    g = np.ascontiguousarray(grad_out).reshape(out_ch, -1)
+    grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(
+        c, kernel, kernel, n, out_h, out_w)
+
+    grad_x = np.zeros((c, n, h + 2 * padding, w + 2 * padding),
+                      dtype=grad_cols.dtype)
+    for ki, kj, part in _taps(grad_x, kernel, stride, out_h, out_w):
+        part += grad_cols[:, ki, kj]
+    if padding > 0:
+        grad_x = np.ascontiguousarray(
+            grad_x[:, :, padding:padding + h, padding:padding + w])
+    return grad_x, grad_weight, grad_bias
+
+
+def maxpool2d_forward_cm(x: np.ndarray, kernel: int,
+                         stride: int | None = None):
+    """Max pooling of a channel-major ``(C, N, H, W)`` input, one pass
+    per window tap.
+
+    Returns ``(out, argmax)``: ``argmax`` is each window's first maximal
+    tap in (ki, kj) order, or its first NaN, as ``np.argmax`` over the
+    flattened window picks it, and ``out`` that tap's value (so signed
+    zeros and NaN payloads pass through).
+    """
+    stride = kernel if stride is None else stride
+    _, _, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, 0)
+    out_w = conv_output_size(w, kernel, stride, 0)
+    taps = _taps(x, kernel, stride, out_h, out_w)
+    _, _, first = next(taps)
+    out = first.copy()
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    for ki, kj, v in taps:
+        # v > out, or v NaN: take it unless out already holds a NaN.
+        take = v <= out
+        np.logical_not(take, out=take)
+        take &= out == out
+        np.copyto(out, v, where=take)
+        np.copyto(argmax, ki * kernel + kj, where=take)
+    return out, argmax
+
+
+def maxpool2d_backward_cm(
     grad_out: np.ndarray,
     argmax: np.ndarray,
     x_shape: tuple,
     kernel: int,
     stride: int | None = None,
 ) -> np.ndarray:
-    """Route pooled gradients back to the argmax positions."""
+    """Route pooled gradients back to the argmax positions, added into a
+    zeroed ``(C, N, H, W)`` image (so a ``-0.0`` gradient lands as
+    ``0.0``). Overlapping windows (``stride < kernel``) accumulate in
+    window order through ``np.add.at``."""
     stride = kernel if stride is None else stride
-    n, c, h, w = x_shape
+    c, n = x_shape[:2]
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
     grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-
-    ki = argmax // kernel
-    kj = argmax % kernel
-    oi = np.arange(out_h)[None, None, :, None]
-    oj = np.arange(out_w)[None, None, None, :]
-    rows = oi * stride + ki
-    cols = oj * stride + kj
-    nn_idx = np.arange(n)[:, None, None, None]
-    cc_idx = np.arange(c)[None, :, None, None]
-    index = (nn_idx, cc_idx, rows, cols)
     if stride >= kernel:
-        # Disjoint windows: no input position is hit twice.
-        grad_x[index] += grad_out
-    else:
-        np.add.at(grad_x, index, grad_out)
+        # Disjoint windows: each input position is one tap of one window.
+        zero = grad_x.dtype.type(0)
+        for ki, kj, part in _taps(grad_x, kernel, stride, out_h, out_w):
+            part += np.where(argmax == ki * kernel + kj, grad_out, zero)
+        return grad_x
+    rows = np.arange(out_h)[:, None] * stride + argmax // kernel
+    cols = np.arange(out_w) * stride + argmax % kernel
+    index = (np.arange(c)[:, None, None, None],
+             np.arange(n)[None, :, None, None], rows, cols)
+    np.add.at(grad_x, index, grad_out)
     return grad_x
 
 

@@ -180,8 +180,10 @@ class BranchedModel:
             layer.zero_grad()
 
     def release_caches(self) -> None:
-        """Drop every layer's backward scratch (after training, ~86 MB of
-        im2col columns on the quick CNV)."""
+        """Drop every layer's backward scratch: the convolutions' im2col
+        columns, BatchNorm's ``x_hat`` rows, pooling argmax and activation
+        inputs of the last batch (after training, ~86 MB of columns alone
+        on the quick CNV)."""
         for layer in self.all_layers():
             layer._cache = None
 
@@ -246,7 +248,13 @@ class BranchedModel:
     # forward / backward
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Run all paths; returns logits per exit (early first, final last)."""
+        """Run all paths; returns logits per exit (early first, final last).
+
+        ``x`` is a batch in the model's input layout, ``(N, C, H, W)``
+        images for a CNN. They are transposed once into the layers'
+        channel-major ``(C, N, H, W)`` layout (see :mod:`.layers`); the
+        logits are ``(N, classes)``.
+        """
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"expected input shape (N, {self.input_shape}), got {x.shape}"
@@ -254,7 +262,9 @@ class BranchedModel:
         outputs = []
         # Match the model's compute dtype so a float32 model is not
         # silently promoted back to float64 by float64 input batches.
-        h = np.asarray(x, dtype=self.param_dtype)
+        if x.ndim == 4:
+            x = x.transpose(1, 0, 2, 3)
+        h = np.ascontiguousarray(x, dtype=self.param_dtype)
         for i, seg in enumerate(self.segments):
             h = seg.forward(h)
             if i in self.exits:

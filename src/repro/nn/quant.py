@@ -166,9 +166,13 @@ def quantize_activations(x: np.ndarray, bits: int, act_range: float = 1.0) -> np
     encoding. Values are clipped to ``[0, act_range]``.
     """
     levels = 2 ** bits - 1
-    clipped = np.clip(x, 0.0, act_range)
     step = act_range / levels
-    return np.round(clipped / step) * step
+    # round(clip(x) / step) * step, in place in the clipped copy.
+    out = np.clip(x, 0.0, act_range)
+    out /= step
+    np.round(out, out=out)
+    out *= step
+    return out
 
 
 def activation_thresholds(bits: int, act_range: float = 1.0) -> np.ndarray:

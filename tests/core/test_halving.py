@@ -289,6 +289,30 @@ class TestHalvingEndToEnd:
         assert len(list(cache.root.glob("aux_*.json"))) == 8
         assert len(list(cache.root.glob("states/state_*.npz"))) == 4
 
+    def test_top_rung_is_not_scored(self, tmp_path, monkeypatch):
+        """Only a promotion reads a rung's accuracy and none follows the
+        top rung: its points keep cycles, fidelity and epochs, and no
+        nn-forward scoring runs for them."""
+        scored = []
+        sweep = halving_mod.cascade_sweep
+        monkeypatch.setattr(halving_mod, "cascade_sweep",
+                            lambda *a, **k: scored.append(1) or sweep(*a, **k))
+        search = HalvingSearch(tiny_config(), halving=HalvingConfig(
+            extra_keep=10))
+        search.run(tmp_path, supervise=FAST)
+        assert [r["fidelity"] for r in search.last_report.rungs] == [1, 2]
+
+        scores = [json.loads(p.read_text())["payload"]
+                  for p in PointCache(tmp_path).root.glob("aux_*.json")]
+        by_rung = {f: [s for s in scores if s["fidelity"] == f]
+                   for f in (1, 2)}
+        assert len(by_rung[1]) == len(by_rung[2]) == 2
+        for score in scores:
+            assert {"cycles", "fidelity", "epochs"} <= score.keys()
+        assert all("accuracy" in s for s in by_rung[1])
+        assert not any("accuracy" in s for s in by_rung[2])
+        assert len(scored) == len(by_rung[1])
+
     def test_zero_retrain_budget_single_rung(self, tmp_path):
         cfg = tiny_config(epochs=0)
         search = HalvingSearch(cfg)

@@ -110,6 +110,32 @@ class TestPointCacheBasics:
         with pytest.raises(ValueError):
             PointCache(tmp_path).evict(-1)
 
+    def test_files_are_json_dumps_of_the_payload(self, tmp_path):
+        """``put``/``put_aux`` write ``json.dumps`` of the payload (the
+        bytes ``json.dump`` streams), and ``get``/``get_aux`` read it
+        back."""
+        import io
+        import json
+
+        cache = PointCache(tmp_path)
+        key = PointCache.point_key("abc", "ee", True, 0.4)
+        entries = [make_entry(rate=0.4, ct=ct, acc=0.8, ips=100.0 + ct)
+                   for ct in (0.1, 0.5, 0.9)]
+        payload = {"entries": [e.to_dict() for e in entries]}
+        cache.put(key, entries)
+        streamed = io.StringIO()
+        json.dump(payload, streamed)
+        text = cache.path_for(key).read_text()
+        assert text == json.dumps(payload) == streamed.getvalue()
+        assert [e.to_dict() for e in cache.get(key)] == payload["entries"]
+
+        score = {"accuracy": 0.125, "cycles": 4096, "fidelity": 2,
+                 "epochs": 1, "note": "\u00e9"}
+        cache.put_aux(key, score)
+        assert cache.aux_path_for(key).read_text() \
+            == json.dumps({"payload": score})
+        assert cache.get_aux(key) == score
+
 
 class TestGenerateWithPointCache:
     def _counters(self, monkeypatch):

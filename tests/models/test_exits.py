@@ -52,7 +52,8 @@ class TestBuildExitBranch:
 
     def test_output_is_logits(self):
         branch = self._branch()
-        out = branch.forward(np.zeros((2, 16, 14, 14)))
+        # Layers take channel-major (C, N, H, W) activations.
+        out = branch.forward(np.zeros((16, 2, 14, 14)))
         assert out.shape == (2, 10)
 
     def test_pool_kernel_is_half_dim(self):
@@ -65,7 +66,7 @@ class TestBuildExitBranch:
         branch = self._branch(shape=(16, 1, 1))
         pool = [l for l in branch if isinstance(l, MaxPool2d)][0]
         assert pool.kernel_size == 1
-        assert branch.forward(np.zeros((1, 16, 1, 1))).shape == (1, 10)
+        assert branch.forward(np.zeros((16, 1, 1, 1))).shape == (1, 10)
 
     def test_conv_channels_default_to_host(self):
         branch = self._branch(shape=(24, 14, 14))

@@ -1,8 +1,6 @@
 """Kernel-level tests: convolutions against a per-tap loop, adjointness,
-pooling, softmax properties, and byte identity with the reference
-kernels."""
-
-from unittest import mock
+pooling, softmax properties, and the channel-major training kernels
+against their textbook and NCHW references."""
 
 import numpy as np
 import pytest
@@ -156,19 +154,19 @@ class TestConv2d:
 
     def test_gradients_numerical(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(1, 2, 5, 5))
+        x = rng.normal(size=(2, 1, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out, cols = F.conv2d_forward(x, w, b)
+        out, cols = F.conv2d_forward_cm(x, w, b)
         grad_out = rng.normal(size=out.shape)
-        gx, gw, gb = F.conv2d_backward(grad_out, x.shape, w, cols)
+        gx, gw, gb = F.conv2d_backward_cm(grad_out, x.shape, w, cols)
 
         def loss(x_, w_, b_):
-            o, _ = F.conv2d_forward(x_, w_, b_)
+            o, _ = F.conv2d_forward_cm(x_, w_, b_)
             return (o * grad_out).sum()
 
         eps = 1e-6
-        for idx in [(0, 0, 1, 1), (0, 1, 4, 2)]:
+        for idx in [(0, 0, 1, 1), (1, 0, 4, 2)]:
             xp, xm = x.copy(), x.copy()
             xp[idx] += eps
             xm[idx] -= eps
@@ -205,23 +203,23 @@ class TestMaxPool:
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[[[1, 2], [4, 0.0]]]])
-        out, argmax = F.maxpool2d_forward(x, kernel=2)
-        grad = F.maxpool2d_backward(np.ones_like(out), argmax, x.shape, 2)
+        out, argmax = F.maxpool2d_forward_cm(x, kernel=2)
+        grad = F.maxpool2d_backward_cm(np.ones_like(out), argmax, x.shape, 2)
         np.testing.assert_allclose(grad[0, 0], [[0, 0], [1, 0]])
 
     def test_backward_gradient_numerical(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 3, 6, 6))
-        out, argmax = F.maxpool2d_forward(x, kernel=2)
+        x = rng.normal(size=(3, 2, 6, 6))
+        out, argmax = F.maxpool2d_forward_cm(x, kernel=2)
         grad_out = rng.normal(size=out.shape)
-        gx = F.maxpool2d_backward(grad_out, argmax, x.shape, 2)
+        gx = F.maxpool2d_backward_cm(grad_out, argmax, x.shape, 2)
         eps = 1e-6
-        for idx in [(0, 0, 0, 0), (1, 2, 3, 3), (0, 1, 5, 5)]:
+        for idx in [(0, 0, 0, 0), (2, 1, 3, 3), (1, 0, 5, 5)]:
             xp, xm = x.copy(), x.copy()
             xp[idx] += eps
             xm[idx] -= eps
-            op, _ = F.maxpool2d_forward(xp, 2)
-            om, _ = F.maxpool2d_forward(xm, 2)
+            op, _ = F.maxpool2d_forward_cm(xp, 2)
+            om, _ = F.maxpool2d_forward_cm(xm, 2)
             num = ((op - om) * grad_out).sum() / (2 * eps)
             assert abs(num - gx[idx]) < 1e-4
 
@@ -235,117 +233,142 @@ class TestMaxPool:
         x = np.zeros((1, 1, 4, 4))
         with pytest.raises(ValueError):
             F.maxpool2d_forward(x, kernel=2, stride=0)
+        with pytest.raises(ValueError):
+            F.maxpool2d_forward_cm(x, kernel=2, stride=0)
+
+
+def _plant(rng, a, zero_frac=0.1, nan_count=0):
+    """``a`` with ``-0.0`` at a fraction of its entries and ``nan_count``
+    NaNs."""
+    a = a.copy()
+    a[rng.random(a.shape) < zero_frac] = -0.0
+    flat = a.reshape(-1)
+    flat[rng.integers(0, flat.size, size=nan_count)] = np.nan
+    return a
 
 
 class TestKernelIdentity:
-    """The training kernels against the im2col/col2im/``np.add.at``
-    reference, byte for byte and stride for stride, on generated shapes
-    and layouts (GEMM kernels sum in shape-dependent orders, so these
-    cases are the guard for every formulation change)."""
+    """The ``(C, N, H, W)`` training kernels: byte-equal to the textbook
+    channel-major reference (strides included: every result is
+    C-contiguous), and equal to the NCHW reference to rounding (GEMM
+    shapes differ, so their sums run in another order)."""
 
     @given(kernel=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
-           padding=st.integers(0, 2),
-           in_ch=st.one_of(st.integers(1, 33), st.sampled_from([8, 16, 32])),
+           padding=st.integers(0, 2), in_ch=st.integers(1, 33),
            out_ch=st.integers(1, 33), batch=st.integers(1, 64),
-           h=st.integers(1, 9), w=st.integers(1, 9),
+           h=st.integers(1, 9), w=st.integers(1, 9), bias=st.booleans(),
            dtype=st.sampled_from([np.float64, np.float32]),
-           x_layout=ref.LAYOUTS, grad_layout=ref.LAYOUTS, bias=st.booleans(),
            seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
-    def test_conv2d_backward(self, kernel, stride, padding, in_ch, out_ch,
-                             batch, h, w, dtype, x_layout, grad_layout, bias,
-                             seed):
+    def test_conv2d_backward(self, kernel, stride, padding, in_ch, out_ch, batch, h,
+                    w, bias, dtype, seed):
         if h + 2 * padding < kernel or w + 2 * padding < kernel:
             return
         rng = np.random.default_rng(seed)
-        x = ref.as_layout(
-            rng.standard_normal((batch, in_ch, h, w)).astype(dtype), x_layout)
+        x = _plant(rng, rng.standard_normal((in_ch, batch, h, w)).astype(dtype))
         weight = rng.standard_normal((out_ch, in_ch, kernel, kernel)).astype(dtype)
         b = rng.standard_normal(out_ch).astype(dtype) if bias else None
-        out, cols = F.conv2d_forward(x, weight, b, stride, padding)
-        grad_out = ref.as_layout(
-            rng.standard_normal(out.shape).astype(dtype), grad_layout)
 
-        got = F.conv2d_backward(grad_out, x.shape, weight, cols, stride, padding)
-        want = ref.conv2d_backward(grad_out, x.shape, weight, cols, stride,
+        out, cols = F.conv2d_forward_cm(x, weight, b, stride, padding)
+        want_out, want_cols = ref.cm_conv2d_forward(x, weight, b, stride,
+                                                    padding)
+        ref.assert_same_bytes(out, want_out)
+        ref.assert_same_bytes(cols, want_cols)
+        ref.assert_same_bytes(F.im2col_cm(x, kernel, stride, padding),
+                              want_cols)
+
+        grad_out = _plant(rng, rng.standard_normal(out.shape).astype(dtype))
+        got = F.conv2d_backward_cm(grad_out, x.shape, weight, cols, stride,
                                    padding)
+        want = ref.cm_conv2d_backward(grad_out, x.shape, weight, cols,
+                                      stride, padding)
         for new, old in zip(got, want):
             ref.assert_same_bytes(new, old)
-        for new, old in zip(F.conv2d_param_backward(grad_out, weight.shape,
-                                                    cols), want[1:]):
+        for new, old in zip(F.conv2d_param_backward_cm(
+                grad_out, weight.shape, cols), want[1:]):
             ref.assert_same_bytes(new, old)
 
-    @given(kernel=st.integers(1, 3), stride=st.integers(1, 2),
-           padding=st.integers(0, 2), in_ch=st.integers(1, 9),
-           out_ch=st.integers(1, 9), batch=st.integers(1, 23),
-           size=st.integers(1, 8), chunk=st.integers(1, 5),
-           dtype=st.sampled_from([np.float64, np.float32]),
-           seed=st.integers(0, 2**16))
-    @settings(max_examples=100, deadline=None)
-    def test_chunked_input_grad(self, kernel, stride, padding, in_ch, out_ch,
-                                batch, size, chunk, dtype, seed):
-        """The input gradient's scatter, ``chunk`` images at a time (batch
-        sizes not a multiple of it, rows of ``-0.0`` gradients), against
-        col2im."""
-        if size + 2 * padding < kernel:
-            return
-        rng = np.random.default_rng(seed)
-        out = F.conv_output_size(size, kernel, stride, padding)
-        grad_flat = rng.standard_normal((batch * out * out, out_ch)).astype(dtype)
-        grad_flat[rng.random(len(grad_flat)) < 0.3] = -0.0
-        weight = rng.standard_normal((out_ch, in_ch, kernel, kernel)).astype(dtype)
-        weight[0] = np.abs(weight[0])
-        x_shape = (batch, in_ch, size, size)
-        per_image = out * out * in_ch * kernel * kernel
-        with mock.patch.object(F, "_IM2COL_CHUNK", chunk * per_image):
-            got = F._conv2d_input_grad(grad_flat, x_shape, weight, stride,
-                                       padding)
-        want = ref.col2im(grad_flat @ weight.reshape(out_ch, -1), x_shape,
-                          kernel, stride, padding)
-        ref.assert_same_bytes(got, want)
+        # The NCHW formulation training used before.
+        nchw_out, nchw_cols = F.conv2d_forward(ref.nchw(x), weight, b, stride,
+                                               padding)
+        ref.assert_close(ref.nchw(out), nchw_out)
+        nchw = ref.conv2d_backward(ref.nchw(grad_out), ref.nchw(x).shape,
+                                   weight, nchw_cols, stride, padding)
+        ref.assert_close(ref.nchw(got[0]), nchw[0])
+        for new, old in zip(got[1:], nchw[1:]):
+            ref.assert_close(new, old)
 
     @pytest.mark.parametrize("batch,size,padding,in_ch,out_ch", [
         (1, 3, 0, 8, 8), (1, 3, 0, 16, 33), (1, 3, 0, 32, 257),
         (2, 3, 1, 8, 257), (9, 3, 1, 8, 520), (1, 4, 1, 16, 520),
+        (64, 32, 0, 3, 8), (64, 30, 0, 8, 8),
     ])
-    def test_conv2d_backward_edge_shapes(self, batch, size, padding, in_ch,
-                                         out_ch):
-        """Single-row GEMMs (one output pixel) and output channels beyond
-        one GEMM panel."""
+    def test_conv2d_backward_edge_shapes(self, batch, size, padding, in_ch, out_ch):
+        """Single-column GEMMs (one output pixel), output channels beyond
+        one GEMM panel, and the quick CNV's first two layers."""
         rng = np.random.default_rng(out_ch + batch)
         for dtype in (np.float64, np.float32):
-            x = rng.standard_normal((batch, in_ch, size, size)).astype(dtype)
+            x = rng.standard_normal((in_ch, batch, size, size)).astype(dtype)
             weight = rng.standard_normal((out_ch, in_ch, 3, 3)).astype(dtype)
-            out, cols = F.conv2d_forward(x, weight, None, 1, padding)
+            out, cols = F.conv2d_forward_cm(x, weight, None, 1, padding)
+            want_out, _ = ref.cm_conv2d_forward(x, weight, None, 1, padding)
+            ref.assert_same_bytes(out, want_out)
             grad_out = rng.standard_normal(out.shape).astype(dtype)
-            got = F.conv2d_backward(grad_out, x.shape, weight, cols, 1, padding)
-            want = ref.conv2d_backward(grad_out, x.shape, weight, cols, 1,
+            got = F.conv2d_backward_cm(grad_out, x.shape, weight, cols, 1,
                                        padding)
+            want = ref.cm_conv2d_backward(grad_out, x.shape, weight, cols, 1,
+                                          padding)
             for new, old in zip(got, want):
                 ref.assert_same_bytes(new, old)
 
+    def test_col2im_adjoint(self):
+        """<im2col(x), y> == <x, col2im(y)> in the channel-major order."""
+        rng = np.random.default_rng(2)
+        for kernel, stride, padding in [(3, 1, 0), (3, 2, 1), (5, 1, 2)]:
+            x = rng.normal(size=(3, 2, 7, 8))
+            cols = F.im2col_cm(x, kernel, stride, padding)
+            y = rng.normal(size=cols.shape)
+            aty = ref.cm_col2im(y, x.shape, kernel, stride, padding)
+            np.testing.assert_allclose((cols * y).sum(), (x * aty).sum(),
+                                       rtol=1e-10)
+
     @given(kernel=st.integers(1, 4), stride=st.integers(1, 4),
-           channels=st.integers(1, 6), batch=st.integers(1, 5),
+           channels=st.integers(1, 33), batch=st.integers(1, 64),
            h=st.integers(1, 10), w=st.integers(1, 10),
-           levels=st.integers(1, 4),
+           levels=st.integers(1, 4), nans=st.integers(0, 3),
            dtype=st.sampled_from([np.float64, np.float32]),
-           x_layout=ref.LAYOUTS, seed=st.integers(0, 2**16))
-    @settings(max_examples=120, deadline=None)
-    def test_maxpool2d_backward(self, kernel, stride, channels, batch, h, w,
-                                levels, dtype, x_layout, seed):
-        """Ties (few distinct input levels), overlapping windows (stride <
-        kernel, still ``np.add.at``) and signed-zero gradients."""
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_maxpool2d_backward(self, kernel, stride, channels, batch, h, w, levels,
+                       nans, dtype, seed):
+        """Ties (few distinct input levels, ``0.0`` against ``-0.0``),
+        overlapping windows (stride < kernel), NaN inputs and signed-zero
+        and NaN gradients."""
         if h < kernel or w < kernel:
             return
         rng = np.random.default_rng(seed)
-        x = ref.as_layout(rng.integers(0, levels, size=(batch, channels, h, w))
-                          .astype(dtype), x_layout)
-        out, argmax = F.maxpool2d_forward(x, kernel, stride)
-        grad_out = rng.standard_normal(out.shape).astype(dtype)
-        grad_out[rng.random(out.shape) < 0.2] = -0.0
-        got = F.maxpool2d_backward(grad_out, argmax, x.shape, kernel, stride)
-        want = ref.maxpool2d_backward(grad_out, argmax, x.shape, kernel, stride)
+        x = rng.integers(0, levels, size=(channels, batch, h, w)).astype(dtype)
+        x = _plant(rng, x, zero_frac=0.3, nan_count=nans)
+        out, argmax = F.maxpool2d_forward_cm(x, kernel, stride)
+        want_out, want_argmax = ref.cm_maxpool2d_forward(x, kernel, stride)
+        ref.assert_same_bytes(out, want_out)
+        np.testing.assert_array_equal(argmax, want_argmax)
+
+        grad_out = _plant(rng, rng.standard_normal(out.shape).astype(dtype),
+                          zero_frac=0.2, nan_count=nans)
+        got = F.maxpool2d_backward_cm(grad_out, argmax, x.shape, kernel,
+                                      stride)
+        want = ref.cm_maxpool2d_backward(grad_out, argmax, x.shape, kernel,
+                                         stride)
         ref.assert_same_bytes(got, want)
+
+        nchw_out, nchw_argmax = F.maxpool2d_forward(ref.nchw(x), kernel,
+                                                    stride)
+        ref.assert_same_bytes(np.ascontiguousarray(ref.nchw(out)),
+                              np.ascontiguousarray(nchw_out))
+        nchw_grad = ref.maxpool2d_backward(ref.nchw(grad_out), nchw_argmax,
+                                           ref.nchw(x).shape, kernel, stride)
+        ref.assert_close(ref.nchw(got), nchw_grad)
 
 
 class TestSoftmax:
