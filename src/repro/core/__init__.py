@@ -1,7 +1,7 @@
 """AdaPEx core: configuration, design-time generation, top-level facade,
-plus the execution layer (process-parallel backend, per-design-point
+plus the execution layer (the supervised process pool, per-design-point
 cache, phase timing) and its crash-safety machinery (error taxonomy,
-supervised pool, sweep checkpoint manifest)."""
+sweep checkpoint manifest)."""
 
 from .errors import (
     IntegrityError,
@@ -22,13 +22,14 @@ from .halving import (
     pareto_ranks,
 )
 from .instrument import PhaseTimer
-from .parallel import fork_available, parallel_map, resolve_workers
 from .pointcache import PointCache
 from .supervise import (
     FailedPoint,
     SupervisedPool,
     SuperviseConfig,
     SweepOutcome,
+    fork_available,
+    resolve_workers,
 )
 
 __all__ = ["AdaPExFramework", "AdaPExConfig", "paper_threshold_sweep",
@@ -36,7 +37,7 @@ __all__ = ["AdaPExFramework", "AdaPExConfig", "paper_threshold_sweep",
            "HalvingConfig", "HalvingReport", "HalvingSearch",
            "pareto_front", "pareto_ranks",
            "PhaseTimer", "PointCache",
-           "fork_available", "parallel_map", "resolve_workers",
+           "fork_available", "resolve_workers",
            "ReproError", "TransientError", "PermanentError",
            "IntegrityError", "classify_error",
            "SuperviseConfig", "SupervisedPool", "SweepOutcome",

@@ -35,16 +35,16 @@ search (:mod:`repro.core.halving`). It sorts the points into cached,
 quarantined (by an earlier run) and pending ones, keeps the
 :class:`~repro.core.checkpoint.SweepManifest` beside a
 :class:`~repro.core.pointcache.PointCache` (so a killed sweep resumes
-with nothing recomputed), trains the base models the pending points
-need (once, in the parent) and runs them on a
+with nothing recomputed), trains the base models and builds the variant
+contexts the pending points need (once, in the parent) and runs them on a
 :class:`~repro.core.supervise.SupervisedPool`, which retries transient
 failures and quarantines the rest. With ``config.parallel_workers > 1``
 the pool forks worker processes (the work is NumPy and Python loops that
-hold the GIL, so threads cannot help): the trained weights travel in one
-shared-memory block (:func:`repro.nn.shmstate.publish_state_arrays`),
-and every worker rebuilds datasets and twins once in its initializer.
-Each stage has one task function, called with the parent's generator,
-contexts and step memo or with a worker's. Results are merged in sweep
+hold the GIL, so threads cannot help), and each worker inherits the
+parent's generator, datasets, trained bases and contexts by fork:
+nothing is shipped, and no worker rebuilds or retrains anything. Each
+stage has one task function, called on that ``(generator, contexts,
+step memo)`` state, serial or forked. Results are merged in sweep
 order, so parallel libraries are bit-identical to serial ones.
 
 The compiled plans of one sweep share a
@@ -78,8 +78,6 @@ from ..models.cnv import CNVConfig, build_cnv
 from ..models.exits import ExitsConfiguration
 from ..nn.layers import Conv2D, Linear
 from ..nn.quant import post_training_quantize
-from ..nn.serialize import load_state_arrays, state_arrays
-from ..nn.shmstate import publish_state_arrays, receive_state_arrays
 from ..nn.trainer import EVAL_BATCH, Trainer, cascade_sweep, evaluate_exits
 from ..pruning.pruner import plan_counts, prune_model
 from ..pruning.ranking import HAPMCriterion, get_criterion
@@ -88,7 +86,6 @@ from ..runtime.library import AcceleratorId, Library, LibraryEntry
 from .checkpoint import SweepManifest
 from .config import AdaPExConfig
 from .instrument import PhaseTimer
-from .parallel import fork_available
 from .pointcache import PointCache
 from .supervise import SuperviseConfig, SupervisedPool
 
@@ -515,8 +512,8 @@ class _Stages:
 
     It owns the sweep's checkpoint manifest (only with a point cache),
     the base models and variant contexts of pending points, the
-    supervised pool (serial, or forked with the trained bases shipped in
-    one shared-memory block) and the points quarantined so far.
+    supervised pool (serial, or forked workers that inherit those) and
+    the points quarantined so far.
     """
 
     def __init__(self, gen: LibraryGenerator, progress, timer, supervise,
@@ -556,7 +553,8 @@ class _Stages:
         is not run, nor is one the manifest has quarantined. The others
         run as ``task(state, (point, extra(point)))``, which returns
         ``(result, timer.as_dict())``; ``state`` is ``(generator,
-        contexts, step memo)``, the caller's own or a pool worker's.
+        contexts, step memo)``, this stage's own, inherited by forked
+        workers.
         ``label`` suffixes each point's log label.
         """
         gen, manifest, log = self.gen, self.manifest, self.log
@@ -630,32 +628,19 @@ class _Stages:
 
         items = [(point, extra(point) if extra else None)
                  for point in pending]
-        workers = min(cfg.parallel_workers, len(items))
-        shipment = None
-        if workers > 1 and fork_available():
-            # Weights travel through one shared-memory block instead of
-            # being pickled once per worker; the shipment must outlive
-            # the whole run because the supervisor may recreate pools
-            # (and re-run the initializer) after worker crashes.
-            shipment = publish_state_arrays(
-                {topo: state_arrays(model)
-                 for topo, model in gen._base_cache.items()})
-            fn = functools.partial(_in_worker, task)
-            init = {"initializer": _parallel_worker_init,
-                    "initargs": (cfg, shipment.payload)}
-        else:
-            # One step memo for the whole stage, like each worker's.
-            fn = functools.partial(task, (gen, self.contexts,
-                                          gen._sweep_memo()))
-            init = {}
+        # Serial or forked, every task runs on the state built above:
+        # forked workers inherit it, and each process keeps one step
+        # memo for the whole stage.
         try:
-            SupervisedPool(workers=workers, config=self.supervise,
-                           progress=log, label=lambda item: describe(item[0]),
-                           **init).run(fn, items, on_result=on_done,
-                                       on_failure=on_failed)
+            SupervisedPool(
+                workers=cfg.parallel_workers, config=self.supervise,
+                progress=log, label=lambda item: describe(item[0]),
+                initializer=_install_worker_state,
+                initargs=((gen, self.contexts, gen._sweep_memo()),),
+            ).run(functools.partial(_in_worker, task), items,
+                  on_result=on_done, on_failure=on_failed)
         finally:
-            if shipment is not None:
-                shipment.close()
+            _install_worker_state(None)
         return results, pending
 
     def library(self, results: dict, **metadata) -> Library:
@@ -698,57 +683,19 @@ class _Stages:
 # ----------------------------------------------------------------------
 # process-pool worker side
 # ----------------------------------------------------------------------
-# Populated once per worker by the pool initializer: a LibraryGenerator
-# whose datasets and base models were reconstructed from the parent's
-# shipped weights, the prepared per-variant contexts, and the step memo
-# the worker's points share.
+# The ``(generator, contexts, step memo)`` a stage's tasks run on, set by
+# the pool initializer: in the parent for a serial stage, inherited by
+# fork in each worker of a parallel one.
 _WORKER_STATE: tuple | None = None
 
 
-def _parallel_worker_init(config: AdaPExConfig, base_states: dict) -> None:
-    """Rebuild datasets, twins, and fold constraints once per worker.
-
-    ``base_states`` is either a :func:`~repro.nn.shmstate.publish_state_arrays`
-    payload (the usual case: weights read as zero-copy shared-memory
-    views) or a plain ``{topology: state_arrays}`` dict. Either way it
-    maps each exit-topology key to the trained base's snapshot, so
-    workers never retrain — they rebuild the architecture (deterministic
-    from the config seed) and load the parent's exact weights.
-    """
+def _install_worker_state(state: tuple | None) -> None:
     global _WORKER_STATE
-    if isinstance(base_states, dict) \
-            and base_states.get("kind") in ("shm", "pickle"):
-        base_states, release = receive_state_arrays(base_states)
-    else:
-        release = lambda: None  # noqa: E731 - trivial no-op
-    gen = LibraryGenerator(config)
-    for topo, arrays in base_states.items():
-        for variant, exits_cfg, pruned_exits in gen._variants():
-            if gen._topology_key(exits_cfg) == topo:
-                model = gen._build(exits_cfg, config.width_scale)
-                if config.compute_dtype != "float64":
-                    model.astype(config.np_dtype)
-                load_state_arrays(model, arrays)
-                gen._base_cache[topo] = model
-                break
-    # Weights are copied into the models above; drop the shared-memory
-    # views before anything long-lived happens in this worker.
-    release()
-    # Only variants whose trained base was shipped get a context: on a
-    # partial resume the parent trains (and ships) just the variants
-    # with pending points, and workers must not retrain the others.
-    contexts = {}
-    for variant, exits_cfg, pruned_exits in gen._variants():
-        if gen._topology_key(exits_cfg) not in gen._base_cache:
-            continue
-        scaled_base = gen.train_base_model(exits_cfg)  # cache hit, no fit
-        contexts[(variant, pruned_exits)] = gen._variant_context(
-            variant, exits_cfg, pruned_exits, scaled_base)
-    _WORKER_STATE = (gen, contexts, gen._sweep_memo())
+    _WORKER_STATE = state
 
 
 def _in_worker(task, item):
-    """Run a stage task on the state this worker's initializer built."""
+    """Run a stage task on the state the pool initializer installed."""
     return task(_WORKER_STATE, item)
 
 

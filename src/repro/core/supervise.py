@@ -1,8 +1,16 @@
-"""Supervised execution of design-point work units.
+"""The one process pool: supervised, ordered execution of work units.
 
-:class:`SupervisedPool` wraps the process-parallel backend
-(:mod:`repro.core.parallel`) with the failure handling a production
-sweep needs:
+The design-time sweep and the edge-server evaluation are both
+embarrassingly parallel, but almost every cycle is spent in NumPy and
+Python loops that hold the GIL, so a thread pool buys nothing.
+:class:`SupervisedPool` runs work units on forked worker processes, or
+serially in-process with one worker or without the ``fork`` start
+method. Workers inherit their state by fork: the ``initializer`` and
+its ``initargs`` travel as ``Process`` arguments, which a forked child
+inherits without pickling, so whatever the parent has already built
+(trained models, datasets, compiled policy tables) is shared, never
+shipped or rebuilt. Only items and results are pickled. The pool adds
+the failure handling a production sweep needs:
 
 * **wall-clock timeouts** — a hung worker cannot be cancelled through
   ``concurrent.futures``, so on deadline the whole pool is terminated
@@ -21,16 +29,18 @@ sweep needs:
   budget is recorded as a structured :class:`FailedPoint` instead of
   aborting the sweep. The caller decides what a partial result means.
 
-Results are reported in item order regardless of completion order, so a
-fully successful supervised run is indistinguishable from
-:func:`repro.core.parallel.parallel_map`. ``KeyboardInterrupt`` /
-``SystemExit`` are never swallowed — a killed sweep must stay killable
-(and resumable from its checkpoint manifest).
+Results are reported in item order regardless of completion order, so
+parallel runs are bit-identical to serial ones. :meth:`SupervisedPool.map`
+is the strict form that serving and fleet campaigns use: the first
+failure raises, and no partial result is returned.
+``KeyboardInterrupt`` / ``SystemExit`` are never swallowed — a killed
+sweep must stay killable (and resumable from its checkpoint manifest).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -38,10 +48,27 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .errors import WorkTimeoutError, WorkerCrashError, classify_error
-from .parallel import fork_available, resolve_workers
 
 __all__ = ["SuperviseConfig", "FailedPoint", "SweepOutcome",
-           "SupervisedPool"]
+           "SupervisedPool", "fork_available", "resolve_workers"]
+
+
+def fork_available() -> bool:
+    """Whether the platform supports the ``fork`` start method."""
+    return "fork" in mp.get_all_start_methods()
+
+
+def resolve_workers(workers) -> int:
+    """Normalize a worker-count knob.
+
+    ``True`` means "one per CPU"; ``None``/``False``/``0`` mean serial;
+    an int is taken as-is (minimum 1).
+    """
+    if workers is True:
+        return os.cpu_count() or 1
+    if not workers:
+        return 1
+    return max(1, int(workers))
 
 
 @dataclass(frozen=True)
@@ -128,8 +155,8 @@ class SupervisedPool:
     Parameters
     ----------
     workers:
-        Worker-count knob (see
-        :func:`repro.core.parallel.resolve_workers`). With one worker —
+        Worker-count knob (see :func:`resolve_workers`); the pool is
+        never larger than the number of items. With one worker —
         or without ``fork`` — items run serially in-process; retries and
         quarantine still apply, but wall-clock timeouts do not (a hung
         in-process call cannot be safely preempted).
@@ -137,11 +164,14 @@ class SupervisedPool:
         A :class:`SuperviseConfig`; defaults to retries with backoff and
         no timeout.
     progress / label:
-        As in :func:`~repro.core.parallel.parallel_map`; retry and
-        quarantine events are reported through the same channel.
+        ``progress`` is an optional ``callable(str)`` told of every
+        completed item (``label(item)`` names it, ``repr`` by default),
+        and of every retry and quarantine.
     initializer / initargs:
-        Per-worker one-time setup; rerun whenever a pool is rebuilt
-        after a crash or timeout.
+        Per-worker one-time setup, inherited by fork (never pickled);
+        rerun whenever a pool is rebuilt after a crash or timeout. In
+        the serial path it runs once, in-process, so ``fn`` can rely on
+        its side effects either way.
     """
 
     def __init__(self, workers=1, config: SuperviseConfig | None = None,
@@ -177,6 +207,20 @@ class SupervisedPool:
         else:
             self._run_parallel(fn, ctx, workers)
         return outcome
+
+    def map(self, fn, items) -> list:
+        """``fn`` over ``items``; returns the results in item order.
+
+        The first quarantined item raises a ``RuntimeError`` that names
+        it, raised while the item's own exception (or the worker's remote
+        traceback) is being handled, so that exception stays chained.
+        Build the pool with ``SuperviseConfig(retries=0)`` to fail on the
+        first error rather than after retries.
+        """
+        def fail(index, item, failed):
+            raise RuntimeError(f"{failed.label} failed: {failed.reason()}")
+
+        return self.run(fn, items, on_failure=fail).results
 
     # ------------------------------------------------------------------
     # serial path
@@ -349,12 +393,16 @@ class SupervisedPool:
 
     @staticmethod
     def _shutdown(pool) -> None:
-        """Tear a pool down without waiting on hung workers."""
+        """Tear a pool down without waiting on hung workers: terminate
+        them, then reap them and the pool's manager thread, so no part
+        of the pool outlives the call."""
         processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
         for proc in processes:
             if proc.is_alive():
                 proc.terminate()
+        for proc in processes:
+            proc.join()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _RunContext:

@@ -535,16 +535,15 @@ class EdgeServerSimulator:
         )
 
 
-# Per-worker simulation context, set by the pool initializer so each of
-# the ``runs`` task payloads is just a seed (the policy carries the whole
-# Library — pickling it once per worker instead of once per run matters
-# at the paper's 100-run scale).
+# The simulation context every run shares, set by the pool initializer
+# (inherited by fork, never pickled), so each task is just a seed: the
+# policy carries the whole Library.
 _SIM_CONTEXT: tuple | None = None
 
 
-def _sim_worker_init(policy, workload, config, faults, fault_seed) -> None:
+def _sim_worker_init(context) -> None:
     global _SIM_CONTEXT
-    _SIM_CONTEXT = (policy, workload, config, faults, fault_seed)
+    _SIM_CONTEXT = context
 
 
 def _sim_task(seed: int) -> RunMetrics:
@@ -565,12 +564,15 @@ def simulate_policy(policy, runs: int = 100,
     """Run a policy over ``runs`` workload realizations; returns
     ``(aggregate, run_list)``.
 
-    ``parallel`` fans the runs out over worker processes (``True`` = one
-    per CPU, an int = that many workers; see :mod:`repro.core.parallel`).
-    Each run keeps its exact serial seed ``base_seed + r`` and results
-    are collected in run order, so the aggregate (and every per-run
-    metric) is bit-identical to a serial execution. Falls back to serial
-    when the platform lacks ``fork`` or the policy isn't picklable.
+    ``parallel`` fans the runs out over forked worker processes
+    (``True`` = one per CPU, an int = that many workers) on a
+    :class:`~repro.core.supervise.SupervisedPool`; without ``fork`` the
+    runs are serial. Workers inherit the policy and workload; only seeds
+    and results are pickled. Each run keeps its exact serial seed
+    ``base_seed + r`` and results are collected in run order, so the
+    aggregate (and every per-run metric) is bit-identical to a serial
+    execution. A run that raises makes the whole call raise, naming its
+    seed; no partial result is returned.
 
     ``faults``/``fault_seed`` overlay a deterministic fault campaign
     (:mod:`repro.runtime.faults`) on every run; campaigns with the same
@@ -582,26 +584,15 @@ def simulate_policy(policy, runs: int = 100,
 
     # Imported lazily: repro.core imports repro.edge at package-init
     # time, so a top-level import here would be circular.
-    from ..core.parallel import fork_available, parallel_map, resolve_workers
+    from ..core.supervise import SuperviseConfig, SupervisedPool
 
-    workers = min(resolve_workers(parallel), runs)
-    if workers > 1 and fork_available():
-        try:
-            results = parallel_map(
-                _sim_task, seeds, workers=workers, progress=progress,
-                label=lambda seed: f"run seed={seed}",
-                initializer=_sim_worker_init,
-                initargs=(policy, workload, config, faults, fault_seed))
-            return aggregate_runs(results), results
-        except (TypeError, AttributeError, ImportError):
-            pass  # unpicklable policy (e.g. a local class): run serially
-
-    results = []
-    for r, seed in enumerate(seeds):
-        sim = EdgeServerSimulator(policy, workload=workload, config=config,
-                                  seed=seed, faults=faults,
-                                  fault_seed=fault_seed)
-        results.append(sim.run())
-        if progress is not None:
-            progress(f"run seed={seed} done ({r + 1}/{runs})")
+    try:
+        results = SupervisedPool(
+            parallel, SuperviseConfig(retries=0), progress=progress,
+            label=lambda seed: f"run seed={seed}",
+            initializer=_sim_worker_init,
+            initargs=((policy, workload, config, faults, fault_seed),),
+        ).map(_sim_task, seeds)
+    finally:
+        _sim_worker_init(None)
     return aggregate_runs(results), results

@@ -19,11 +19,12 @@ and all cross-server coupling happen in the parent**:
 
 What remains is embarrassingly parallel: one independent
 :class:`~repro.edge.server.EdgeServerSimulator` run per server, fanned
-out through :func:`repro.core.parallel.parallel_map` (ordered results).
-Policies are built once per SLO tier in the parent with their O(1)
-policy tables compiled (:meth:`RuntimeManager.ensure_policy_table`);
-under the ``fork`` start method the pool's ``initargs`` are inherited,
-not pickled, so every worker shares those compiled tables for free.
+out over a :class:`~repro.core.supervise.SupervisedPool` (ordered
+results; a failed server run raises, naming the server). Policies are
+built once per SLO tier in the parent with their O(1) policy tables
+compiled (:meth:`RuntimeManager.ensure_policy_table`); forked workers
+inherit the pool initializer's arguments, never pickled, so every worker
+shares those compiled tables for free.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.parallel import parallel_map
+from ..core.supervise import SuperviseConfig, SupervisedPool
 from ..edge.server import EdgeServerSimulator, ServerConfig
 from ..runtime.baselines import make_policy
 from ..runtime.manager import SelectionPolicy
@@ -105,7 +106,6 @@ class FleetConfig:
     monitor_window_s: float = 1.0
     reconfig_time_s: float = 0.145
     sim_mode: str = "auto"
-    policy_table: bool = True
     record_trace: bool = False
     brownout_levels: tuple = ()
     brownout_high: float = 0.85
@@ -180,14 +180,13 @@ def _build_policies(library, cfg: FleetConfig) -> dict:
     for tier in sorted(set(cfg.slo_tiers)):
         policy = make_policy(cfg.policy, library,
                              SelectionPolicy(accuracy_loss_threshold=tier))
-        if cfg.policy_table:
-            ensure = getattr(policy, "ensure_policy_table", None)
-            if ensure is not None:
-                extra = ()
-                floor = getattr(policy, "min_accuracy", None)
-                if cfg.brownout_levels and floor is not None:
-                    extra = tuple(floor - d for d in cfg.brownout_levels)
-                ensure(extra_accuracy_levels=extra)
+        ensure = getattr(policy, "ensure_policy_table", None)
+        if ensure is not None:
+            extra = ()
+            floor = getattr(policy, "min_accuracy", None)
+            if cfg.brownout_levels and floor is not None:
+                extra = tuple(floor - d for d in cfg.brownout_levels)
+            ensure(extra_accuracy_levels=extra)
         out[tier] = policy
     return out
 
@@ -237,11 +236,9 @@ def _accuracy_floor(policy) -> float:
 _FLEET_CONTEXT: tuple | None = None
 
 
-def _fleet_worker_init(policies, workloads, configs, seeds, server_faults,
-                       fault_seed) -> None:
+def _fleet_worker_init(context) -> None:
     global _FLEET_CONTEXT
-    _FLEET_CONTEXT = (policies, workloads, configs, seeds, server_faults,
-                      fault_seed)
+    _FLEET_CONTEXT = context
 
 
 def _fleet_task(server_id: int):
@@ -252,6 +249,20 @@ def _fleet_task(server_id: int):
         config=configs[server_id], seed=seeds[server_id],
         faults=server_faults, fault_seed=fault_seed)
     return sim.run()
+
+
+def _run_servers(server_ids, context, workers, progress) -> list:
+    """One run per server in ``server_ids`` (results in that order) on
+    the ``(policies, workloads, configs, seeds, server_faults,
+    fault_seed)`` shard context; the first failed run raises."""
+    try:
+        return SupervisedPool(
+            workers, SuperviseConfig(retries=0), progress=progress,
+            label=lambda sid: f"server {sid}",
+            initializer=_fleet_worker_init, initargs=(context,),
+        ).map(_fleet_task, server_ids)
+    finally:
+        _fleet_worker_init(None)
 
 
 def simulate_fleet(library, tenants, config: FleetConfig | None = None, *,
@@ -368,12 +379,9 @@ def simulate_fleet(library, tenants, config: FleetConfig | None = None, *,
 
     # 6. Fan the independent per-server runs out over worker processes.
     server_faults = faults.server_faults if faults is not None else None
-    results = parallel_map(
-        _fleet_task, range(n), workers=workers, progress=progress,
-        label=lambda sid: f"server {sid}",
-        initializer=_fleet_worker_init,
-        initargs=(policies, workloads, configs, seeds, server_faults,
-                  fault_seed))
+    results = _run_servers(range(n), (policies, workloads, configs, seeds,
+                                      server_faults, fault_seed),
+                           workers, progress)
 
     # 7. SLO audit + deterministic merge.
     runs = [ServerRun(server_id=sid, rack=cfg.rack_of(sid),
@@ -497,12 +505,9 @@ def _simulate_elastic(library, tenants, cfg: FleetConfig,
         policies[sid] = policies_by_tier[cfg.tier_of(sid)]
 
     server_faults = faults.server_faults if faults is not None else None
-    results = parallel_map(
-        _fleet_task, live, workers=workers, progress=progress,
-        label=lambda sid: f"server {sid}",
-        initializer=_fleet_worker_init,
-        initargs=(policies, workloads, configs, seeds, server_faults,
-                  fault_seed))
+    results = _run_servers(live, (policies, workloads, configs, seeds,
+                                  server_faults, fault_seed),
+                           workers, progress)
 
     # 7. SLO audit over each tenant's full serving chain, then the
     # permutation-invariant merge with the elastic ledgers folded in.

@@ -124,9 +124,9 @@ executors in float64, on any BLAS.
 
 Float32 plans have the same structure; their integer layers reproduce
 the float32 float path's codes (the guard uses float32's ``u``).
-Threshold inputs containing NaN are undefined (the oracle yields code 0,
-the plan yields 0 below ``_SWEEP_MAX_LEVELS`` levels and ``levels``
-above); exported models never produce NaN activations.
+A NaN threshold input crosses no level: the oracle and the plan both
+give it code 0, at any number of levels. Exported models never produce
+NaN activations.
 """
 
 from __future__ import annotations

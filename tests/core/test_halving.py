@@ -21,7 +21,7 @@ from repro.core.config import AdaPExConfig
 from repro.core.design_time import LibraryGenerator
 from repro.core.halving import (HalvingConfig, HalvingReport,
                                 HalvingSearch, pareto_front, pareto_ranks)
-from repro.core.parallel import fork_available
+from repro.core.supervise import fork_available
 from repro.core.pointcache import PointCache
 from repro.core.supervise import SuperviseConfig
 from repro.nn.trainer import TrainConfig

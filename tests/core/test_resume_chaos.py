@@ -15,7 +15,7 @@ import pytest
 from repro.core import design_time
 from repro.core.config import AdaPExConfig
 from repro.core.design_time import LibraryGenerator
-from repro.core.parallel import fork_available
+from repro.core.supervise import fork_available
 from repro.core.pointcache import PointCache
 from repro.core.supervise import SuperviseConfig
 from repro.pruning.pruner import PruningError

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.errors import PermanentError, TransientError
-from repro.core.parallel import fork_available
+from repro.core.supervise import fork_available
 from repro.core.supervise import (FailedPoint, SupervisedPool,
                                   SuperviseConfig, SweepOutcome)
 
