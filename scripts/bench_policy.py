@@ -6,8 +6,9 @@ threshold grid plus backbones, so accuracy-tie groups and stability
 bonuses are actually exercised):
 
 1. **Selection speedup** — ``RuntimeManager.select`` through the
-   compiled policy table (``compile_policy_table``) vs the PR-5
-   throughput-sorted index, on the serving hot path (a deployed
+   compiled policy table (``compile_policy_table``) vs the
+   throughput-sorted index (``IndexOnlyManager``,
+   ``tests/runtime/oracles.py``), on the serving hot path (a deployed
    ``current`` entry, workloads spanning feasible and degraded ranges).
    Must be at least ``REPRO_BENCH_MIN_TABLE_SPEEDUP`` (default 5) times
    faster; the no-current cold path is reported as well.
@@ -16,9 +17,9 @@ bonuses are actually exercised):
    its grid neighborhood, degraded region, NaN) for every possible
    ``current``, with and without a partial-reconfiguration cost model.
 3. **Campaign bit-identity** — with batching and partial reconfig off,
-   a ``simulate_policy`` campaign driven by a table-compiled manager is
+   a ``simulate_policy`` campaign driven by a table-backed manager is
    bit-identical (every ``RunMetrics`` field, every trace array) to the
-   index-driven campaign, in both simulation engines; and the
+   index-only campaign, in both simulation engines; and the
    micro-batched fast path is bit-identical to the batched event loop.
 
 Writes ``BENCH_policy.json`` (default: this directory; ``--out`` to
@@ -39,7 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.edge import ServerConfig, WorkloadSpec, simulate_policy  # noqa: E402
 from repro.runtime import (                                  # noqa: E402
@@ -49,6 +52,7 @@ from repro.runtime import (                                  # noqa: E402
     PartialReconfigModel,
 )
 from repro.runtime.manager import RuntimeManager, SelectionPolicy  # noqa: E402
+from tests.runtime.oracles import IndexOnlyManager           # noqa: E402
 
 MIN_TABLE_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_TABLE_SPEEDUP", "5"))
@@ -114,6 +118,9 @@ def best_of(fn, repeats: int):
 def run_key(m) -> tuple:
     d = dataclasses.asdict(m)
     trace = d.pop("trace")
+    # The label is the manager's class name, which differs by
+    # construction between the table and index-only sides.
+    d.pop("policy")
     return (tuple(sorted(d.items())),
             tuple((k, tuple(v)) for k, v in sorted(trace.items())))
 
@@ -149,10 +156,9 @@ def main(argv=None) -> int:
     print("equivalence sweep (table vs index)...")
     ws = sweep_workloads(lib, rng)
     for model, tag in ((None, "binary"), (PartialReconfigModel(), "graded")):
-        ref = RuntimeManager(lib, policy, reconfig_model=model)
+        ref = IndexOnlyManager(lib, policy, reconfig_model=model)
         tab = RuntimeManager(lib, policy, reconfig_model=model)
-        tab.compile_policy_table()
-        report[f"table_stats_{tag}"] = tab._policy_table.stats()
+        report[f"table_stats_{tag}"] = tab.compile_policy_table().stats()
         currents = [None] + list(lib.entries)
         mismatches = 0
         for w in ws:
@@ -165,10 +171,10 @@ def main(argv=None) -> int:
               f"{2 * len(ws)} queries, {mismatches} mismatches")
 
     # ------------------------------------------------------------------
-    # 2. selection speedup: compiled table vs PR-5 index
+    # 2. selection speedup: compiled table vs index
     # ------------------------------------------------------------------
     print("selection speedup (compiled table vs index)...")
-    ref = RuntimeManager(lib, policy)
+    ref = IndexOnlyManager(lib, policy)
     tab = RuntimeManager(lib, policy)
     tab.compile_policy_table()
     top = max(e.serving_ips for e in lib.entries)
@@ -207,14 +213,14 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     # 3. campaign bit-identity: table on/off, engines, batching
     # ------------------------------------------------------------------
-    print("campaign bit-identity (features off; table on vs off)...")
+    print("campaign bit-identity (features off; table vs index)...")
     workload = WorkloadSpec(num_cameras=6, ips_per_camera=60.0,
                             duration_s=10.0)
 
     def campaign(use_table: bool, **cfg_kwargs):
-        mgr = RuntimeManager(lib, policy,
-                             reconfig_model=cfg_kwargs.get(
-                                 "partial_reconfig"))
+        manager = RuntimeManager if use_table else IndexOnlyManager
+        mgr = manager(lib, policy,
+                      reconfig_model=cfg_kwargs.get("partial_reconfig"))
         if use_table:
             mgr.compile_policy_table()
         _, runs = simulate_policy(mgr, runs=6, workload=workload,

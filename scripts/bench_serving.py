@@ -13,9 +13,10 @@ Measures, on a hand-built library shaped like the quick-profile sweep
    fault preset (failed and jittered reconfigurations, inference
    retries, ingress drops, spikes). ``auto`` must be bit-identical to
    ``event`` and at least ``MIN_FAULT_SPEEDUP`` (5) times faster.
-3. **Selection speedup** — ``RuntimeManager.select`` through the
-   throughput-sorted index vs a linear rescan of the library
-   (``linear_select``), on a 200-entry library. Same winners on
+3. **Selection speedup** — selection through the throughput-sorted
+   index (``IndexOnlyManager``, ``tests/runtime/oracles.py``) vs a
+   linear rescan of the library (``linear_select``), on a 200-entry
+   library. Same winners on
    every query, at least ``REPRO_BENCH_MIN_SELECT_SPEEDUP`` (default 3)
    times faster.
 
@@ -36,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.edge import ServerConfig, WorkloadSpec, simulate_policy  # noqa: E402
 from repro.runtime import (                                  # noqa: E402
@@ -46,7 +49,7 @@ from repro.runtime import (                                  # noqa: E402
     LibraryEntry,
     make_policy,
 )
-from repro.runtime.manager import RuntimeManager             # noqa: E402
+from tests.runtime.oracles import IndexOnlyManager, linear_select  # noqa: E402
 
 MIN_SERVING_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_SERVING_SPEEDUP", "10"))
@@ -97,25 +100,6 @@ def selection_library(n: int = 200) -> Library:
                        0.70 + (i % 30) * 0.008, 100.0 + i * 7.0,
                        energy=1e-3 + (i % 7) * 1e-4))
     return lib
-
-
-def linear_select(mgr, workload_ips, current=None):
-    """The pre-index selection algorithm (linear feasible rescan)."""
-    required = workload_ips * mgr.policy.headroom
-    candidates = [e for e in mgr.library.entries
-                  if e.accuracy >= mgr.min_accuracy
-                  and e.serving_ips >= required]
-    if not candidates:
-        acc_ok = [e for e in mgr.library
-                  if e.accuracy >= mgr.min_accuracy]
-        pool = acc_ok or list(mgr.library)
-        return max(pool, key=lambda e: (
-            e.serving_ips, e.accuracy,
-            mgr._stability_bonus(e, current)))
-    return max(candidates, key=lambda e: (
-        round(e.accuracy, 6),
-        mgr._stability_bonus(e, current),
-        -e.energy_per_inference_j))
 
 
 def metrics_key(m):
@@ -224,7 +208,7 @@ def main(argv=None) -> int:
     # 3. selection micro-benchmark: sorted index vs linear rescan
     # ------------------------------------------------------------------
     sel_lib = selection_library()
-    mgr = RuntimeManager(sel_lib)
+    mgr = IndexOnlyManager(sel_lib)
     ws = np.random.default_rng(1).uniform(
         0, 1800, size=args.queries).tolist()
     current = mgr.select(100.0)

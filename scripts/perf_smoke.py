@@ -42,6 +42,9 @@ from repro.fleet import (ElasticConfig, FleetConfig, make_tenants,
                          simulate_fleet)
 from repro.runtime import RuntimeManager
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.runtime.oracles import IndexOnlyManager  # noqa: E402
+
 MIN_SPEEDUP = float(os.environ.get("REPRO_SMOKE_MIN_SPEEDUP", "2.0"))
 
 
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     print("policy table vs indexed select...")
     import numpy as _np_ptable
-    indexed = RuntimeManager(serial_lib)
+    indexed = IndexOnlyManager(serial_lib)
     tabled = RuntimeManager(serial_lib)
     tabled.compile_policy_table()
     _rng = _np_ptable.random.default_rng(17)

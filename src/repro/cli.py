@@ -26,7 +26,7 @@ from .core.errors import IntegrityError
 from .core.halving import HalvingConfig, HalvingSearch
 from .core.instrument import PhaseTimer
 from .core.supervise import SuperviseConfig
-from .edge.server import SIM_MODES, ServerConfig, simulate_policy
+from .edge.server import ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
                     FleetFaultSpec, ReconfigCoordinator, make_tenants,
                     simulate_fleet)
@@ -225,6 +225,14 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
                 ).schedule(envelope)
             except CoordinationError as exc:
                 parser.error(str(exc))
+        # ServerConfig owns the ladder's rules; every server gets one.
+        try:
+            ServerConfig(brownout_levels=tuple(args.brownout),
+                         brownout_high=args.brownout_high,
+                         brownout_low=args.brownout_low,
+                         brownout_shed_occupancy=args.brownout_shed)
+        except ValueError as exc:
+            parser.error(f"invalid brownout ladder: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="ask the Runtime Manager for an "
                                         "operating point")
     sel.add_argument("--library", required=True)
-    sel.add_argument("--policy-table", action="store_true",
-                     help="compile the policy's decision function into "
-                          "an O(1) lookup table before selecting "
-                          "(exactly equivalent; reports table shape)")
     sel.add_argument("--workload", type=_nonnegative_float, required=True,
                      help="incoming inferences per second")
     sel.add_argument("--policy", default="adapex",
@@ -354,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fault-seed", type=_nonnegative_int, default=0,
                     help="seed of the fault campaign; identical seeds "
                          "give byte-identical campaigns")
-    ev.add_argument("--policy-table", action="store_true",
-                    help="compile each policy's selection into an O(1) "
-                         "lookup table (bit-identical results, faster "
-                         "decision ticks at campaign scale)")
     ev.add_argument("--batch-window", type=_nonnegative_float,
                     metavar="MS", default=0.0,
                     help="micro-batched admission: queued frames "
@@ -376,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "'regions=8,exit_regions=2,overhead_ms=10'; "
                          "also installs the model as the policies' "
                          "switch-cost calculus")
-    ev.add_argument("--sim-mode", default="auto", choices=SIM_MODES,
-                    help="serving-simulator engine: 'auto' (default) "
-                         "uses the fast path when bit-exact equivalence "
-                         "is provable and falls back to the event loop "
-                         "otherwise; 'event' forces the event loop "
-                         "(metrics are identical either way)")
     ev.add_argument("--timing-json", metavar="PATH",
                     help="write the per-phase timing report to PATH")
 
@@ -464,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shard servers over N worker processes "
                          "(0 = serial; campaigns are byte-identical "
                          "either way)")
-    fl.add_argument("--sim-mode", default="auto", choices=SIM_MODES)
     fl.add_argument("--timing-json", metavar="PATH",
                     help="write the per-phase timing report to PATH")
 
@@ -588,17 +581,6 @@ def _cmd_info(args) -> int:
 def _cmd_select(args) -> int:
     library = _load_library(args.library)
     policy = make_policy(args.policy, library)
-    if args.policy_table:
-        compile_table = getattr(policy, "compile_policy_table", None)
-        if compile_table is None:
-            print(f"note: policy {args.policy} has no runtime manager; "
-                  f"--policy-table ignored")
-        else:
-            table = compile_table()
-            stats = table.stats()
-            print(f"policy table: {stats['grid_cells']} cells x "
-                  f"{stats['slots']} slots over {stats['entries']} "
-                  f"entries ({stats['shared_rows']} distinct rows)")
     entry = policy.select(args.workload)
     print(f"policy {args.policy} @ workload {args.workload:.0f} IPS ->")
     print(f"  accelerator:          {entry.accelerator.label()}")
@@ -616,8 +598,7 @@ def _cmd_evaluate(args) -> int:
     faults = FaultSpec.parse(args.faults) if args.faults else None
     partial = (PartialReconfigModel.parse(args.partial_reconfig)
                if args.partial_reconfig is not None else None)
-    config = ServerConfig(sim_mode=args.sim_mode,
-                          batch_window_s=args.batch_window / 1000.0,
+    config = ServerConfig(batch_window_s=args.batch_window / 1000.0,
                           dispatch_overhead_s=args.dispatch_overhead
                           / 1000.0,
                           partial_reconfig=partial)
@@ -632,11 +613,6 @@ def _cmd_evaluate(args) -> int:
             install = getattr(policy, "set_reconfig_model", None)
             if install is not None:
                 install(partial)
-        if args.policy_table:
-            compile_table = getattr(policy, "compile_policy_table", None)
-            if compile_table is not None:
-                with timer.phase("compile_policy_table"):
-                    compile_table()
         with timer.phase("simulate"):
             aggregate, _ = simulate_policy(policy, runs=args.runs,
                                            base_seed=args.seed,
@@ -659,8 +635,6 @@ def _cmd_evaluate(args) -> int:
             "command": "evaluate", "runs": args.runs,
             "policies": args.policies, "parallel": args.parallel,
             "faults": args.faults, "fault_seed": args.fault_seed,
-            "sim_mode": args.sim_mode,
-            "policy_table": args.policy_table,
             "batch_window_ms": args.batch_window,
             "dispatch_overhead_ms": args.dispatch_overhead,
             "partial_reconfig": args.partial_reconfig})
@@ -680,7 +654,6 @@ def _cmd_fleet(args) -> int:
         slo_tiers=tuple(args.slo_tiers),
         capacity_fraction=args.capacity_fraction,
         coordinate=not args.no_coordinate, duration_s=args.duration,
-        sim_mode=args.sim_mode,
         brownout_levels=tuple(args.brownout),
         brownout_high=args.brownout_high,
         brownout_low=args.brownout_low,

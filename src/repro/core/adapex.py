@@ -116,8 +116,6 @@ class AdaPExFramework:
         accumulates the wall time under a ``simulate`` phase.
         """
         timer = timer or PhaseTimer()
-        if server is None:
-            server = ServerConfig(sim_mode=self.config.sim_mode)
         results: dict[str, AggregateMetrics] = {}
         for name in policies:
             policy = self.policy(name, selection)

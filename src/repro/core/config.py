@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..edge.fastsim import SIM_MODES
 from ..finn.device import FPGADevice, ZCU104
 from ..finn.power import PowerModel
 from ..models.exits import ExitsConfiguration
@@ -94,11 +93,6 @@ class AdaPExConfig:
     # results bit-stable with the golden traces; "float32" roughly halves
     # memory traffic and doubles BLAS throughput at a small accuracy delta.
     compute_dtype: str = "float64"
-    # Serving-simulator engine for evaluate_at_edge: "auto" uses the
-    # fast path when provably bit-identical to the event loop and falls
-    # back otherwise; "event" forces the event loop. Not part of the
-    # cache key — both engines produce identical metrics.
-    sim_mode: str = "auto"
 
     def __post_init__(self):
         if self.train_samples < 1 or self.test_samples < 1:
@@ -120,10 +114,6 @@ class AdaPExConfig:
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', "
                 f"got {self.compute_dtype!r}")
-        if self.sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"sim_mode must be one of {SIM_MODES}, "
-                f"got {self.sim_mode!r}")
         if not self.precisions:
             raise ValueError("need at least one precision")
         from ..nn.quant import PRECISION_SPECS

@@ -9,7 +9,9 @@ method. Workers inherit their state by fork: the ``initializer`` and
 its ``initargs`` travel as ``Process`` arguments, which a forked child
 inherits without pickling, so whatever the parent has already built
 (trained models, datasets, compiled policy tables) is shared, never
-shipped or rebuilt. Only items and results are pickled. The pool adds
+shipped or rebuilt; a Runtime Manager whose first query comes after
+the fork compiles its policy table once per worker. Only items and
+results are pickled. The pool adds
 the failure handling a production sweep needs:
 
 * **wall-clock timeouts** — a hung worker cannot be cancelled through

@@ -22,9 +22,9 @@ What remains is embarrassingly parallel: one independent
 out over a :class:`~repro.core.supervise.SupervisedPool` (ordered
 results; a failed server run raises, naming the server). Policies are
 built once per SLO tier in the parent with their O(1) policy tables
-compiled (:meth:`RuntimeManager.ensure_policy_table`); forked workers
-inherit the pool initializer's arguments, never pickled, so every worker
-shares those compiled tables for free.
+compiled (:meth:`RuntimeManager.compile_policy_table`, brownout floors
+included); forked workers inherit the pool initializer's arguments,
+never pickled, so every worker shares those compiled tables for free.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class FleetConfig:
     queue_capacity: int = 64
     monitor_window_s: float = 1.0
     reconfig_time_s: float = 0.145
-    sim_mode: str = "auto"
     record_trace: bool = False
     brownout_levels: tuple = ()
     brownout_high: float = 0.85
@@ -180,13 +179,10 @@ def _build_policies(library, cfg: FleetConfig) -> dict:
     for tier in sorted(set(cfg.slo_tiers)):
         policy = make_policy(cfg.policy, library,
                              SelectionPolicy(accuracy_loss_threshold=tier))
-        ensure = getattr(policy, "ensure_policy_table", None)
-        if ensure is not None:
-            extra = ()
-            floor = getattr(policy, "min_accuracy", None)
-            if cfg.brownout_levels and floor is not None:
-                extra = tuple(floor - d for d in cfg.brownout_levels)
-            ensure(extra_accuracy_levels=extra)
+        compile_table = getattr(policy, "compile_policy_table", None)
+        if compile_table is not None:
+            compile_table(extra_accuracy_levels=tuple(
+                policy.min_accuracy - d for d in cfg.brownout_levels))
         out[tier] = policy
     return out
 
@@ -200,11 +196,61 @@ def _server_config(cfg: FleetConfig, offset: float) -> ServerConfig:
         monitor_window_s=cfg.monitor_window_s,
         reconfig_time_s=cfg.reconfig_time_s,
         record_trace=cfg.record_trace,
-        sim_mode=cfg.sim_mode,
         brownout_levels=cfg.brownout_levels,
         brownout_high=cfg.brownout_high,
         brownout_low=cfg.brownout_low,
         brownout_shed_occupancy=cfg.brownout_shed_occupancy)
+
+
+def _stagger_offsets(cfg: FleetConfig, n: int) -> list:
+    """Decision-tick offsets of servers ``0..n-1`` (all zero when the
+    coordinator is off)."""
+    if not cfg.coordinate:
+        return [0.0] * n
+    coordinator = ReconfigCoordinator(
+        capacity_fraction=cfg.capacity_fraction,
+        decision_interval_s=cfg.decision_interval_s,
+        max_swap_s=cfg.reconfig_time_s)
+    return list(coordinator.schedule(n).offsets)
+
+
+def _rack_kills(cfg: FleetConfig, faults, n: int, *, seed,
+                fault_seed) -> dict:
+    """Kill time of every server among ``0..n-1`` whose rack the
+    correlated fault plan takes down."""
+    if faults is None or faults.racks_lost <= 0:
+        return {}
+    plan = FleetFaultPlan(faults, seed=(fault_seed, seed))
+    killed_racks = plan.realize(math.ceil(n / cfg.rack_size),
+                                cfg.duration_s)
+    return {sid: killed_racks[cfg.rack_of(sid)] for sid in range(n)
+            if cfg.rack_of(sid) in killed_racks}
+
+
+def _shard_context(cfg: FleetConfig, lifetimes: dict, chunks: dict,
+                   nominal: dict, offsets, policies_by_tier: dict,
+                   seed: int) -> tuple:
+    """Per-server ``(policies, workloads, configs, seeds)`` for every
+    server in ``lifetimes`` (``sid -> (start, end)`` in campaign time).
+
+    A server's arrival chunks merge into one sorted trace, shifted into
+    server-local time when it came on line late, so standby and retired
+    periods draw no idle power and make no decisions.
+    """
+    policies, workloads, configs, seeds = {}, {}, {}, {}
+    for sid, (start, end) in lifetimes.items():
+        parts = [c for c in chunks[sid] if len(c)]
+        merged = np.sort(np.concatenate(parts)) if parts \
+            else np.empty(0, dtype=np.float64)
+        if start:
+            merged = merged - start
+        workloads[sid] = ShardWorkload(arrivals=merged,
+                                       duration_s=end - start,
+                                       nominal_ips=nominal[sid])
+        configs[sid] = _server_config(cfg, offsets[sid])
+        seeds[sid] = seed + _SERVER_SEED_STRIDE * (sid + 1)
+        policies[sid] = policies_by_tier[cfg.tier_of(sid)]
+    return policies, workloads, configs, seeds
 
 
 def _capacity_ips(library, floor: float) -> float:
@@ -304,13 +350,7 @@ def simulate_fleet(library, tenants, config: FleetConfig | None = None, *,
     n = cfg.num_servers
 
     # 1. Stagger schedule: one decision-tick offset per server.
-    offsets = [0.0] * n
-    if cfg.coordinate:
-        coordinator = ReconfigCoordinator(
-            capacity_fraction=cfg.capacity_fraction,
-            decision_interval_s=cfg.decision_interval_s,
-            max_swap_s=cfg.reconfig_time_s)
-        offsets = list(coordinator.schedule(n).offsets)
+    offsets = _stagger_offsets(cfg, n)
 
     # 2. Policies (one per tier) and the routing view of each server.
     policies_by_tier = _build_policies(library, cfg)
@@ -319,13 +359,7 @@ def simulate_fleet(library, tenants, config: FleetConfig | None = None, *,
     slots = [ServerSlot(sid, floors[cfg.tier_of(sid)]) for sid in range(n)]
 
     # 3. Correlated fault realization: which servers die, and when.
-    dead: dict = {}
-    if faults is not None and faults.racks_lost > 0:
-        plan = FleetFaultPlan(faults, seed=(fault_seed, seed))
-        killed_racks = plan.realize(cfg.num_racks, cfg.duration_s)
-        for sid in range(n):
-            if cfg.rack_of(sid) in killed_racks:
-                dead[sid] = killed_racks[cfg.rack_of(sid)]
+    dead = _rack_kills(cfg, faults, n, seed=seed, fault_seed=fault_seed)
 
     # 4. Routing: initial placement, then failover for the stranded.
     router = WorkloadRouter(cfg.router, vnodes=cfg.vnodes)
@@ -361,26 +395,15 @@ def simulate_fleet(library, tenants, config: FleetConfig | None = None, *,
         if len(moved):
             chunks[new_sid].append(moved)
 
-    workloads = {}
-    configs = {}
-    seeds = {}
-    policies = {}
-    for sid in range(n):
-        parts = [c for c in chunks[sid] if len(c)]
-        merged = np.sort(np.concatenate(parts)) if parts \
-            else np.empty(0, dtype=np.float64)
-        workloads[sid] = ShardWorkload(
-            arrivals=merged,
-            duration_s=dead.get(sid, cfg.duration_s),
-            nominal_ips=nominal[sid])
-        configs[sid] = _server_config(cfg, offsets[sid])
-        seeds[sid] = seed + _SERVER_SEED_STRIDE * (sid + 1)
-        policies[sid] = policies_by_tier[cfg.tier_of(sid)]
+    lifetimes = {sid: (0.0, dead.get(sid, cfg.duration_s))
+                 for sid in range(n)}
+    context = _shard_context(cfg, lifetimes, chunks, nominal, offsets,
+                             policies_by_tier, seed)
 
     # 6. Fan the independent per-server runs out over worker processes.
     server_faults = faults.server_faults if faults is not None else None
-    results = _run_servers(range(n), (policies, workloads, configs, seeds,
-                                      server_faults, fault_seed),
+    results = _run_servers(range(n),
+                           (*context, server_faults, fault_seed),
                            workers, progress)
 
     # 7. SLO audit + deterministic merge.
@@ -434,13 +457,7 @@ def _simulate_elastic(library, tenants, cfg: FleetConfig,
 
     # 1. Stagger schedule over the full envelope: activating a standby
     # server must not rephase anyone, so its offset exists from t=0.
-    offsets = [0.0] * m
-    if cfg.coordinate:
-        coordinator = ReconfigCoordinator(
-            capacity_fraction=cfg.capacity_fraction,
-            decision_interval_s=cfg.decision_interval_s,
-            max_swap_s=cfg.reconfig_time_s)
-        offsets = list(coordinator.schedule(m).offsets)
+    offsets = _stagger_offsets(cfg, m)
 
     # 2. Policies, routing slots and serving capacities over the
     # envelope (capacity feeds the autoscaler's utilization signal).
@@ -455,14 +472,7 @@ def _simulate_elastic(library, tenants, cfg: FleetConfig,
     # 3. Fault realization over the envelope's racks: standby servers
     # can die too (a scale-up onto a doomed rack is a legal outcome the
     # detector must then catch).
-    kills: dict = {}
-    if faults is not None and faults.racks_lost > 0:
-        plan = FleetFaultPlan(faults, seed=(fault_seed, seed))
-        racks = math.ceil(m / cfg.rack_size)
-        killed_racks = plan.realize(racks, cfg.duration_s)
-        for sid in range(m):
-            if cfg.rack_of(sid) in killed_racks:
-                kills[sid] = killed_racks[cfg.rack_of(sid)]
+    kills = _rack_kills(cfg, faults, m, seed=seed, fault_seed=fault_seed)
 
     # 4. Initial routing over the on-line servers only.
     router = WorkloadRouter(cfg.router, vnodes=cfg.vnodes)
@@ -481,32 +491,13 @@ def _simulate_elastic(library, tenants, cfg: FleetConfig,
         kills, herd=herd, reroute_delay_s=reroute_delay, router=router,
         seed=(fault_seed, seed))
 
-    # 6. Shards for every server that was on line at some point. A late
-    # activation shifts its stream into server-local time, so standby
-    # and retired periods draw no idle power and make no decisions.
-    workloads = {}
-    configs = {}
-    seeds = {}
-    policies = {}
+    # 6. Shards for every server that was on line at some point.
     live = sorted(eplan.lifetimes)
-    for sid in live:
-        start, end = eplan.lifetimes[sid]
-        parts = [c for c in eplan.chunks[sid] if len(c)]
-        merged = np.sort(np.concatenate(parts)) if parts \
-            else np.empty(0, dtype=np.float64)
-        if start:
-            merged = merged - start
-        workloads[sid] = ShardWorkload(
-            arrivals=merged,
-            duration_s=end - start,
-            nominal_ips=eplan.nominal[sid])
-        configs[sid] = _server_config(cfg, offsets[sid])
-        seeds[sid] = seed + _SERVER_SEED_STRIDE * (sid + 1)
-        policies[sid] = policies_by_tier[cfg.tier_of(sid)]
-
+    lifetimes = {sid: eplan.lifetimes[sid] for sid in live}
+    context = _shard_context(cfg, lifetimes, eplan.chunks, eplan.nominal,
+                             offsets, policies_by_tier, seed)
     server_faults = faults.server_faults if faults is not None else None
-    results = _run_servers(live, (policies, workloads, configs, seeds,
-                                  server_faults, fault_seed),
+    results = _run_servers(live, (*context, server_faults, fault_seed),
                            workers, progress)
 
     # 7. SLO audit over each tenant's full serving chain, then the

@@ -19,11 +19,16 @@ With a partial-reconfiguration cost model installed
 (:meth:`RuntimeManager.set_reconfig_model`), the binary stay-put bonus
 generalizes to a graded one: accuracy ties break by the actual switch
 dead time (0 for the loaded accelerator, the per-region partial cost for
-the rest), then energy. For campaign-scale serving the whole decision
-function can be compiled into an O(1) lookup table
-(:meth:`RuntimeManager.compile_policy_table`,
-:mod:`repro.runtime.policytable`) that is exactly equivalent to the
-indexed path and auto-recompiles when the library or policy mutates.
+the rest), then energy.
+
+The manager answers through a compiled O(1) lookup table
+(:mod:`repro.runtime.policytable`), built on the first query and rebuilt
+on the first query after the library, the policy or the cost model
+changes. The table is exactly equivalent to the throughput-sorted index
+(:class:`_SelectionIndex`), which still answers every query the table
+cannot prove it tabulated: off-grid workloads, cells with a breakpoint
+inside, unknown ``current`` entries and accuracy floors that were not
+precompiled.
 """
 
 from __future__ import annotations
@@ -140,8 +145,10 @@ class RuntimeManager:
         self._reference_accuracy = library.best_accuracy()
         self._selection_index: _SelectionIndex | None = None
         self._floor_indexes: dict[float, _SelectionIndex] = {}
-        self._policy_table = None  # set by compile_policy_table()
-        self._table_spec = None  # (cells, extra_levels) once compiled
+        self._policy_table = None  # built on first use, see _table()
+        # (cells, extra accuracy levels) of the last compile, empty for
+        # the defaults: a stale table is rebuilt with the same floors.
+        self._table_spec = ()
         self._no_reconfig_cache: dict[AcceleratorId, LibraryEntry | None] = {}
         # A partial library (design points quarantined by the sweep
         # supervisor) is servable — selection simply runs over the
@@ -179,10 +186,9 @@ class RuntimeManager:
     def set_reconfig_model(self, model) -> None:
         """Install (or clear, with ``None``) the switch-cost model.
 
-        Drops any compiled policy table (and its installed fast-select
+        Drops the compiled policy table (and its installed fast-select
         closure): the tabulated tie-breaks were computed against the
-        previous cost calculus. If a table was compiled, the next
-        :meth:`select` recompiles it against the new model.
+        previous cost calculus. The next query recompiles it.
         """
         self.reconfig_model = model
         self._policy_table = None
@@ -190,17 +196,18 @@ class RuntimeManager:
 
     def compile_policy_table(self, cells: int = 4096,
                              extra_accuracy_levels=()):
-        """Compile selection into an O(1) lookup table.
+        """Compile selection into an O(1) lookup table now.
 
-        Quantizes the workload axis onto a ``cells``-cell grid and
-        tabulates the winning entry at every (grid cell, loaded
+        :meth:`select` compiles the table itself on first use; call this
+        to pay the compile up front or to precompile extra accuracy
+        floors. Quantizes the workload axis onto a ``cells``-cell grid
+        and tabulates the winning entry at every (grid cell, loaded
         accelerator) point — :meth:`select` then answers with one array
         lookup instead of a searchsorted plus tie-break scan, falling
-        back to the index for off-grid or grid-edge queries. The table
-        auto-recompiles when the library or policy changes.
+        back to the index for off-grid or grid-edge queries.
         ``extra_accuracy_levels`` precompiles additional min-accuracy
-        floors (for multi-tenant queries via
-        :meth:`PolicyTable.lookup_at <repro.runtime.policytable.PolicyTable.lookup_at>`).
+        floors for :meth:`select_at` (brownout ladders); a stale table
+        is rebuilt with the same ``cells`` and floors.
         """
         from .policytable import PolicyTable
         table = PolicyTable(
@@ -215,35 +222,17 @@ class RuntimeManager:
             self.select = table.install_fast_select(self)
         return table
 
-    def ensure_policy_table(self, cells: int = 4096,
-                            extra_accuracy_levels=()) -> None:
-        """Idempotent table opt-in: compile once, then no-op.
-
-        Fleet campaigns build one shared policy per SLO tier and call
-        this from the parent process so every forked worker inherits the
-        compiled table instead of recompiling it per process. Unlike
-        :meth:`compile_policy_table` this never rebuilds an existing
-        table (staleness is already handled lazily by :meth:`select`).
-        """
-        if self._table_spec is None:
-            self.compile_policy_table(cells, extra_accuracy_levels)
-
-    def drop_policy_table(self) -> None:
-        """Opt back out of table-backed selection (index path only)."""
-        self._policy_table = None
-        self._table_spec = None
-        self.__dict__.pop("select", None)
-
-    def __getstate__(self):
-        # The compiled table and its installed fast-select closure hold
-        # id()-keyed structures that are meaningless (and unpicklable)
-        # across processes. ``_table_spec`` survives, so unpickled
-        # copies — e.g. parallel campaign workers — recompile lazily on
-        # their first select().
-        state = dict(self.__dict__)
-        state.pop("select", None)
-        state["_policy_table"] = None
-        return state
+    def _table(self):
+        """The compiled policy table, (re)built when absent or stale:
+        the library changed (``Library._version`` or size), the policy
+        was replaced, or :meth:`set_reconfig_model` dropped it."""
+        table = self._policy_table
+        lib = self.library
+        if table is None or table.version != lib._version \
+                or table.size != len(lib.entries) \
+                or table.policy is not self.policy:
+            table = self.compile_policy_table(*self._table_spec)
+        return table
 
     def select(self, workload_ips: float,
                current: LibraryEntry | None = None) -> LibraryEntry:
@@ -257,28 +246,16 @@ class RuntimeManager:
         then taking ``max`` by ``(rounded accuracy, stability,
         -energy)`` — with degraded-mode fallback to the fastest
         accuracy-honouring entry when nothing covers the workload — but
-        answered from the precomputed throughput-sorted index in
-        O(log n) plus a scan of the winning accuracy-tie group.
+        answered from the compiled policy table in O(1), or from the
+        throughput-sorted index in O(log n) plus a scan of the winning
+        accuracy-tie group where the table defers.
         """
         if workload_ips < 0:
             raise ValueError("workload must be >= 0")
-        spec = self._table_spec
-        if spec is not None:
-            table = self._policy_table
-            lib = self.library
-            if table is None or table.version != lib._version \
-                    or table.size != len(lib.entries) \
-                    or table.policy is not self.policy:
-                # Stale (library/policy mutated) or absent (unpickled
-                # in a worker, or the cost model changed): recompile in
-                # place — compiling was an explicit opt-in, so the
-                # table stays live across mutations. This also
-                # refreshes the installed fast-select closure.
-                table = self.compile_policy_table(*spec)
-            hit = table.lookup(workload_ips, current)
-            if hit is not None:
-                return hit
-            # off-grid / unsafe-cell query: answer from the index
+        hit = self._table().lookup(workload_ips, current)
+        if hit is not None:
+            return hit
+        # off-grid / unsafe-cell query: answer from the index
         return self._select_indexed(self._index(), workload_ips, current)
 
     def _select_indexed(self, idx: _SelectionIndex, workload_ips: float,
@@ -367,7 +344,7 @@ class RuntimeManager:
         invariance. A floor equal to :attr:`min_accuracy` answers through
         :meth:`select` (including any installed fast-select closure);
         other floors answer from the compiled table's extra accuracy
-        levels when present (:meth:`PolicyTable.lookup_at
+        levels when precompiled (:meth:`PolicyTable.lookup_at
         <repro.runtime.policytable.PolicyTable.lookup_at>`), else from a
         per-floor cached index — both exactly equivalent to rebuilding
         the manager with the shifted policy.
@@ -376,17 +353,9 @@ class RuntimeManager:
             raise ValueError("workload must be >= 0")
         if min_accuracy == self.min_accuracy:
             return self.select(workload_ips, current)
-        spec = self._table_spec
-        if spec is not None:
-            table = self._policy_table
-            lib = self.library
-            if table is None or table.version != lib._version \
-                    or table.size != len(lib.entries) \
-                    or table.policy is not self.policy:
-                table = self.compile_policy_table(*spec)
-            hit = table.lookup_at(min_accuracy, workload_ips, current)
-            if hit is not None:
-                return hit
+        hit = self._table().lookup_at(min_accuracy, workload_ips, current)
+        if hit is not None:
+            return hit
         return self._select_indexed(self._index_at(min_accuracy),
                                     workload_ips, current)
 

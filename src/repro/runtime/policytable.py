@@ -1,12 +1,13 @@
 """Compiled O(1) policy lookup tables for the Runtime Manager.
 
-:meth:`RuntimeManager.select` is exact but still computed per decision
-tick: a ``searchsorted`` over the throughput-sorted index plus a
-tie-break scan. For a *frozen* Library the decision is a pure function
-of (workload, loaded accelerator, accuracy floor), and the workload
-enters only through ``pos = searchsorted(ips, workload * headroom)`` —
-a monotone step function with at most ``len(index)`` breakpoints. This
-module compiles that function onto a uniform workload grid:
+The Runtime Manager's selection index is exact but still computes each
+decision tick: a ``searchsorted`` over the throughput-sorted entries
+plus a tie-break scan. For a *frozen* Library the decision is a pure
+function of (workload, loaded accelerator, accuracy floor), and the
+workload enters only through ``pos = searchsorted(ips, workload *
+headroom)`` — a monotone step function with at most ``len(index)``
+breakpoints. This module compiles that function onto a uniform
+workload grid:
 
 * the cell width is a **power of two**, so ``workload / h`` (computed
   as ``workload * (1/h)``) is an exact float operation and
@@ -31,17 +32,19 @@ Exactness is preserved the same way :mod:`repro.edge.fastsim` preserves
 it against the event loop: whenever the table cannot *prove* it gives
 the indexed answer — an unsafe cell, a NaN workload, an unknown
 ``current`` entry — the lookup falls through to the index path.
-Staleness is detected via ``Library._version`` (plus entry count and
-policy identity) and ``RuntimeManager.select`` recompiles
-automatically, so library mutations mid-campaign stay correct.
+Every :class:`RuntimeManager` selects through its table: the first
+query compiles it, and staleness — detected via ``Library._version``
+(plus entry count and policy identity) or a new reconfiguration cost
+model — makes the next query recompile, so library mutations
+mid-campaign stay correct.
 
-:meth:`RuntimeManager.compile_policy_table` additionally *installs* the
-compiled decision as a per-instance ``select`` closure over plain
-Python lists (see :meth:`PolicyTable.install_fast_select`), which is
-what makes a table-backed selection a genuine single array lookup.
-Tables are cheap to share: compiling once and reusing across thousands
-of simulated edge servers is the point (see ROADMAP's fleet-scale
-sharding item).
+Each compile (:meth:`RuntimeManager.compile_policy_table`) also
+*installs* the compiled decision as a per-instance ``select`` closure
+over plain Python lists (see :meth:`PolicyTable.install_fast_select`),
+which is what makes a table-backed selection a genuine single array
+lookup. Tables are cheap to share: compiling once and reusing across
+thousands of simulated edge servers is the point (see ROADMAP's
+fleet-scale sharding item).
 """
 
 from __future__ import annotations
@@ -215,14 +218,15 @@ class _Level:
 class PolicyTable:
     """The compiled decision function of one :class:`RuntimeManager`.
 
-    Built by :meth:`RuntimeManager.compile_policy_table`. ``lookup``
+    Built by :meth:`RuntimeManager.compile_policy_table`, which the
+    manager calls on its first query. ``lookup``
     answers a query in O(1) or returns ``None`` when falling back to
     the index is required for exactness (see module docstring);
     ``install_fast_select`` returns the flattened closure form of the
     same function.
     """
 
-    def __init__(self, manager: RuntimeManager, cells: int = 8192,
+    def __init__(self, manager: RuntimeManager, cells: int,
                  extra_accuracy_levels: tuple = ()):
         if cells < 1:
             raise ValueError("cells must be >= 1")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.runtime import Library, RuntimeManager, SelectionPolicy
 from tests.conftest import make_entry
+from tests.runtime.oracles import IndexOnlyManager, linear_select
 
 
 class TestSelectionPolicy:
@@ -106,29 +107,9 @@ class TestRuntimeManager:
         assert loose.select(w).serving_ips >= w - 1e-9
 
 
-def _linear_select(mgr, workload_ips, current=None):
-    """The pre-index selection algorithm, kept verbatim as the pin.
-
-    The feasible scan is inlined (rather than calling the deprecated
-    ``Library.feasible``) so the pin stays warning-free."""
-    required = workload_ips * mgr.policy.headroom
-    candidates = [e for e in mgr.library.entries
-                  if e.accuracy >= mgr.min_accuracy
-                  and e.serving_ips >= required]
-    if not candidates:
-        acc_ok = [e for e in mgr.library if e.accuracy >= mgr.min_accuracy]
-        pool = acc_ok or list(mgr.library)
-        return max(pool, key=lambda e: (
-            e.serving_ips, e.accuracy, mgr._stability_bonus(e, current)))
-    return max(candidates, key=lambda e: (
-        round(e.accuracy, 6),
-        mgr._stability_bonus(e, current),
-        -e.energy_per_inference_j))
-
-
 class TestSelectionIndex:
-    """select() answers from a throughput-sorted index; it must return
-    the *same object* the historical linear rescan would pick, for any
+    """The throughput-sorted index (``IndexOnlyManager``) must return the
+    *same object* the historical linear rescan would pick, for any
     library (including ties on accuracy, throughput, and energy)."""
 
     @staticmethod
@@ -151,7 +132,7 @@ class TestSelectionIndex:
         rng = np.random.default_rng(3)
         for _ in range(25):
             lib = self._random_library(rng, int(rng.integers(1, 30)))
-            mgr = RuntimeManager(lib, SelectionPolicy(
+            mgr = IndexOnlyManager(lib, SelectionPolicy(
                 accuracy_loss_threshold=float(
                     rng.choice([0.0, 0.05, 0.10, 0.30])),
                 headroom=float(rng.choice([0.8, 1.0, 1.2]))))
@@ -161,20 +142,20 @@ class TestSelectionIndex:
                 cur = entries[int(rng.integers(0, len(entries)))] \
                     if rng.random() < 0.7 else None
                 assert mgr.select(w, current=cur) \
-                    is _linear_select(mgr, w, current=cur)
+                    is linear_select(mgr, w, current=cur)
 
     def test_index_invalidated_on_library_add(self, toy_library):
-        mgr = RuntimeManager(toy_library)
+        mgr = IndexOnlyManager(toy_library)
         before = mgr.select(100.0)
-        assert before is _linear_select(mgr, 100.0)
+        assert before is linear_select(mgr, 100.0)
         toy_library.add(make_entry(rate=0.4, ct=0.42, acc=0.95,
                                    ips=2000.0, energy=1e-4))
         after = mgr.select(100.0)
-        assert after is _linear_select(mgr, 100.0)
+        assert after is linear_select(mgr, 100.0)
         assert after is not before
 
     def test_index_reused_between_queries(self, toy_library):
-        mgr = RuntimeManager(toy_library)
+        mgr = IndexOnlyManager(toy_library)
         mgr.select(100.0)
         idx = mgr._selection_index
         mgr.select(500.0, current=mgr.select(100.0))
@@ -198,10 +179,10 @@ class TestSelectionIndex:
         lib.add(make_entry(rate=0.0, ct=0.5, acc=0.85, ips=500.0))
         lib.add(make_entry(rate=0.4, ct=0.5, acc=0.85, ips=500.0))
         lib.add(make_entry(rate=0.8, ct=0.5, acc=0.60, ips=400.0))
-        mgr = RuntimeManager(lib)
+        mgr = IndexOnlyManager(lib)
         for cur in [None, *lib]:
             assert mgr.select(10_000.0, current=cur) \
-                is _linear_select(mgr, 10_000.0, current=cur)
+                is linear_select(mgr, 10_000.0, current=cur)
 
     def test_no_reconfig_memo_invalidated_on_policy_change(self,
                                                            toy_library):
@@ -224,11 +205,11 @@ class TestSelectionIndex:
         assert mgr.select_without_reconfig(cur) is tight
 
     def test_index_rebuilt_on_policy_change(self, toy_library):
-        mgr = RuntimeManager(toy_library)
+        mgr = IndexOnlyManager(toy_library)
         mgr.select(100.0)
         idx = mgr._selection_index
         mgr.policy = SelectionPolicy(accuracy_loss_threshold=0.02)
-        assert mgr.select(100.0) is _linear_select(mgr, 100.0)
+        assert mgr.select(100.0) is linear_select(mgr, 100.0)
         assert mgr._selection_index is not idx
 
     def test_mutation_agreement_index_table_linear(self):
@@ -237,7 +218,7 @@ class TestSelectionIndex:
         import numpy as np
         rng = np.random.default_rng(11)
         lib = self._random_library(rng, 12)
-        indexed = RuntimeManager(lib)
+        indexed = IndexOnlyManager(lib)
         tabled = RuntimeManager(lib)
         tabled.compile_policy_table(cells=512)
 
@@ -247,7 +228,7 @@ class TestSelectionIndex:
                       *rng.uniform(0, 700, 10)]:
                 for cur in [None,
                             entries[int(rng.integers(len(entries)))]]:
-                    pin = _linear_select(indexed, float(w), current=cur)
+                    pin = linear_select(indexed, float(w), current=cur)
                     assert indexed.select(float(w), current=cur) is pin
                     assert tabled.select(float(w), current=cur) is pin
 

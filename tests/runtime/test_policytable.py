@@ -1,17 +1,16 @@
 """Compiled policy-table tests.
 
 ``repro.runtime.policytable`` promises **exact** equivalence with the
-indexed ``RuntimeManager.select`` — same *object* for every workload and
-every loaded accelerator, with binary or graded (partial-reconfig)
-tie-breaking — plus automatic invalidation when the library or policy
-mutates, an index fallback for off-grid queries, and pickling that
-survives by recompiling lazily. Hypothesis drives random libraries,
-tie-heavy grids and mutation sequences through both paths.
+indexed selection (``IndexOnlyManager``) — same *object* for every
+workload and every loaded accelerator, with binary or graded
+(partial-reconfig) tie-breaking — plus a compile on first use,
+recompilation when the library, policy or cost model changes, and an
+index fallback for off-grid queries. Hypothesis drives random
+libraries, tie-heavy grids and mutation sequences through both paths.
 """
 
 from __future__ import annotations
 
-import pickle
 import warnings
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.runtime import (
 )
 from repro.runtime.manager import _SelectionIndex
 from tests.conftest import make_entry
+from tests.runtime.oracles import IndexOnlyManager, linear_select
 
 
 def tie_library(rng, n):
@@ -79,7 +79,7 @@ class TestEquivalence:
         policy = SelectionPolicy(accuracy_loss_threshold=loss,
                                  headroom=headroom)
         model = PartialReconfigModel() if graded else None
-        ref = RuntimeManager(lib, policy, reconfig_model=model)
+        ref = IndexOnlyManager(lib, policy, reconfig_model=model)
         tab = RuntimeManager(lib, policy, reconfig_model=model)
         tab.compile_policy_table(cells=cells)
         assert_equivalent(ref, tab, lib, rng)
@@ -91,7 +91,7 @@ class TestEquivalence:
         (via Library._version) and keep matching the index."""
         rng = np.random.default_rng(seed)
         lib = tie_library(rng, 10)
-        ref = RuntimeManager(lib)
+        ref = IndexOnlyManager(lib)
         tab = RuntimeManager(lib)
         tab.compile_policy_table(cells=256)
         assert_equivalent(ref, tab, lib, rng)
@@ -108,7 +108,7 @@ class TestEquivalence:
     def test_policy_replacement_recompiles(self):
         rng = np.random.default_rng(5)
         lib = tie_library(rng, 12)
-        ref = RuntimeManager(lib)
+        ref = IndexOnlyManager(lib)
         tab = RuntimeManager(lib)
         tab.compile_policy_table(cells=128)
         table = tab._policy_table
@@ -124,8 +124,8 @@ class TestEquivalence:
         tab = RuntimeManager(lib)
         tab.compile_policy_table(cells=128)
         tab.set_reconfig_model(PartialReconfigModel())
-        ref = RuntimeManager(lib,
-                             reconfig_model=PartialReconfigModel())
+        ref = IndexOnlyManager(lib,
+                               reconfig_model=PartialReconfigModel())
         assert_equivalent(ref, tab, lib, rng)
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -144,7 +144,7 @@ class TestEquivalence:
         lib = tie_library(rng, n)
         policy = SelectionPolicy(accuracy_loss_threshold=loss)
         model = PartialReconfigModel() if graded else None
-        ref = RuntimeManager(lib, policy, reconfig_model=model)
+        ref = IndexOnlyManager(lib, policy, reconfig_model=model)
         tab = RuntimeManager(lib, policy, reconfig_model=model)
         floors = tuple(ref.min_accuracy - d for d in deltas)
         table = tab.compile_policy_table(cells=cells,
@@ -165,7 +165,7 @@ class TestEquivalence:
             mgr.select(-1.0)
 
     def test_nan_and_inf_match_index(self, toy_library):
-        ref = RuntimeManager(toy_library)
+        ref = IndexOnlyManager(toy_library)
         tab = RuntimeManager(toy_library)
         tab.compile_policy_table()
         for w in (float("inf"), float("nan")):
@@ -173,17 +173,91 @@ class TestEquivalence:
                 assert tab.select(w, cur) is ref.select(w, cur)
 
 
+class CompileCounter(RuntimeManager):
+    """Records the library version of every policy-table compile."""
+
+    def __init__(self, *args, **kwargs):
+        self.compiled_versions = []
+        super().__init__(*args, **kwargs)
+
+    def compile_policy_table(self, *args, **kwargs):
+        self.compiled_versions.append(self.library._version)
+        return super().compile_policy_table(*args, **kwargs)
+
+
+class TestCompileOnFirstUse:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 16),
+           loss=st.sampled_from([0.0, 0.05, 0.10, 0.30]),
+           headroom=st.sampled_from([0.8, 1.0, 1.2]),
+           graded=st.booleans(),
+           deltas=st.lists(st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+                           max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_never_compiled_manager_matches_index_and_linear(
+            self, seed, n, loss, headroom, graded, deltas):
+        """A manager nobody compiled answers ``select`` and ``select_at``
+        exactly as the index and the linear rescan do, across add() and
+        quarantine() mid-stream, compiling once per library version."""
+        rng = np.random.default_rng(seed)
+        lib = tie_library(rng, n)
+        policy = SelectionPolicy(accuracy_loss_threshold=loss,
+                                 headroom=headroom)
+        model = PartialReconfigModel() if graded else None
+        ref = IndexOnlyManager(lib, policy, reconfig_model=model)
+        mgr = CompileCounter(lib, policy, reconfig_model=model)
+        floors = [mgr.min_accuracy - d for d in deltas]
+        queried = set()
+
+        def agree():
+            queried.add(lib._version)
+            currents = [None] + list(lib.entries)
+            for w in probe_workloads(lib, rng, extra=5):
+                cur = currents[int(rng.integers(len(currents)))]
+                got = mgr.select(w, cur)
+                assert got is ref.select(w, cur)
+                if not graded:
+                    assert got is linear_select(ref, w, cur)
+                for floor in floors:
+                    got = mgr.select_at(floor, w, cur)
+                    assert got is ref.select_at(floor, w, cur)
+                    if not graded:
+                        assert got is linear_select(ref, w, cur, floor)
+
+        agree()
+        lib.add(make_entry(rate=0.2, ct=0.3,
+                           acc=float(rng.choice([0.85, 0.95])),
+                           ips=float(rng.uniform(50, 900))))
+        agree()
+        cut = float(rng.uniform(100, 500))
+        lib.quarantine(lambda e: e.serving_ips >= cut)
+        if len(lib):  # an emptied library is not servable by contract
+            agree()
+        assert sorted(mgr.compiled_versions) == sorted(queried)
+
+
 class TestTableLifecycle:
-    def test_fast_select_installed_and_dropped(self, toy_library):
+    def test_fast_select_installed_on_first_query(self, toy_library):
         mgr = RuntimeManager(toy_library)
         assert "select" not in mgr.__dict__
-        mgr.compile_policy_table()
-        assert "select" in mgr.__dict__  # instance closure shadows class
-        mgr.drop_policy_table()
-        assert "select" not in mgr.__dict__
-        assert mgr._policy_table is None and mgr._table_spec is None
-        # Still selects correctly through the plain index path.
         assert mgr.select(100.0).accuracy == pytest.approx(0.90)
+        assert "select" in mgr.__dict__  # instance closure shadows class
+        # A new cost model drops the table and its closure; the next
+        # query compiles both again.
+        mgr.set_reconfig_model(PartialReconfigModel())
+        assert "select" not in mgr.__dict__
+        assert mgr._policy_table is None
+        assert mgr.select(100.0).accuracy == pytest.approx(0.90)
+        assert "select" in mgr.__dict__
+        assert mgr._policy_table.stats()["graded_cost_model"]
+
+    def test_stale_table_keeps_its_extra_levels(self, toy_library):
+        mgr = RuntimeManager(toy_library)
+        mgr.compile_policy_table(cells=512, extra_accuracy_levels=(0.7,))
+        toy_library.add(make_entry(rate=0.2, ct=0.2, acc=0.9, ips=50.0))
+        mgr.select(100.0)
+        stats = mgr._policy_table.stats()
+        assert (stats["cells"], stats["levels"]) == (512, 2)
 
     def test_oracle_policy_not_shadowed(self, toy_library):
         class PinnedPolicy(RuntimeManager):
@@ -203,19 +277,6 @@ class TestTableLifecycle:
         # closure would silently re-enable adaptive behaviour.
         assert "select" not in oracle.__dict__
         assert oracle.select(5_000.0) is pinned
-
-    def test_pickle_roundtrip_recompiles_lazily(self, toy_library):
-        mgr = RuntimeManager(toy_library)
-        mgr.compile_policy_table(cells=512)
-        clone = pickle.loads(pickle.dumps(mgr))
-        assert clone._policy_table is None  # dropped by __getstate__
-        assert clone._table_spec == (512, ())
-        rng = np.random.default_rng(3)
-        ref = RuntimeManager(toy_library)
-        for w in probe_workloads(toy_library, rng):
-            assert clone.select(w) is not None
-            assert clone.select(w).to_dict() == ref.select(w).to_dict()
-        assert clone._policy_table is not None  # recompiled on demand
 
     def test_stats(self, toy_library):
         mgr = RuntimeManager(toy_library)
@@ -286,7 +347,7 @@ class TestCompileCost:
                         energy=float(rng.choice([1e-3, 2e-3]))))
         accels = len(lib.accelerators())
         assert accels == 30
-        ref = RuntimeManager(lib, reconfig_model=PartialReconfigModel())
+        ref = IndexOnlyManager(lib, reconfig_model=PartialReconfigModel())
         mgr = RuntimeManager(lib, reconfig_model=CountingModel())
         CountingModel.calls = 0
         mgr.compile_policy_table(extra_accuracy_levels=(0.8, 0.7))
@@ -310,7 +371,7 @@ class TestPolicyTableDirect:
 
     def test_version_tracks_library(self, toy_library):
         mgr = RuntimeManager(toy_library)
-        table = PolicyTable(mgr)
+        table = PolicyTable(mgr, cells=4096)
         assert table.version == toy_library._version
         assert table.size == len(toy_library.entries)
         toy_library.add(make_entry(rate=0.2, ct=0.2, acc=0.9, ips=50.0))

@@ -157,6 +157,36 @@ class TestValidation:
                                        value])
         assert flag in err and message in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--brownout", "0.05,0.02"], "strictly increasing"),
+        (["--brownout", "0"], "positive deltas"),
+        (["--brownout", "0.02", "--brownout-low", "0.9",
+          "--brownout-high", "0.5"], "brownout_low < brownout_high"),
+        (["--brownout-high", "1.5"], "brownout_high <= 1"),
+        (["--brownout-shed", "1.5"], "brownout_shed_occupancy"),
+    ])
+    def test_fleet_brownout_checked_before_loading(self, capsys, flags,
+                                                   message):
+        # x.json does not exist: the error must come before the load.
+        err = self.error_text(capsys, ["fleet", "--library", "x.json",
+                                       *flags])
+        assert "invalid brownout ladder" in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--library", "x.json", "--workload", "1",
+         "--policy-table"],
+        ["evaluate", "--library", "x.json", "--policy-table"],
+        ["evaluate", "--library", "x.json", "--sim-mode", "event"],
+        ["fleet", "--library", "x.json", "--sim-mode", "auto"],
+    ])
+    def test_serving_engine_flags_are_gone(self, capsys, argv):
+        """The manager always selects through its table and the
+        simulator picks its own engine: no flag chooses either."""
+        err = self.error_text(capsys, argv)
+        flag = next(a for a in argv if a in ("--policy-table",
+                                             "--sim-mode"))
+        assert f"unrecognized arguments: {flag}" in err
+
     def test_sweep_axes_parse_to_lists(self):
         args = build_parser().parse_args(
             ["generate", "-o", "x.json", "--precision", "base, int8",
