@@ -13,12 +13,12 @@ Subcommands mirror the framework's two phases plus inspection helpers::
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .analysis.experiments import fig4_design_space
 from .analysis.report import format_table, write_csv
+from .core import spec
 from .core.adapex import AdaPExFramework
 from .core.checkpoint import SweepManifest
 from .core.config import AdaPExConfig
@@ -42,126 +42,58 @@ __all__ = ["main", "build_parser"]
 
 
 # ----------------------------------------------------------------------
-# argument types — validate up front, fail with an actionable message
-# instead of a traceback minutes into a sweep
+# argument types — every value goes through the one grammar of
+# repro.core.spec, checked up front so a bad flag fails with an
+# actionable message instead of a traceback minutes into a sweep
 # ----------------------------------------------------------------------
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 (got {value})")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (got {value})")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be > 0 and finite (got {value})")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 and finite (got {value})")
-    return value
-
-
-def _policy_names(text: str) -> str:
-    """Comma-separated policy names, each one :func:`make_policy` knows."""
-    for name in text.split(","):
+def _arg(parse):
+    """An argparse ``type`` from a grammar parser: its ``ValueError``
+    becomes the flag's error message."""
+    def convert(text: str):
         try:
-            policy_class(name.strip())
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(str(err))
-    return text
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _policy_name(name: str) -> str:
+    policy_class(name)  # ValueError("unknown policy ...") if unknown
+    return name
+
+
+_positive_int = _arg(spec.number(int, 1))
+_nonnegative_int = _arg(spec.number(int, 0))
+_positive_float = _arg(spec.number(float, 0, open_low=True))
+_nonnegative_float = _arg(spec.number(float, 0))
+_fraction_list = _arg(spec.items(spec.number(float, 0, 1), "fraction"))
+_rate_sweep = _arg(spec.items(spec.number(float, 0, 1, open_high=True),
+                              "pruning rate"))
+_policy_names = _arg(spec.items(_policy_name, "policy"))
 
 
 def _names(what: str, known):
     """Type of a comma-separated sweep axis: distinct names from
-    ``known``, at least one."""
-    def parse(text: str) -> list[str]:
-        names = [name.strip() for name in text.split(",") if name.strip()]
-        if not names:
-            raise argparse.ArgumentTypeError(
-                f"expected at least one {what}, e.g. {known[0]!r}")
-        for name in names:
-            if name not in known:
-                raise argparse.ArgumentTypeError(
-                    f"unknown {what} {name!r}: expected one of "
-                    f"{', '.join(known)}")
-        if len(set(names)) != len(names):
-            raise argparse.ArgumentTypeError(f"duplicate {what} in {text!r}")
-        return names
-    return parse
+    ``known``."""
+    return _arg(spec.items(spec.choice(what, known), what, unique=True))
 
 
-def _rate_sweep(text: str) -> list[float]:
-    rates = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            rate = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{token!r} is not a number (expected comma-separated "
-                f"pruning rates, e.g. '0.0,0.4,0.8')")
-        if not 0.0 <= rate < 1.0:
-            raise argparse.ArgumentTypeError(
-                f"pruning rate {rate} is out of range — rates must be "
-                f"in [0, 1) (1.0 would prune the whole layer)")
-        rates.append(rate)
-    if not rates:
-        raise argparse.ArgumentTypeError(
-            "expected at least one pruning rate, e.g. '0.0,0.4,0.8'")
-    return rates
+#: Spec flags by argparse dest: :func:`main` parses each given one once,
+#: into ``args.<dest>_spec``; the commands read only that.
+_SPECS = {"halving": HalvingConfig, "faults": FaultSpec,
+          "partial_reconfig": PartialReconfigModel,
+          "fleet_faults": FleetFaultSpec, "elastic": ElasticConfig}
 
 
-def _fraction_list(text: str) -> list[float]:
-    """Comma-separated floats in [0, 1] (SLO tiers, tenant SLOs)."""
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{token!r} is not a number (expected comma-separated "
-                f"fractions, e.g. '0.05,0.10')")
-        if not 0.0 <= value <= 1.0:
-            raise argparse.ArgumentTypeError(
-                f"{value} is out of range — fractions must be in [0, 1]")
-        values.append(value)
-    if not values:
-        raise argparse.ArgumentTypeError(
-            "expected at least one fraction, e.g. '0.05,0.10'")
-    return values
+def _parse_specs(parser: argparse.ArgumentParser, args) -> None:
+    for dest, cls in _SPECS.items():
+        if hasattr(args, dest):
+            text = getattr(args, dest)
+            try:
+                value = None if text is None else cls.parse(text)
+            except ValueError as exc:
+                parser.error(f"argument --{dest.replace('_', '-')}: {exc}")
+            setattr(args, f"{dest}_spec", value)
 
 
 def _validate_args(parser: argparse.ArgumentParser, args) -> None:
@@ -170,46 +102,21 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
         if args.resume and not args.point_cache:
             parser.error("--resume needs --point-cache: the checkpoint "
                          "manifest lives in the point-cache directory")
-        if args.halving is not None:
-            if not args.point_cache:
-                parser.error("--halving needs --point-cache: rung "
-                             "checkpoints and scores live in the "
-                             "point-cache directory")
-            try:
-                HalvingConfig.parse(args.halving)
-            except ValueError as exc:
-                parser.error(f"argument --halving: {exc}")
+        if args.halving is not None and not args.point_cache:
+            parser.error("--halving needs --point-cache: rung "
+                         "checkpoints and scores live in the "
+                         "point-cache directory")
         if args.resume:
             manifest = Path(args.point_cache) / "manifest.json"
             if not manifest.exists():
                 parser.error(
                     f"--resume: no checkpoint manifest at {manifest} — "
                     f"nothing to resume (run once without --resume first)")
-    elif args.command == "evaluate":
-        if args.faults is not None:
-            try:
-                FaultSpec.parse(args.faults)
-            except ValueError as exc:
-                parser.error(f"argument --faults: {exc}")
-        if args.partial_reconfig is not None:
-            try:
-                PartialReconfigModel.parse(args.partial_reconfig)
-            except ValueError as exc:
-                parser.error(f"argument --partial-reconfig: {exc}")
     elif args.command == "fleet":
-        if args.fleet_faults is not None:
-            try:
-                FleetFaultSpec.parse(args.fleet_faults)
-            except ValueError as exc:
-                parser.error(f"argument --fleet-faults: {exc}")
         envelope = args.servers
-        if args.elastic is not None:
-            try:
-                ecfg = ElasticConfig.parse(args.elastic)
-            except ValueError as exc:
-                parser.error(f"argument --elastic: {exc}")
-            if args.servers > ecfg.max_servers \
-                    or args.servers < ecfg.min_servers:
+        ecfg = args.elastic_spec
+        if ecfg is not None:
+            if not ecfg.min_servers <= args.servers <= ecfg.max_servers:
                 parser.error(
                     f"argument --elastic: --servers {args.servers} must "
                     f"lie in [min_servers, max_servers] = "
@@ -225,12 +132,13 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
                 ).schedule(envelope)
             except CoordinationError as exc:
                 parser.error(str(exc))
-        # ServerConfig owns the ladder's rules; every server gets one.
+        # FleetConfig checks the ladder through the ServerConfig it
+        # hands every server.
         try:
-            ServerConfig(brownout_levels=tuple(args.brownout),
-                         brownout_high=args.brownout_high,
-                         brownout_low=args.brownout_low,
-                         brownout_shed_occupancy=args.brownout_shed)
+            FleetConfig(brownout_levels=tuple(args.brownout),
+                        brownout_high=args.brownout_high,
+                        brownout_low=args.brownout_low,
+                        brownout_shed_occupancy=args.brownout_shed)
         except ValueError as exc:
             parser.error(f"invalid brownout ladder: {exc}")
 
@@ -410,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default '0.10')")
     fl.add_argument("--duration", type=_positive_float, default=10.0,
                     help="campaign length in seconds (default 10)")
-    fl.add_argument("--capacity-fraction", type=_positive_float,
-                    default=0.25,
+    fl.add_argument("--capacity-fraction", default=0.25,
+                    type=_arg(spec.number(float, 0, 1, open_low=True)),
                     help="largest fleet fraction allowed mid-"
                          "reconfiguration at once (default 0.25)")
     fl.add_argument("--no-coordinate", action="store_true",
@@ -506,8 +414,7 @@ def _cmd_generate(args) -> int:
                                 retries=args.point_retries)
     timer = PhaseTimer()
     if args.halving is not None:
-        search = HalvingSearch(config,
-                               halving=HalvingConfig.parse(args.halving))
+        search = HalvingSearch(config, halving=args.halving_spec)
         library = search.run(args.point_cache, progress=print,
                              timer=timer, supervise=supervise)
         rep = search.last_report
@@ -595,17 +502,16 @@ def _cmd_select(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     library = _load_library(args.library)
-    faults = FaultSpec.parse(args.faults) if args.faults else None
-    partial = (PartialReconfigModel.parse(args.partial_reconfig)
-               if args.partial_reconfig is not None else None)
+    faults = args.faults_spec if args.faults else None  # '' = no faults
+    partial = args.partial_reconfig_spec
     config = ServerConfig(batch_window_s=args.batch_window / 1000.0,
                           dispatch_overhead_s=args.dispatch_overhead
                           / 1000.0,
                           partial_reconfig=partial)
     timer = PhaseTimer()
     rows = []
-    for name in args.policies.split(","):
-        policy = make_policy(name.strip(), library)
+    for name in args.policies:
+        policy = make_policy(name, library)
         if partial is not None:
             # Policies built on the RuntimeManager optimize the same
             # switch-cost calculus the simulator charges; static
@@ -633,7 +539,8 @@ def _cmd_evaluate(args) -> int:
     if args.timing_json:
         timer.write_json(args.timing_json, extra={
             "command": "evaluate", "runs": args.runs,
-            "policies": args.policies, "parallel": args.parallel,
+            "policies": ",".join(args.policies),
+            "parallel": args.parallel,
             "faults": args.faults, "fault_seed": args.fault_seed,
             "batch_window_ms": args.batch_window,
             "dispatch_overhead_ms": args.dispatch_overhead,
@@ -644,10 +551,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_fleet(args) -> int:
     library = _load_library(args.library)
-    faults = (FleetFaultSpec.parse(args.fleet_faults)
-              if args.fleet_faults else None)
-    elastic = (ElasticConfig.parse(args.elastic)
-               if args.elastic is not None else None)
+    faults = args.fleet_faults_spec if args.fleet_faults else None  # '' = none
+    elastic = args.elastic_spec
     config = FleetConfig(
         num_servers=args.servers, rack_size=args.rack_size,
         router=args.router, policy=args.policy,
@@ -746,6 +651,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _parse_specs(parser, args)
     _validate_args(parser, args)
     return _COMMANDS[args.command](args)
 

@@ -72,6 +72,7 @@ from .config import AdaPExConfig
 from .design_time import LibraryGenerator, _Stages, describe_point
 from .instrument import PhaseTimer
 from .pointcache import PointCache
+from .spec import parse_spec
 from .supervise import SuperviseConfig
 
 __all__ = ["HalvingConfig", "HalvingReport", "HalvingSearch",
@@ -128,25 +129,9 @@ class HalvingConfig:
 
     @classmethod
     def parse(cls, text: str) -> "HalvingConfig":
-        """Parse a CLI spec like ``"min_epochs=1,eta=2,extra_keep=3"``."""
-        kwargs = {}
-        names = ("min_epochs", "eta", "extra_keep", "keep_schedule_twins")
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            name, _, value = part.partition("=")
-            if name not in names or not value:
-                raise ValueError(
-                    f"bad halving spec element {part!r}; expected "
-                    "comma-separated min_epochs=N, eta=N, extra_keep=N, "
-                    "keep_schedule_twins=0|1")
-            try:
-                kwargs[name] = (bool(int(value))
-                                if name == "keep_schedule_twins"
-                                else int(value))
-            except ValueError:
-                raise ValueError(
-                    f"bad halving spec value {part!r}: not an integer"
-                ) from None
-        return cls(**kwargs)
+        """Parse a CLI spec like ``"min_epochs=1,eta=2,extra_keep=3"``
+        in the grammar of :mod:`repro.core.spec`."""
+        return parse_spec(cls, text, what="halving")
 
 
 # ----------------------------------------------------------------------

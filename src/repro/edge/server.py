@@ -582,6 +582,13 @@ def simulate_policy(policy, runs: int = 100,
         raise ValueError("runs must be >= 1")
     seeds = [base_seed + r for r in range(runs)]
 
+    # Compile (or refresh) the policy table before the pool forks, so
+    # every worker inherits it instead of compiling its own; static
+    # baselines (FINN) have none.
+    refresh = getattr(policy, "policy_table", None)
+    if refresh is not None:
+        refresh()
+
     # Imported lazily: repro.core imports repro.edge at package-init
     # time, so a top-level import here would be circular.
     from ..core.supervise import SuperviseConfig, SupervisedPool

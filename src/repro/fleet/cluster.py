@@ -131,10 +131,12 @@ class FleetConfig:
             raise ValueError("capacity_fraction must be in (0, 1]")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        # Brownout parameters are validated in depth by ServerConfig;
-        # normalize the tuple here so configs hash/compare cleanly.
+        # Normalize the tuple so configs hash/compare cleanly, then
+        # build the ServerConfig every server gets: it owns the rules of
+        # the brownout ladder and the serving parameters.
         object.__setattr__(self, "brownout_levels",
                            tuple(self.brownout_levels))
+        _server_config(self, 0.0)
 
     @property
     def num_racks(self) -> int:

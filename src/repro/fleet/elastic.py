@@ -34,10 +34,11 @@ holds with migrations in the ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.spec import check_finite, parse_spec
 from ..runtime.faults import _category_rng
 from .faults import transfer_stream
 
@@ -87,6 +88,7 @@ class ElasticConfig:
     heartbeat_jitter: float = 0.20
 
     def __post_init__(self):
+        check_finite(self)
         if self.min_servers < 1:
             raise ValueError("min_servers must be >= 1")
         if self.max_servers < self.min_servers:
@@ -99,9 +101,10 @@ class ElasticConfig:
                 "< scale_up_utilization")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.cooldown_s < 0 or self.startup_delay_s < 0 \
-                or self.handoff_s < 0:
-            raise ValueError("elastic delays must be >= 0")
+        for name in ("cooldown_s", "startup_delay_s", "handoff_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"elastic delays must be >= 0, got "
+                                 f"{name}={getattr(self, name)!r}")
         if self.overload_utilization <= self.scale_up_utilization:
             raise ValueError(
                 "overload_utilization must exceed scale_up_utilization")
@@ -116,24 +119,10 @@ class ElasticConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ElasticConfig":
-        """Build a config from a CLI ``key=value[,key=value...]`` list
-        (an empty string gives the defaults)."""
-        spec = cls()
-        known = {f.name: f for f in fields(cls)}
-        ints = {"min_servers", "max_servers", "overload_ticks"}
-        for token in (t.strip() for t in text.split(",")):
-            if not token:
-                continue
-            key, eq, raw = token.partition("=")
-            key = key.strip()
-            if not eq or key not in known:
-                raise ValueError(
-                    f"unknown elastic parameter {key or token!r}; "
-                    f"options: {sorted(known)}")
-            raw = raw.strip()
-            value = int(raw) if key in ints else float(raw)
-            spec = replace(spec, **{key: value})
-        return spec
+        """Build a config from a CLI ``key=value[,key=value...]`` list in
+        the grammar of :mod:`repro.core.spec` (an empty string gives the
+        defaults)."""
+        return parse_spec(cls, text, what="elastic")
 
 
 @dataclass(frozen=True)

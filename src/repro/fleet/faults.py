@@ -25,10 +25,11 @@ never changes which servers die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.spec import check_finite, parse_spec
 from ..runtime.faults import FAULT_PRESETS, FaultSpec, _category_rng
 
 __all__ = ["FleetFaultSpec", "FleetFaultPlan", "FLEET_FAULT_PRESETS",
@@ -100,6 +101,7 @@ class FleetFaultSpec:
     server_preset: str = ""
 
     def __post_init__(self):
+        check_finite(self)
         if self.racks_lost < 0:
             raise ValueError("racks_lost must be >= 0")
         if self.kill_time_s is not None and self.kill_time_s <= 0:
@@ -124,46 +126,12 @@ class FleetFaultSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FleetFaultSpec":
-        """Build a spec from a CLI string.
-
-        Accepts a preset name (``rack-loss``/``thundering-herd``/
-        ``fleet-chaos``), a comma-separated ``key=value`` list, or a
-        preset followed by overrides: ``"rack-loss,racks_lost=2"``.
+        """Build a spec from a CLI string in the grammar of
+        :mod:`repro.core.spec`: a preset name (``rack-loss``/
+        ``thundering-herd``/``fleet-chaos``), ``key=value`` overrides,
+        or a preset followed by overrides: ``"rack-loss,racks_lost=2"``.
         """
-        spec = cls()
-        known = {f.name: f for f in fields(cls)}
-        for i, token in enumerate(t.strip() for t in text.split(",")):
-            if not token:
-                continue
-            if "=" not in token:
-                if i != 0:
-                    raise ValueError(
-                        f"preset name {token!r} must come first")
-                if token not in FLEET_FAULT_PRESETS:
-                    raise ValueError(
-                        f"unknown fleet fault preset {token!r}; options: "
-                        f"{sorted(FLEET_FAULT_PRESETS)}")
-                spec = FLEET_FAULT_PRESETS[token]
-                continue
-            key, _, raw = token.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(
-                    f"unknown fleet fault parameter {key!r}; options: "
-                    f"{sorted(known)}")
-            raw = raw.strip()
-            if key == "kill_time_s":
-                value = None if raw.lower() == "none" else float(raw)
-            elif key == "herd":
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif key == "server_preset":
-                value = raw
-            elif key == "racks_lost":
-                value = int(raw)
-            else:
-                value = float(raw)
-            spec = replace(spec, **{key: value})
-        return spec
+        return parse_spec(cls, text, FLEET_FAULT_PRESETS, "fleet fault")
 
     def plan(self, seed=0) -> "FleetFaultPlan":
         return FleetFaultPlan(self, seed)

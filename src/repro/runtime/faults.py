@@ -32,9 +32,11 @@ fault-free runs bit-identical to the pre-fault code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.spec import check_finite, parse_spec
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_PRESETS"]
 
@@ -65,6 +67,7 @@ class FaultSpec:
     active_until_s: float | None = None
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("reconfig_failure_prob", "inference_error_prob",
                      "drop_prob", "spike_prob"):
             p = getattr(self, name)
@@ -76,8 +79,9 @@ class FaultSpec:
             raise ValueError("spike_factor must be >= 1")
         if self.spike_duration_s <= 0:
             raise ValueError("spike_duration_s must be positive")
-        if self.reconfig_retries < 0 or self.inference_retries < 0:
-            raise ValueError("retry counts must be >= 0")
+        for name in ("reconfig_retries", "inference_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
         if self.active_from_s < 0:
@@ -94,43 +98,12 @@ class FaultSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
-        """Build a spec from a CLI string.
-
-        Accepts a preset name (``light``/``heavy``/``chaos``), a
-        comma-separated ``key=value`` list, or a preset followed by
+        """Build a spec from a CLI string in the grammar of
+        :mod:`repro.core.spec`: a preset name (``light``/``heavy``/
+        ``chaos``), ``key=value`` overrides, or a preset followed by
         overrides: ``"heavy,drop_prob=0.1"``.
         """
-        spec = cls()
-        known = {f.name: f for f in fields(cls)}
-        for i, token in enumerate(t.strip() for t in text.split(",")):
-            if not token:
-                continue
-            if "=" not in token:
-                if i != 0:
-                    raise ValueError(
-                        f"preset name {token!r} must come first")
-                if token not in FAULT_PRESETS:
-                    raise ValueError(
-                        f"unknown fault preset {token!r}; options: "
-                        f"{sorted(FAULT_PRESETS)}")
-                spec = FAULT_PRESETS[token]
-                continue
-            key, _, raw = token.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(
-                    f"unknown fault parameter {key!r}; options: "
-                    f"{sorted(known)}")
-            kind = known[key].type
-            if key == "active_until_s":
-                value = None if raw.strip().lower() == "none" \
-                    else float(raw)
-            elif "int" in str(kind):
-                value = int(raw)
-            else:
-                value = float(raw)
-            spec = replace(spec, **{key: value})
-        return spec
+        return parse_spec(cls, text, FAULT_PRESETS, "fault")
 
     def plan(self, seed) -> "FaultPlan":
         return FaultPlan(self, seed)

@@ -145,7 +145,7 @@ class RuntimeManager:
         self._reference_accuracy = library.best_accuracy()
         self._selection_index: _SelectionIndex | None = None
         self._floor_indexes: dict[float, _SelectionIndex] = {}
-        self._policy_table = None  # built on first use, see _table()
+        self._policy_table = None  # built on first use, see policy_table()
         # (cells, extra accuracy levels) of the last compile, empty for
         # the defaults: a stale table is rebuilt with the same floors.
         self._table_spec = ()
@@ -222,7 +222,7 @@ class RuntimeManager:
             self.select = table.install_fast_select(self)
         return table
 
-    def _table(self):
+    def policy_table(self):
         """The compiled policy table, (re)built when absent or stale:
         the library changed (``Library._version`` or size), the policy
         was replaced, or :meth:`set_reconfig_model` dropped it."""
@@ -252,7 +252,7 @@ class RuntimeManager:
         """
         if workload_ips < 0:
             raise ValueError("workload must be >= 0")
-        hit = self._table().lookup(workload_ips, current)
+        hit = self.policy_table().lookup(workload_ips, current)
         if hit is not None:
             return hit
         # off-grid / unsafe-cell query: answer from the index
@@ -353,7 +353,8 @@ class RuntimeManager:
             raise ValueError("workload must be >= 0")
         if min_accuracy == self.min_accuracy:
             return self.select(workload_ips, current)
-        hit = self._table().lookup_at(min_accuracy, workload_ips, current)
+        hit = self.policy_table().lookup_at(min_accuracy, workload_ips,
+                                            current)
         if hit is not None:
             return hit
         return self._select_indexed(self._index_at(min_accuracy),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.spec import check_finite, spec_values
 from ..finn.bitstream import RECONFIG_MS_ZCU104
 from .library import AcceleratorId
 
@@ -60,6 +61,7 @@ class PartialReconfigModel:
     stage_widths: tuple = (64, 64, 128, 128, 256, 256)
 
     def __post_init__(self):
+        check_finite(self)
         if self.regions < 1:
             raise ValueError("regions must be >= 1")
         if not 0 <= self.exit_regions < self.regions:
@@ -124,46 +126,29 @@ class PartialReconfigModel:
     def parse(cls, text: str) -> "PartialReconfigModel":
         """Build a model from a CLI spec.
 
-        ``"on"``/``"default"`` give the defaults; otherwise a
-        comma-separated ``key=value`` list with keys ``regions``,
-        ``exit_regions``, ``overhead_ms``, ``full_ms``.
+        ``"on"`` (or ``""``, ``"default"``, ``"true"``, ``"1"``) gives
+        the defaults; otherwise ``key=value`` overrides in the grammar of
+        :mod:`repro.core.spec`, with keys ``regions``, ``exit_regions``,
+        ``overhead_ms`` and ``full_ms`` (milliseconds). ``regions``
+        repeats the default stage widths over the backbone regions.
         """
-        text = (text or "").strip().lower()
-        if text in ("", "on", "default", "true", "1"):
+        if (text or "").strip().lower() in ("", "on", "default", "true",
+                                            "1"):
             return cls()
-        kwargs: dict = {}
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(
-                    f"bad partial-reconfig token {token!r} (expected "
-                    f"key=value, e.g. 'regions=8,overhead_ms=10')")
-            key, _, value = token.partition("=")
-            key = key.strip().replace("-", "_")
-            try:
-                if key in ("regions", "exit_regions"):
-                    kwargs[key] = int(value)
-                elif key == "overhead_ms":
-                    kwargs["overhead_s"] = float(value) / 1000.0
-                elif key == "full_ms":
-                    kwargs["full_time_s"] = float(value) / 1000.0
-                else:
-                    raise ValueError(
-                        f"unknown partial-reconfig key {key!r} (options:"
-                        f" regions, exit_regions, overhead_ms, full_ms)")
-            except ValueError as exc:
-                if "unknown partial-reconfig" in str(exc):
-                    raise
-                raise ValueError(
-                    f"bad partial-reconfig value {value!r} for "
-                    f"{key!r}") from exc
+        _, values = spec_values(text, {"regions": int, "exit_regions": int,
+                                       "overhead_ms": float,
+                                       "full_ms": float},
+                                what="partial-reconfig")
+        seconds = {"overhead_ms": "overhead_s", "full_ms": "full_time_s"}
+        kwargs = {seconds.get(key, key): value / 1000.0 if key in seconds
+                  else value for key, value in values.items()}
         if "regions" in kwargs:
-            backbone = kwargs["regions"] - kwargs.get("exit_regions", 2)
+            exits = kwargs.get("exit_regions", cls.exit_regions)
+            backbone = kwargs["regions"] - exits
             if backbone < 1:
-                raise ValueError("regions must exceed exit_regions")
-            widths = PartialReconfigModel.stage_widths
+                raise ValueError(f"regions={kwargs['regions']} must exceed "
+                                 f"exit_regions={exits}")
+            widths = cls.stage_widths
             kwargs["stage_widths"] = tuple(
                 widths[i % len(widths)] for i in range(backbone))
         return cls(**kwargs)

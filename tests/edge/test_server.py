@@ -1,11 +1,16 @@
 """Edge-server DES tests: loss under overload, adaptation effects,
 reconfiguration accounting."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core import fork_available
 from repro.edge import EdgeServerSimulator, ServerConfig, WorkloadSpec, simulate_policy
 from repro.runtime import Library, RuntimeManager
+from repro.runtime.baselines import AdaPEx
+from repro.runtime.policytable import PolicyTable
 from tests.conftest import make_entry
 
 
@@ -206,6 +211,30 @@ class TestParallelSimulation:
         lib.add(make_entry(rate=0.8, ct=0.1, acc=0.82, ips=200.0,
                            exit_lats=(1 / 200,) * 3, rates=(1.0, 0, 0)))
         self._matches_serial(RuntimeManager(lib))
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_policy_table_compiles_once_in_the_parent(self, toy_library,
+                                                      tmp_path,
+                                                      monkeypatch):
+        """Workers inherit the table the parent compiled before the fork:
+        a 2-worker campaign compiles it once, in the parent."""
+        log = tmp_path / "compiles.txt"
+        init = PolicyTable.__init__
+
+        def logged(self, *args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            init(self, *args, **kwargs)
+
+        w = small_workload(ips=60.0)
+        serial = simulate_policy(AdaPEx(toy_library), runs=4, workload=w,
+                                 base_seed=3)
+        monkeypatch.setattr(PolicyTable, "__init__", logged)
+        forked = simulate_policy(AdaPEx(toy_library), runs=4, workload=w,
+                                 base_seed=3, parallel=2)
+        assert log.read_text().split() == [str(os.getpid())]
+        assert forked[0] == serial[0]
+        assert [r.trace for r in forked[1]] == [r.trace for r in serial[1]]
 
     def test_parallel_true_means_cpu_count(self):
         lib = single_entry_library(ips=100.0)

@@ -140,6 +140,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetConfig(duration_s=0.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(brownout_levels=(0.05, 0.02)), "strictly increasing"),
+        (dict(brownout_levels=(0.02,), brownout_high=0.2,
+              brownout_low=0.9), "brownout_low < brownout_high"),
+        (dict(brownout_high=1.5), "brownout_high <= 1"),
+    ])
+    def test_brownout_ladder_checked_at_construction(self, kwargs,
+                                                     message):
+        """The ServerConfig every server gets is built with the config,
+        so a bad ladder fails before any table compiles or tenant
+        routes."""
+        with pytest.raises(ValueError, match=message):
+            FleetConfig(**kwargs)
+
     def test_rack_and_tier_layout(self):
         cfg = FleetConfig(num_servers=5, rack_size=2,
                           slo_tiers=(0.05, 0.10, 0.15))
