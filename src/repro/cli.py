@@ -24,7 +24,7 @@ from .core.checkpoint import SweepManifest
 from .core.config import AdaPExConfig
 from .core.errors import IntegrityError
 from .core.halving import HalvingConfig, HalvingSearch
-from .core.instrument import PhaseTimer
+from .core.instrument import PhaseTimer, peak_rss_mb
 from .core.supervise import SuperviseConfig
 from .edge.server import ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
@@ -442,7 +442,8 @@ def _cmd_generate(args) -> int:
     if args.timing_json:
         timer.write_json(args.timing_json, extra={
             "command": "generate", "dataset": args.dataset,
-            "profile": args.profile, "workers": config.parallel_workers})
+            "profile": args.profile, "workers": config.parallel_workers,
+            "peak_rss_mb": peak_rss_mb(config.parallel_workers)})
         print(f"timing report written to {args.timing_json}")
     return 0
 
@@ -544,7 +545,8 @@ def _cmd_evaluate(args) -> int:
             "faults": args.faults, "fault_seed": args.fault_seed,
             "batch_window_ms": args.batch_window,
             "dispatch_overhead_ms": args.dispatch_overhead,
-            "partial_reconfig": args.partial_reconfig})
+            "partial_reconfig": args.partial_reconfig,
+            "peak_rss_mb": peak_rss_mb(args.parallel)})
         print(f"timing report written to {args.timing_json}")
     return 0
 
@@ -620,7 +622,8 @@ def _cmd_fleet(args) -> int:
             "fleet_faults": args.fleet_faults,
             "elastic": args.elastic, "ramp_s": args.ramp,
             "brownout": list(args.brownout),
-            "fault_seed": args.fault_seed, "seed": args.seed})
+            "fault_seed": args.fault_seed, "seed": args.seed,
+            "peak_rss_mb": peak_rss_mb(args.workers)})
         print(f"timing report written to {args.timing_json}")
     return 0
 

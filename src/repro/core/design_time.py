@@ -100,7 +100,8 @@ class _VariantContext:
     pruned_exits: bool
     scaled_base: object
     # The hardware twin's unpruned architecture: its widths, constraints
-    # and (for HAPM's allocation) initial weights. Never pruned or run.
+    # and (for HAPM's allocation) initial weights. Never pruned, run or
+    # otherwise mutated, so variants of one exit topology share it.
     hw_base: object
     scaled_constraints: dict
     hw_constraints: dict
@@ -163,6 +164,7 @@ class LibraryGenerator:
         self._train = None
         self._test = None
         self._base_cache: dict = {}
+        self._hw_cache: dict = {}
         # Guards datasets() and train_base_model() so concurrent
         # generation (two variants racing from different threads) never
         # double-builds the shared dataset or double-trains a base model.
@@ -236,11 +238,22 @@ class LibraryGenerator:
         with timer.phase("train"):
             return self.train_base_model(exits_cfg)
 
+    def _hardware_base(self, exits_cfg: ExitsConfiguration):
+        """The untrained hardware twin, built once per exit topology: the
+        pruned- and not-pruned-exit variants get the same weights from
+        the same config and seed, and nothing writes to it."""
+        key = self._topology_key(exits_cfg)
+        with self._lock:
+            if key not in self._hw_cache:
+                self._hw_cache[key] = self._build(
+                    exits_cfg, self.config.resource_width_scale)
+            return self._hw_cache[key]
+
     def _variant_context(self, variant: str, exits_cfg: ExitsConfiguration,
                          pruned_exits: bool, scaled_base) -> _VariantContext:
         """Prepare the per-variant state the per-rate points share."""
         cfg = self.config
-        hw_base = self._build(exits_cfg, cfg.resource_width_scale)
+        hw_base = self._hardware_base(exits_cfg)
         folding = cnv_reference_fold(hw_base)
         ctx = _VariantContext(
             variant=variant,

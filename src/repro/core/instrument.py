@@ -28,11 +28,22 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import threading
 import time
 from contextlib import contextmanager
 
-__all__ = ["PhaseTimer"]
+__all__ = ["PhaseTimer", "peak_rss_mb"]
+
+
+def peak_rss_mb(workers: int = 1) -> float:
+    """Peak resident set size in MiB: this process's ``ru_maxrss``, plus
+    the largest finished child's when ``workers > 1`` (the forked pool
+    workers; a lone worker's peak is not counted)."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if workers > 1:
+        kib += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return kib / 1024.0
 
 
 class PhaseTimer:

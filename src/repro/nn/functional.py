@@ -9,7 +9,8 @@ convolution is one GEMM ``W(O, C*k*k) @ cols(C*k*k, N*oh*ow)`` over a
 tap-major im2col whose output already is the next layer's channel-major
 input; its backward pass is the two GEMMs ``g @ cols.T`` (weights) and
 ``W.T @ g`` (input), plus one add per kernel tap that scatters the
-latter's rows back into the image. BatchNorm reduces and scales
+latter's rows back into the image; they are two kernels, so a layer can
+free its columns after the first. BatchNorm reduces and scales
 contiguous per-channel rows, and pooling and the activations run
 elementwise over the same rows. In NCHW memory these passes ran inner
 loops only as long as the channel count (8 at quick scale).
@@ -32,8 +33,8 @@ __all__ = [
     "maxpool2d_forward",
     "im2col_cm",
     "conv2d_forward_cm",
-    "conv2d_backward_cm",
     "conv2d_param_backward_cm",
+    "conv2d_input_backward_cm",
     "maxpool2d_forward_cm",
     "maxpool2d_backward_cm",
     "conv_output_size",
@@ -253,8 +254,8 @@ def conv2d_forward_cm(
 
 def conv2d_param_backward_cm(grad_out: np.ndarray, weight_shape: tuple,
                              cols: np.ndarray):
-    """Weight and bias gradients of :func:`conv2d_forward_cm` without the
-    input gradient (for a model's first layer, whose input is the image).
+    """Weight and bias gradients of :func:`conv2d_forward_cm`: the GEMM
+    ``g @ cols.T`` and ``g``'s row sums, the only reads of ``cols``.
 
     Returns ``(grad_weight, grad_bias)``.
     """
@@ -262,25 +263,25 @@ def conv2d_param_backward_cm(grad_out: np.ndarray, weight_shape: tuple,
     return (g @ cols.T).reshape(weight_shape), g.sum(axis=1)
 
 
-def conv2d_backward_cm(
+def conv2d_input_backward_cm(
     grad_out: np.ndarray,
     x_shape: tuple,
     weight: np.ndarray,
-    cols: np.ndarray,
     stride: int = 1,
     padding: int = 0,
-):
-    """Gradients of :func:`conv2d_forward_cm`.
+) -> np.ndarray:
+    """Input gradient of :func:`conv2d_forward_cm`, which needs no
+    ``cols``: run it after :func:`conv2d_param_backward_cm` and the
+    columns can be freed before its ``W.T @ g`` allocates their size
+    again.
 
-    Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_x`` is a
-    C-contiguous ``(C, N, H, W)`` array: ``W.T @ g``'s tap rows added
-    into a zeroed (padded) image in (ki, kj) order, im2col's adjoint.
+    Returns a C-contiguous ``(C, N, H, W)`` array: ``W.T @ g``'s tap
+    rows added into a zeroed (padded) image in (ki, kj) order, im2col's
+    adjoint.
     """
     c, n, h, w = x_shape
     out_ch, _, kernel, _ = weight.shape
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-    grad_weight, grad_bias = conv2d_param_backward_cm(grad_out, weight.shape,
-                                                      cols)
     g = np.ascontiguousarray(grad_out).reshape(out_ch, -1)
     grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(
         c, kernel, kernel, n, out_h, out_w)
@@ -292,7 +293,7 @@ def conv2d_backward_cm(
     if padding > 0:
         grad_x = np.ascontiguousarray(
             grad_x[:, :, padding:padding + h, padding:padding + w])
-    return grad_x, grad_weight, grad_bias
+    return grad_x
 
 
 def maxpool2d_forward_cm(x: np.ndarray, kernel: int,
@@ -302,8 +303,10 @@ def maxpool2d_forward_cm(x: np.ndarray, kernel: int,
 
     Returns ``(out, argmax)``: ``argmax`` is each window's first maximal
     tap in (ki, kj) order, or its first NaN, as ``np.argmax`` over the
-    flattened window picks it, and ``out`` that tap's value (so signed
-    zeros and NaN payloads pass through).
+    flattened window picks it, in the narrowest unsigned type that holds
+    ``k*k - 1`` (``uint8`` up to 16x16 windows: it lives as backward
+    scratch), and ``out`` that tap's value (so signed zeros and NaN
+    payloads pass through).
     """
     stride = kernel if stride is None else stride
     _, _, h, w = x.shape
@@ -312,7 +315,8 @@ def maxpool2d_forward_cm(x: np.ndarray, kernel: int,
     taps = _taps(x, kernel, stride, out_h, out_w)
     _, _, first = next(taps)
     out = first.copy()
-    argmax = np.zeros(out.shape, dtype=np.intp)
+    argmax = np.zeros(out.shape,
+                      dtype=np.min_scalar_type(kernel * kernel - 1))
     for ki, kj, v in taps:
         # v > out, or v NaN: take it unless out already holds a NaN.
         take = v <= out

@@ -135,7 +135,6 @@ class BranchedModel:
         self.exits = dict(sorted(exits.items()))
         self.input_shape = tuple(input_shape)
         self.name = name
-        self._cache_branch_inputs: list | None = None
 
     # ------------------------------------------------------------------
     # structure
@@ -181,9 +180,11 @@ class BranchedModel:
 
     def release_caches(self) -> None:
         """Drop every layer's backward scratch: the convolutions' im2col
-        columns, BatchNorm's ``x_hat`` rows, pooling argmax and activation
-        inputs of the last batch (after training, ~86 MB of columns alone
-        on the quick CNV)."""
+        columns, BatchNorm's ``x_hat`` rows, pooling argmax and STE masks
+        of the last batch. :meth:`backward` already consumes what a
+        training step's forward pass left, so this matters only after
+        forward-only passes (an inference batch of 256 images on the
+        quick CNV leaves ~244 MB of columns)."""
         for layer in self.all_layers():
             layer._cache = None
 

@@ -49,8 +49,12 @@ class Layer:
     """Base class: a differentiable, stateful computation node."""
 
     #: Backward scratch the last forward pass left behind (im2col
-    #: columns, argmax indices, inputs). Not part of the layer's state:
-    #: copies and pickles leave it out (see :meth:`__getstate__`).
+    #: columns, BatchNorm's ``x_hat``, argmax taps, STE masks, inputs).
+    #: ``backward``/``backward_params`` consume it: it is ``None`` once
+    #: the layer's gradients exist, so a training step holds each
+    #: layer's scratch only until its backward has run. Not part of the
+    #: layer's state: copies and pickles leave it out (see
+    #: :meth:`__getstate__`).
     _cache = None
 
     def __init__(self, name: str = ""):
@@ -64,11 +68,15 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Accumulate the parameter gradients, release the scratch of the
+        last forward pass and return the input gradient. Each forward
+        pass supports one backward call."""
         raise NotImplementedError
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         """Accumulate the parameter gradients only: the backward pass of a
-        model's first layer, whose input gradient nobody reads."""
+        model's first layer, whose input gradient nobody reads. Releases
+        the scratch like :meth:`backward`."""
         self.backward(grad_out)
 
     def output_shape(self, input_shape: tuple) -> tuple:
@@ -178,17 +186,18 @@ class Conv2D(Layer):
             self.grads["bias"] += grad_b
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols, w, _ = self._cache
-        grad_x, grad_w, grad_b = F.conv2d_backward_cm(
-            grad_out, x_shape, w, cols, self.stride, self.padding
-        )
-        self._accumulate(grad_w, grad_b)
-        return grad_x
+        x_shape, w = self._cache[0], self._cache[2]
+        # The columns die with the weight GEMM, before ``W.T @ g``
+        # allocates a matrix of their size.
+        self.backward_params(grad_out)
+        return F.conv2d_input_backward_cm(grad_out, x_shape, w, self.stride,
+                                          self.padding)
 
     def backward_params(self, grad_out: np.ndarray) -> None:
-        _, cols, w, _ = self._cache
+        cols, w = self._cache[1], self._cache[2]
         self._accumulate(*F.conv2d_param_backward_cm(grad_out, w.shape,
                                                       cols))
+        self._cache = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
@@ -276,13 +285,15 @@ class Linear(Layer):
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         x, _, scale = self._cache
+        self._cache = None
         self.grads["weight"] += self._weight_grad(grad_out.T @ x, scale)
         if self.has_bias:
             self.grads["bias"] += grad_out.sum(axis=0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        w = self._cache[1]
         self.backward_params(grad_out)
-        return grad_out @ self._cache[1]
+        return grad_out @ w
 
     def output_shape(self, input_shape: tuple) -> tuple:
         if input_shape != (self.in_features,):
@@ -371,6 +382,7 @@ class BatchNorm(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, std, axis, shape = self._cache
+        self._cache = None
         grad = grad_out.reshape(x_hat.shape)
         scratch = grad * x_hat
         self.grads["gamma"] += scratch.sum(axis=axis)
@@ -429,6 +441,7 @@ class MaxPool2d(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_shape, argmax = self._cache
+        self._cache = None
         return F.maxpool2d_backward_cm(
             grad_out, argmax, x_shape, self.kernel_size, self.stride
         )
@@ -453,7 +466,8 @@ class ReLU(Layer):
         return F.relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.relu_grad(self._cache, grad_out)
+        x, self._cache = self._cache, None
+        return F.relu_grad(x, grad_out)
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -471,13 +485,14 @@ class QuantReLU(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
+        # The STE mask, a byte per value where the input took eight.
+        inside = x > 0
+        inside &= x < self.quant.act_range
+        self._cache = inside
         return quantize_activations(x, self.quant.act_bits, self.quant.act_range)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cache
-        inside = x > 0
-        inside &= x < self.quant.act_range
+        inside, self._cache = self._cache, None
         return grad_out * inside
 
     def output_shape(self, input_shape: tuple) -> tuple:
@@ -502,7 +517,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        shape = self._cache
+        shape, self._cache = self._cache, None
         if len(shape) == 4:
             c, n, h, w = shape
             return np.ascontiguousarray(

@@ -126,7 +126,6 @@ class Trainer:
             history.joint_loss.append(epoch_loss / max(batches, 1))
             history.exit_losses.append(tuple(epoch_exit_losses / max(batches, 1)))
             history.train_accuracy.append(correct / max(n, 1))
-        self.model.release_caches()
         self.model.eval()
         return history
 

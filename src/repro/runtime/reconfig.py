@@ -129,8 +129,10 @@ class PartialReconfigModel:
         ``"on"`` (or ``""``, ``"default"``, ``"true"``, ``"1"``) gives
         the defaults; otherwise ``key=value`` overrides in the grammar of
         :mod:`repro.core.spec`, with keys ``regions``, ``exit_regions``,
-        ``overhead_ms`` and ``full_ms`` (milliseconds). ``regions``
-        repeats the default stage widths over the backbone regions.
+        ``overhead_ms`` and ``full_ms`` (milliseconds). When ``regions``
+        or ``exit_regions`` is given, the default stage widths repeat
+        over the ``regions - exit_regions`` backbone regions (``regions``
+        defaulting to the class value).
         """
         if (text or "").strip().lower() in ("", "on", "default", "true",
                                             "1"):
@@ -142,11 +144,12 @@ class PartialReconfigModel:
         seconds = {"overhead_ms": "overhead_s", "full_ms": "full_time_s"}
         kwargs = {seconds.get(key, key): value / 1000.0 if key in seconds
                   else value for key, value in values.items()}
-        if "regions" in kwargs:
+        if "regions" in kwargs or "exit_regions" in kwargs:
+            regions = kwargs.get("regions", cls.regions)
             exits = kwargs.get("exit_regions", cls.exit_regions)
-            backbone = kwargs["regions"] - exits
+            backbone = regions - exits
             if backbone < 1:
-                raise ValueError(f"regions={kwargs['regions']} must exceed "
+                raise ValueError(f"regions={regions} must exceed "
                                  f"exit_regions={exits}")
             widths = cls.stage_widths
             kwargs["stage_widths"] = tuple(

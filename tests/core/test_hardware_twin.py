@@ -89,6 +89,23 @@ def test_shape_compile_matches_full_width_twin(twins, criterion):
                     where
 
 
+def test_hardware_base_shared_and_untouched(twins):
+    """Variants of one exit topology share one hardware twin, and the
+    compiles above (count plans, HAPM's allocation, the oracle's pruning
+    and export) left its weights as built."""
+    gen, contexts = twins
+    shared = {}
+    for ctx, (_, exits_cfg, _) in zip(contexts, gen._variants()):
+        key = gen._topology_key(exits_cfg)
+        assert shared.setdefault(key, ctx.hw_base) is ctx.hw_base
+        fresh = gen._build(exits_cfg, gen.config.resource_width_scale)
+        state, want = ctx.hw_base.state_dict(), fresh.state_dict()
+        assert state.keys() == want.keys()
+        for name in state:
+            assert state[name].tobytes() == want[name].tobytes(), name
+    assert len({id(base) for base in shared.values()}) == len(shared) > 1
+
+
 def test_infeasible_fold_raises_the_same_error():
     # At width 0.6, exit1_conv has 76 channels but its consumer folds
     # with SIMD 8: neither twin can be pruned.

@@ -159,7 +159,8 @@ class TestConv2d:
         b = rng.normal(size=3)
         out, cols = F.conv2d_forward_cm(x, w, b)
         grad_out = rng.normal(size=out.shape)
-        gx, gw, gb = F.conv2d_backward_cm(grad_out, x.shape, w, cols)
+        gw, gb = F.conv2d_param_backward_cm(grad_out, w.shape, cols)
+        gx = F.conv2d_input_backward_cm(grad_out, x.shape, w)
 
         def loss(x_, w_, b_):
             o, _ = F.conv2d_forward_cm(x_, w_, b_)
@@ -247,11 +248,24 @@ def _plant(rng, a, zero_frac=0.1, nan_count=0):
     return a
 
 
+def _split_conv2d_backward(grad_out, x_shape, weight, cols, stride, padding):
+    """``(grad_x, grad_weight, grad_bias)`` from the two kernels
+    ``Conv2D.backward`` runs, in its order: the columns' last read, then
+    the input gradient without them."""
+    grad_weight, grad_bias = F.conv2d_param_backward_cm(grad_out,
+                                                        weight.shape, cols)
+    grad_x = F.conv2d_input_backward_cm(grad_out, x_shape, weight, stride,
+                                        padding)
+    return grad_x, grad_weight, grad_bias
+
+
 class TestKernelIdentity:
     """The ``(C, N, H, W)`` training kernels: byte-equal to the textbook
     channel-major reference (strides included: every result is
     C-contiguous), and equal to the NCHW reference to rounding (GEMM
-    shapes differ, so their sums run in another order)."""
+    shapes differ, so their sums run in another order). The convolution's
+    backward pass is two kernels, weights then input, checked together
+    against the reference's single one."""
 
     @given(kernel=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
            padding=st.integers(0, 2), in_ch=st.integers(1, 33),
@@ -278,14 +292,11 @@ class TestKernelIdentity:
                               want_cols)
 
         grad_out = _plant(rng, rng.standard_normal(out.shape).astype(dtype))
-        got = F.conv2d_backward_cm(grad_out, x.shape, weight, cols, stride,
-                                   padding)
+        got = _split_conv2d_backward(grad_out, x.shape, weight, cols, stride,
+                                     padding)
         want = ref.cm_conv2d_backward(grad_out, x.shape, weight, cols,
                                       stride, padding)
         for new, old in zip(got, want):
-            ref.assert_same_bytes(new, old)
-        for new, old in zip(F.conv2d_param_backward_cm(
-                grad_out, weight.shape, cols), want[1:]):
             ref.assert_same_bytes(new, old)
 
         # The NCHW formulation training used before.
@@ -314,8 +325,8 @@ class TestKernelIdentity:
             want_out, _ = ref.cm_conv2d_forward(x, weight, None, 1, padding)
             ref.assert_same_bytes(out, want_out)
             grad_out = rng.standard_normal(out.shape).astype(dtype)
-            got = F.conv2d_backward_cm(grad_out, x.shape, weight, cols, 1,
-                                       padding)
+            got = _split_conv2d_backward(grad_out, x.shape, weight, cols, 1,
+                                         padding)
             want = ref.cm_conv2d_backward(grad_out, x.shape, weight, cols, 1,
                                           padding)
             for new, old in zip(got, want):

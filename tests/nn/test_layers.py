@@ -396,5 +396,6 @@ class TestLayerIdentity:
         got = layer.grads["weight"].copy()
         layer.zero_grad()
         layer._weight_grad = ref.quant_weight_grad.__get__(layer)
+        layer.forward(x)  # backward consumed the first pass's scratch
         layer.backward(grad_out)
         ref.assert_same_bytes(got, layer.grads["weight"])

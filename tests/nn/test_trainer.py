@@ -236,6 +236,54 @@ class TestExitScores:
         assert not np.isnan(r["per_exit_accuracy"][-1])
 
 
+class TestStepFootprint:
+    """A training step's backward pass consumes each layer's scratch: it
+    frees a layer's im2col columns, ``x_hat``, masks and argmax taps as
+    soon as that layer's gradients exist, and a convolution frees its
+    columns before ``W.T @ g`` allocates their size again. So backward
+    needs no memory beyond what forward left, and nothing survives it."""
+
+    @pytest.mark.parametrize("profile,dtype", [
+        ("quick", np.float64), ("quick", np.float32),
+        ("standard", np.float64)],
+        ids=["quick-float64", "quick-float32", "standard-float64"])
+    def test_backward_stays_within_the_forward_footprint(self, profile,
+                                                         dtype):
+        import tracemalloc
+
+        from repro.core import AdaPExConfig
+        from repro.models import CNVConfig, ExitsConfiguration, build_cnv
+
+        cfg = AdaPExConfig.quick() if profile == "quick" else AdaPExConfig()
+        model = build_cnv(CNVConfig(width_scale=cfg.width_scale, seed=0),
+                          ExitsConfiguration.paper_default()).astype(dtype)
+        joint_loss = JointLoss.paper_default(model.num_exits)
+        rng = np.random.default_rng(0)
+        batch = cfg.initial_training.batch_size
+        images = rng.standard_normal((batch, 3, 32, 32))
+        labels = rng.integers(0, 10, size=batch)
+        model.train()
+        model.zero_grad()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            outputs = model.forward(images)
+            forward_end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, grads, _ = joint_loss(outputs, labels)
+            model.backward(grads)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # The scratch is tens of MB (quick float64: ~72 MB), so a layer
+        # that kept its own or allocated a second copy would show.
+        assert forward_end - start > 16 * 2**20
+        assert backward_peak - forward_end <= 2**20
+        assert all(layer._cache is None for layer in model.all_layers())
+
+
 class TestTrainingIdentity:
     """Training on channel-major activations against the NCHW reference
     kernels (``reference_kernels.install``): trained weights move by

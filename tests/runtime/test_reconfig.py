@@ -182,6 +182,25 @@ class TestPartialReconfigModel:
         with pytest.raises(ValueError):
             PartialReconfigModel.parse("regions=2,exit_regions=2")
 
+    def test_parse_exit_regions_alone(self):
+        """``exit_regions`` without ``regions`` keeps the default region
+        count and derives the backbone stages from it; ``on`` and
+        ``regions=...`` build the same models as before."""
+        from repro.runtime import PartialReconfigModel
+        m = PartialReconfigModel.parse("exit_regions=3")
+        assert (m.regions, m.exit_regions) == (8, 3)
+        assert m.stage_widths == (64, 64, 128, 128, 256)
+        m = PartialReconfigModel.parse("exit_regions=0,overhead_ms=5")
+        assert m.stage_widths == (64, 64, 128, 128, 256, 256, 64, 64)
+        assert PartialReconfigModel.parse("exit_regions=2") \
+            == PartialReconfigModel.parse("on") == PartialReconfigModel()
+        assert PartialReconfigModel.parse("regions=8") == PartialReconfigModel()
+        assert PartialReconfigModel.parse("regions=4").stage_widths \
+            == (64, 64)
+        with pytest.raises(ValueError, match="regions=8 must exceed "
+                                             "exit_regions=8"):
+            PartialReconfigModel.parse("exit_regions=8")
+
 
 class TestControllerWithCostModel:
     def test_planned_duration(self):

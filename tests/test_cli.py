@@ -1,5 +1,8 @@
 """CLI tests (against the hand-built toy library on disk)."""
 
+import json
+import resource
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -306,6 +309,30 @@ class TestEvaluate:
                      "--policies", "adapex,finn", "--runs", "1"]) == 0
         out = capsys.readouterr().out
         assert "AdaPEx" in out and "FINN" in out
+
+
+class TestTimingJson:
+    @pytest.mark.parametrize("argv,workers", [
+        (["evaluate", "--policies", "adapex", "--runs", "2"], 0),
+        (["evaluate", "--policies", "adapex", "--runs", "2",
+          "--parallel", "2"], 2),
+        (["fleet", "--servers", "2", "--tenants", "4", "--duration", "1"],
+         0),
+    ], ids=["evaluate", "evaluate-parallel", "fleet"])
+    def test_records_peak_rss(self, library_path, tmp_path, capsys, argv,
+                              workers):
+        """``peak_rss_mb`` is this process's ``ru_maxrss``, plus the
+        largest worker's when the command forks more than one."""
+        path = tmp_path / "timing.json"
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert main([argv[0], "--library", library_path, *argv[1:],
+                     "--timing-json", str(path)]) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        peak = json.loads(path.read_text())["peak_rss_mb"]
+        if workers > 1:
+            assert peak > before
+        else:
+            assert before <= peak <= after
 
 
 class TestDesignSpace:
