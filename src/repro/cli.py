@@ -25,6 +25,7 @@ from .core.config import AdaPExConfig
 from .core.errors import IntegrityError
 from .core.halving import HalvingConfig, HalvingSearch
 from .core.instrument import PhaseTimer, peak_rss_mb
+from .core.pointcache import PointCache
 from .core.supervise import SuperviseConfig
 from .edge.server import ServerConfig, simulate_policy
 from .fleet import (CoordinationError, ElasticConfig, FleetConfig,
@@ -409,6 +410,12 @@ def _cmd_generate(args) -> int:
             print("resume: manifest does not match this configuration "
                   "(or is empty) — running the sweep from scratch")
         else:
+            # The manifest is saved when a stage ends; a point completed
+            # since has its point-cache file (or rung score) on disk.
+            cache = PointCache(args.point_cache)
+            for key in manifest.keys_with_status("pending"):
+                if key in cache or cache.aux_path_for(key).exists():
+                    manifest.mark(key, "done")
             print(f"resuming sweep: {manifest.summary()}")
     supervise = SuperviseConfig(timeout_s=args.point_timeout,
                                 retries=args.point_retries)

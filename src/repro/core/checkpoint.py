@@ -7,8 +7,11 @@ point, whether it is ``pending``, ``done``, ``failed`` (exhausted its
 retry budget — retried on the next resume), or ``quarantined``
 (permanently infeasible — skipped on resume, surfaced as a library gap).
 
-Every mutation is persisted with an atomic write-temp-rename, so a
-sweep killed at any instant leaves a readable manifest; ``repro-adapex
+Every save is an atomic write-temp-rename, so a sweep killed at any
+instant leaves a readable manifest. A sweep saves it when a stage
+starts, on each failure and when the stage ends (normally or by an
+exception); in between, a completed point's record is its point-cache
+file, and a resume marks every cached point done. ``repro-adapex
 generate --resume`` (or simply rerunning with the same ``--point-cache``)
 continues from exactly where the previous run stopped, recomputing
 nothing that completed. The manifest is salted with the config's

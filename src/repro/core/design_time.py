@@ -35,17 +35,21 @@ search (:mod:`repro.core.halving`). It sorts the points into cached,
 quarantined (by an earlier run) and pending ones, keeps the
 :class:`~repro.core.checkpoint.SweepManifest` beside a
 :class:`~repro.core.pointcache.PointCache` (so a killed sweep resumes
-with nothing recomputed), trains the base models and builds the variant
-contexts the pending points need (once, in the parent) and runs them on a
-:class:`~repro.core.supervise.SupervisedPool`, which retries transient
-failures and quarantines the rest. With ``config.parallel_workers > 1``
-the pool forks worker processes (the work is NumPy and Python loops that
-hold the GIL, so threads cannot help), and each worker inherits the
-parent's generator, datasets, trained bases and contexts by fork:
-nothing is shipped, and no worker rebuilds or retrains anything. Each
-stage has one task function, called on that ``(generator, contexts,
-step memo)`` state, serial or forked. Results are merged in sweep
-order, so parallel libraries are bit-identical to serial ones.
+with nothing recomputed), and runs the pending points in three steps:
+a train stage fits every base model they need, then the variant contexts
+(and their hardware twins) are built once, in the parent, and then the
+points run on a :class:`~repro.core.supervise.SupervisedPool`, which
+retries transient failures and quarantines the rest. No hardware twin
+exists while a base trains, so the stage's memory peak is one fit's.
+With ``config.parallel_workers > 1`` both pools fork worker processes
+(the work is NumPy and Python loops that hold the GIL, so threads cannot
+help): the independent base fits run as tasks that return their trained
+state, and each characterize worker inherits the parent's generator,
+datasets, trained bases and contexts by fork: nothing is shipped, and no
+worker rebuilds or retrains anything. Each stage has one task function,
+called on that ``(generator, contexts, step memo)`` state, serial or
+forked. Results are merged in sweep order, so parallel libraries are
+bit-identical to serial ones.
 
 The compiled plans of one sweep share a
 :class:`~repro.ir.engine.StepMemo` (one per serial stage, one per pool
@@ -78,6 +82,7 @@ from ..models.cnv import CNVConfig, build_cnv
 from ..models.exits import ExitsConfiguration
 from ..nn.layers import Conv2D, Linear
 from ..nn.quant import post_training_quantize
+from ..nn.serialize import load_state_arrays, state_arrays
 from ..nn.trainer import EVAL_BATCH, Trainer, cascade_sweep, evaluate_exits
 from ..pruning.pruner import plan_counts, prune_model
 from ..pruning.ranking import HAPMCriterion, get_criterion
@@ -87,7 +92,7 @@ from .checkpoint import SweepManifest
 from .config import AdaPExConfig
 from .instrument import PhaseTimer
 from .pointcache import PointCache
-from .supervise import SuperviseConfig, SupervisedPool
+from .supervise import SuperviseConfig, SupervisedPool, resolve_workers
 
 __all__ = ["LibraryGenerator", "accel_label"]
 
@@ -165,7 +170,7 @@ class LibraryGenerator:
         self._test = None
         self._base_cache: dict = {}
         self._hw_cache: dict = {}
-        # Guards datasets() and train_base_model() so concurrent
+        # Guards datasets() and the base fits so concurrent
         # generation (two variants racing from different threads) never
         # double-builds the shared dataset or double-trains a base model.
         self._lock = threading.RLock()
@@ -204,6 +209,22 @@ class LibraryGenerator:
         return tuple((e.after_block, e.conv_channels, e.fc_width)
                      for e in exits_cfg.exits)
 
+    def _untrained_base(self, exits_cfg: ExitsConfiguration):
+        """The scaled accuracy twin as built, in the compute dtype."""
+        cfg = self.config
+        model = self._build(exits_cfg, cfg.width_scale)
+        if cfg.compute_dtype != "float64":
+            model.astype(cfg.np_dtype)
+        return model
+
+    def _fit_base(self, model, train) -> None:
+        """Jointly train ``model`` over all its exits on ``train``, in
+        place."""
+        cfg = self.config
+        augment = standard_augmentation() if cfg.use_augmentation else None
+        Trainer(model, cfg.initial_training).fit(train.images, train.labels,
+                                                 augment=augment)
+
     def train_base_model(self, exits_cfg: ExitsConfiguration):
         """Build and jointly train the scaled accuracy twin.
 
@@ -211,42 +232,79 @@ class LibraryGenerator:
         flags, so the trained base is cached and shared between the
         "pruned exits" and "not pruned exits" sweeps.
         """
-        cfg = self.config
         key = self._topology_key(exits_cfg)
         with self._lock:
-            if key in self._base_cache:
-                return self._base_cache[key]
-            train, _ = self.datasets()
-            model = self._build(exits_cfg, cfg.width_scale)
-            if cfg.compute_dtype != "float64":
-                model.astype(cfg.np_dtype)
-            trainer = Trainer(model, cfg.initial_training)
-            augment = standard_augmentation() if cfg.use_augmentation else None
-            trainer.fit(train.images, train.labels, augment=augment)
-            self._base_cache[key] = model
-            return model
+            if key not in self._base_cache:
+                model = self._untrained_base(exits_cfg)
+                self._fit_base(model, self.datasets()[0])
+                self._base_cache[key] = model
+            return self._base_cache[key]
 
-    def base_model(self, key: tuple, exits_cfg: ExitsConfiguration, log,
-                   timer: PhaseTimer):
-        """:meth:`train_base_model` for the variant ``key``, logged and
-        timed as a ``train`` phase only when it fits: a variant whose
-        exit topology is already trained reuses that model silently."""
-        if self._topology_key(exits_cfg) in self._base_cache:
-            return self.train_base_model(exits_cfg)
-        log(f"[{self.config.dataset}] training base model "
-            f"({accel_label(*key)})")
-        with timer.phase("train"):
-            return self.train_base_model(exits_cfg)
+    def train_bases(self, variants: dict, log, timer: PhaseTimer) -> dict:
+        """The trained base of every variant in ``variants`` (variant key
+        -> exits configuration), keyed like it: a sweep's train stage.
+
+        Each exit topology not trained yet is fitted once, logged and
+        timed as one ``train`` phase; a topology already trained is
+        reused silently. With ``parallel_workers`` >= 2 and two or more
+        fits, the fits run as pool tasks on forked workers: each trains
+        a model the parent built and returns its state, which the parent
+        loads into that model. They get no timeout and no retry, so a
+        diverged fit fails the run, naming ``TrainingDivergedError``.
+        """
+        cfg = self.config
+        with self._lock:
+            todo: dict = {}  # topology key -> (variant key, exits config)
+            for vkey, exits_cfg in variants.items():
+                key = self._topology_key(exits_cfg)
+                if key not in self._base_cache:
+                    todo.setdefault(key, (vkey, exits_cfg))
+            jobs = list(todo.values())
+
+            def describe(index):
+                return (f"[{cfg.dataset}] training base model "
+                        f"({accel_label(*jobs[index][0])})")
+
+            if resolve_workers(cfg.parallel_workers) < 2 or len(jobs) < 2:
+                for index, (_, exits_cfg) in enumerate(jobs):
+                    log(describe(index))
+                    with timer.phase("train"):
+                        self.train_base_model(exits_cfg)
+            else:
+                # Built here, inherited by the fit workers.
+                train, _ = self.datasets()
+                models = [self._untrained_base(exits_cfg)
+                          for _, exits_cfg in jobs]
+                for index in range(len(jobs)):
+                    log(describe(index))
+                try:
+                    fits = SupervisedPool(
+                        workers=cfg.parallel_workers,
+                        config=SuperviseConfig(retries=0), label=describe,
+                        initializer=_install_worker_state,
+                        initargs=((self, train, models),),
+                    ).map(functools.partial(_in_worker, _fit_base_task),
+                          range(len(jobs)))
+                finally:
+                    _install_worker_state(None)
+                for key, model, (arrays, timing) in zip(todo, models, fits):
+                    self._base_cache[key] = load_state_arrays(model, arrays)
+                    timer.merge(timing)
+            return {vkey: self._base_cache[self._topology_key(exits_cfg)]
+                    for vkey, exits_cfg in variants.items()}
 
     def _hardware_base(self, exits_cfg: ExitsConfiguration):
         """The untrained hardware twin, built once per exit topology: the
         pruned- and not-pruned-exit variants get the same weights from
-        the same config and seed, and nothing writes to it."""
+        the same config and seed, and nothing writes to it. Nothing
+        trains it either, so it holds no gradient buffers."""
         key = self._topology_key(exits_cfg)
         with self._lock:
             if key not in self._hw_cache:
-                self._hw_cache[key] = self._build(
-                    exits_cfg, self.config.resource_width_scale)
+                twin = self._build(exits_cfg, self.config.resource_width_scale)
+                for layer in twin.all_layers():
+                    layer.grads.clear()
+                self._hw_cache[key] = twin
             return self._hw_cache[key]
 
     def _variant_context(self, variant: str, exits_cfg: ExitsConfiguration,
@@ -606,19 +664,25 @@ class _Stages:
         if not pending:
             return results, pending
 
-        # Base models (the expensive training) are only needed for
-        # variants that still have pending points: a fully warm cache
-        # rerun trains nothing at all.
-        for vkey, exits_cfg in self.variants.items():
-            if vkey not in self.contexts \
-                    and any(point[0] == vkey for point in pending):
-                base = gen.base_model(vkey, exits_cfg, log, self.timer)
-                self.contexts[vkey] = gen._variant_context(
-                    vkey[0], exits_cfg, vkey[1], base)
+        # The train stage: every base model the pending points' variants
+        # need is trained before any variant context (hardware twin)
+        # exists, so the stage's memory peak is one fit's. Variants with
+        # no pending point need none: a fully warm cache rerun trains
+        # nothing at all.
+        needed = {vkey: exits_cfg
+                  for vkey, exits_cfg in self.variants.items()
+                  if vkey not in self.contexts
+                  and any(point[0] == vkey for point in pending)}
+        bases = gen.train_bases(needed, log, self.timer)
+        for vkey, exits_cfg in needed.items():
+            self.contexts[vkey] = gen._variant_context(
+                vkey[0], exits_cfg, vkey[1], bases[vkey])
         pending = gen._memo_order(pending, self.variants)
 
         # Checkpoint every completion immediately: a sweep killed at any
-        # instant loses at most the points that were in flight.
+        # instant loses at most the points that were in flight. The point
+        # cache file records the completion; the manifest follows at the
+        # stage's end (a resume marks every cached point done).
         def on_done(index, item, out):
             point = item[0]
             results[point], timing = out
@@ -626,7 +690,6 @@ class _Stages:
             if manifest is not None:
                 cache[1](keys[point], results[point])
                 manifest.mark(keys[point], "done")
-                manifest.save()
 
         def on_failed(index, item, failed):
             self.failures[item[0]] = failed
@@ -654,6 +717,8 @@ class _Stages:
                   on_result=on_done, on_failure=on_failed)
         finally:
             _install_worker_state(None)
+            if manifest is not None:
+                manifest.save()
         return results, pending
 
     def library(self, results: dict, **metadata) -> Library:
@@ -710,6 +775,16 @@ def _install_worker_state(state: tuple | None) -> None:
 def _in_worker(task, item):
     """Run a stage task on the state the pool initializer installed."""
     return task(_WORKER_STATE, item)
+
+
+def _fit_base_task(state, index):
+    """The train stage's task: fit the ``index``-th of the models the
+    parent built; returns ``(state_arrays, timer.as_dict())``."""
+    gen, train, models = state
+    timer = PhaseTimer()
+    with timer.phase("train"):
+        gen._fit_base(models[index], train)
+    return state_arrays(models[index]), timer.as_dict()
 
 
 def _characterize_point(state, item):

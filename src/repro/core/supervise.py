@@ -11,8 +11,11 @@ inherits without pickling, so whatever the parent has already built
 (trained models, datasets, compiled policy tables) is shared, never
 shipped or rebuilt (``simulate_policy`` compiles a Runtime Manager's
 policy table in the parent before the pool forks, so it is compiled
-once per campaign). Only items and results are pickled. The pool adds
-the failure handling a production sweep needs:
+once per campaign). Only items and results are pickled. Each worker
+lowers OpenBLAS's thread pool to its share of the cores (CPU count over
+worker count), so workers do not fight over cores with each other's
+BLAS threads. The pool adds the failure handling a production sweep
+needs:
 
 * **wall-clock timeouts** — a hung worker cannot be cancelled through
   ``concurrent.futures``, so on deadline the whole pool is terminated
@@ -41,6 +44,7 @@ sweep must stay killable (and resumable from its checkpoint manifest).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import time
@@ -266,9 +270,10 @@ class SupervisedPool:
         cfg = self.config
         mp_ctx = mp.get_context("fork")
         cap = min(workers, len(wave))
-        pool = ProcessPoolExecutor(max_workers=cap, mp_context=mp_ctx,
-                                   initializer=self._initializer,
-                                   initargs=self._initargs)
+        pool = ProcessPoolExecutor(
+            max_workers=cap, mp_context=mp_ctx, initializer=_init_worker,
+            initargs=(max(1, (os.cpu_count() or 1) // cap),
+                      self._initializer, self._initargs))
         # Items are handed to the pool at most ``cap`` at a time, so
         # every submitted unit lands on an idle worker and submission
         # time is an honest start time for the wall-clock deadline.
@@ -405,6 +410,53 @@ class SupervisedPool:
         for proc in processes:
             proc.join()
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of every OpenBLAS this
+    process has loaded (the plain build, and the ``scipy_``-prefixed
+    64-bit-integer one NumPy wheels ship); none without ``/proc``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    controls.append((get, put))
+    return controls
+
+
+def _limit_blas_threads(threads: int) -> None:
+    """Lower every loaded OpenBLAS's thread pool to at most ``threads``.
+
+    OpenBLAS sizes its pool to the machine and its idle threads spin, so
+    forked workers that each keep a full pool fight over the cores: on 2
+    vCPUs a two-worker quick sweep trained its bases several times
+    slower than the serial sweep. A smaller setting (say
+    ``OPENBLAS_NUM_THREADS=1``) is kept.
+    """
+    for get, put in _openblas_thread_controls():
+        if get() > threads:
+            put(ctypes.c_int(threads))
+
+
+def _init_worker(blas_threads: int, initializer, initargs) -> None:
+    """A forked worker's set-up: its share of the cores for BLAS, then
+    the pool's own initializer."""
+    _limit_blas_threads(blas_threads)
+    if initializer is not None:
+        initializer(*initargs)
 
 
 class _RunContext:

@@ -106,6 +106,21 @@ def test_hardware_base_shared_and_untouched(twins):
     assert len({id(base) for base in shared.values()}) == len(shared) > 1
 
 
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_twins_hold_no_gradients(twins, criterion):
+    """Nothing trains a hardware twin, so it carries no gradient
+    buffers, and every criterion still compiles from it."""
+    gen, contexts = twins
+    for ctx in contexts:
+        assert not any(layer.grads for layer in ctx.hw_base.all_layers())
+        crit = gen._resolve_criterion(ctx, criterion)
+        graph = accuracy_twin_graph(gen, ctx, 0.5, "base", criterion)
+        accel, plan = gen._compile_hardware_twin(ctx, 0.5, crit, graph)
+        assert accel.resources().lut > 0
+        assert 0 < plan.achieved_rate < 1
+        assert not any(layer.grads for layer in ctx.hw_base.all_layers())
+
+
 def test_infeasible_fold_raises_the_same_error():
     # At width 0.6, exit1_conv has 76 channels but its consumer folds
     # with SIMD 8: neither twin can be pruned.

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import AdaPExConfig, LibraryGenerator, PhaseTimer
 from repro.core import design_time
+from repro.core import supervise
 from repro.core.supervise import (SupervisedPool, SuperviseConfig,
                                   fork_available, resolve_workers)
 from repro.edge.server import simulate_policy
@@ -29,6 +30,10 @@ STRICT = SuperviseConfig(retries=0)
 
 def _square(x):
     return x * x
+
+
+def _blas_threads(_):
+    return [get() for get, _ in supervise._openblas_thread_controls()]
 
 
 def _boom(x):
@@ -141,6 +146,17 @@ class TestParallelMap:
 
     def test_empty_items(self):
         assert SupervisedPool(4, STRICT).map(_square, []) == []
+
+    @needs_fork
+    @pytest.mark.skipif(not _blas_threads(None), reason="needs OpenBLAS")
+    def test_workers_share_the_cores_for_blas(self):
+        """Each forked worker lowers OpenBLAS's pool to its share of the
+        cores; the parent keeps its own."""
+        before = _blas_threads(None)
+        share = max(1, (os.cpu_count() or 1) // 2)
+        assert SupervisedPool(2, STRICT).map(_blas_threads, [0, 1]) \
+            == [[min(n, share) for n in before]] * 2
+        assert _blas_threads(None) == before
 
 
 @needs_fork

@@ -243,6 +243,26 @@ class TestGenerate:
         assert "(cached)" in out
         assert first.read_bytes() == second.read_bytes()
 
+    def test_resume_summary_counts_cached_points_done(self, tmp_path,
+                                                      capsys):
+        """A sweep killed before its stage ended leaves its manifest
+        saying ``pending``; the resume summary counts every point whose
+        cache file landed as done."""
+        cache = tmp_path / "cache"
+        args = ["generate", "-o", str(tmp_path / "lib.json"), "--rates",
+                "0.0", "--point-cache", str(cache)]
+        assert main(args) == 0
+        manifest = cache / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        for record in raw["points"].values():
+            record["status"] = "pending"
+        manifest.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        points = len(raw["points"])
+        assert f"{points} point(s) ({points} done)" in out
+
 
 class TestInfo:
     def test_prints_summary(self, library_path, capsys):
