@@ -24,7 +24,7 @@ from ..pruning.schedule import paper_rate_sweep
 __all__ = ["AdaPExConfig", "paper_threshold_sweep"]
 
 # Bump when the design-time flow changes semantics (invalidates caches).
-_FLOW_VERSION = 2
+_FLOW_VERSION = 3
 
 
 def paper_threshold_sweep() -> list[float]:

@@ -338,31 +338,26 @@ class BatchNorm(Layer):
             return x, 0, (1, -1)
         raise ValueError(f"BatchNorm expects 2-D or 4-D input, got {x.ndim}-D")
 
-    @staticmethod
-    def _row_mean(rows, axis, buf):
-        """Mean along ``axis``, summed strictly in ``(N, H, W)`` order
-        through ``buf`` (``np.cumsum``'s last element; ``+ 0.0`` because
-        a sum starts from zero, so a row of ``-0.0`` sums to ``0.0``)."""
-        np.cumsum(rows, axis=axis, out=buf)
-        total = buf[:, -1] if axis == 1 else buf[-1]
-        return (total + 0.0) / rows.shape[axis]
-
-    # The batch statistics are summed in sequence, not pairwise: the
-    # order a channels-last reduction takes, so they do not move with the
-    # layout. A pre-activation exactly at its channel's mean (common with
-    # quantized inputs and ternary weights) gets an ``x_hat`` of pure
-    # rounding noise whose sign decides QuantReLU's STE mask; another
-    # summation order flips it and training takes another path. Every
+    # The batch statistics are NumPy sums along each channel's row: a
+    # 4-D input's contiguous ``N*H*W`` row sums pairwise, a 2-D
+    # ``(N, C)`` input (``C >= 2``) one image after another, the order
+    # NumPy reduces strided columns in. ``+ 0.0`` because a sum starts
+    # from zero, so a row of ``-0.0`` has mean ``0.0``. The order is a
+    # choice: a pre-activation within an ulp of its channel's mean
+    # (common with quantized inputs and ternary weights) gets an
+    # ``x_hat`` of rounding noise whose sign decides QuantReLU's STE
+    # mask, so another summation order trains along another path. Every
     # elementwise step keeps the operands and order of the textbook
     # formulas (and ``np.var``'s internals), writing into buffers it
     # owns.
     def forward(self, x: np.ndarray) -> np.ndarray:
         rows, axis, shape = self._rows(x)
         if self.training:
-            out = np.empty_like(rows)  # the sums' scratch, then out
-            mean = self._row_mean(rows, axis, out)
+            n = rows.shape[axis]
+            mean = (rows.sum(axis=axis) + 0.0) / n
             x_hat = rows - mean.reshape(shape)  # centered, then x_hat
-            var = self._row_mean(np.square(x_hat, out=out), axis, out)
+            out = np.square(x_hat)  # squares, then out
+            var = out.sum(axis=axis) / n
             self.running_mean = (
                 self.momentum * self.running_mean + (1 - self.momentum) * mean
             )

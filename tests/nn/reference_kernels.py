@@ -4,15 +4,15 @@
 formulation ``repro.nn`` trains with, written in the plainest order (one
 copy of a window view for im2col, col2im tap by tap into a zeroed padded
 image, ``np.argmax`` over flattened pooling windows, ``np.add.at``
-scatter, BatchNorm's statistics summed element by element in
-``(N, H, W)`` order and the textbook gradient). The package's kernels
-must match them byte for byte.
+scatter, BatchNorm's statistics each channel's row mean and the
+textbook gradient). The package's kernels must match them byte for byte.
 
 *NCHW kernels*: the im2col/col2im formulation ``repro.nn`` trained with
 before its layers went channel-major. :func:`install` swaps them into
 the layers and the model for end-to-end comparisons: a model trained
 through them must give the same library bytes, and the channel-major
-kernels must agree with them to rounding.
+kernels must agree with them to rounding. Their BatchNorm statistics are
+the channel-major reference's, so its forward pass is byte-equal.
 """
 
 from __future__ import annotations
@@ -121,22 +121,30 @@ def _bn_rows(x):
     return x, 0, (1, -1)
 
 
-def _mean_in_order(rows, axis):
-    """Mean along ``axis``, summed from zero one element after another."""
-    total = np.zeros_like(np.take(rows, 0, axis=axis))
-    for j in range(rows.shape[axis]):
-        total += np.take(rows, j, axis=axis)
-    return total / rows.shape[axis]
+def _row_mean(rows, axis):
+    """Mean of each channel's values, taken as one 1-D array in
+    ``(N, H, W)`` order and summed by NumPy (pairwise from 8 values on),
+    except that an ``(N, C)`` input with ``C >= 2`` sums one image after
+    another from zero: its channels are strided columns, which NumPy
+    reduces in sequence. ``+ 0.0``: a row of ``-0.0`` has mean ``0.0``."""
+    if axis == 0 and rows.shape[1] > 1:
+        total = np.zeros_like(rows[0])
+        for row in rows:
+            total += row
+    else:
+        channels = rows if axis == 1 else rows.T
+        total = np.array([np.ascontiguousarray(c).sum() for c in channels],
+                         dtype=rows.dtype)
+    return (total + 0.0) / rows.shape[axis]
 
 
 def cm_batchnorm_forward(bn, x):
     """Textbook BatchNorm of a ``(C, N, H, W)`` or ``(N, C)`` input, its
-    statistics summed in ``(N, H, W)`` order: the order ``np.var`` takes
-    on channels-last memory."""
+    statistics each channel's row mean (:func:`_row_mean`)."""
     rows, axis, shape = _bn_rows(x)
     if bn.training:
-        mean = _mean_in_order(rows, axis)
-        var = _mean_in_order(np.square(rows - mean.reshape(shape)), axis)
+        mean = _row_mean(rows, axis)
+        var = _row_mean(np.square(rows - mean.reshape(shape)), axis)
         bn.running_mean = bn.momentum * bn.running_mean \
             + (1 - bn.momentum) * mean
         bn.running_var = bn.momentum * bn.running_var \
@@ -258,8 +266,11 @@ def _nchw_axes(x):
 def batchnorm_forward(self, x):
     axes, shape = _nchw_axes(x)
     if self.training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        # The statistics of the channel-major reference: each channel's
+        # row mean, whatever the memory layout of ``x``.
+        rows, axis, row_shape = _bn_rows(nchw(x))
+        mean = _row_mean(rows, axis)
+        var = _row_mean(np.square(rows - mean.reshape(row_shape)), axis)
         self.running_mean = (
             self.momentum * self.running_mean + (1 - self.momentum) * mean
         )

@@ -210,6 +210,31 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.forward(x), x * scale + shift,
                                    atol=1e-9)
 
+    @given(batch=st.integers(1, 300), channels=st.integers(2, 40),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           ties=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_2d_statistics_sum_in_sequence(self, batch, channels, dtype,
+                                           ties, seed):
+        """An ``(N, C)`` input's batch statistics (``C >= 2``, the FC
+        BatchNorms) are byte-equal to sequential sums over the batch, a
+        planted ``-0.0`` column included."""
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((batch, channels)) * 3 + 1).astype(dtype)
+        if ties:
+            x = (rng.integers(-2, 3, x.shape) * 0.3 + 0.1).astype(dtype)
+        x[:, rng.integers(channels)] = -0.0
+        bn = BatchNorm(channels, momentum=0.0).astype(dtype)
+        bn.forward(x)
+
+        def sequential_mean(rows):
+            return (np.cumsum(rows, axis=0)[-1] + 0.0) / rows.shape[0]
+
+        mean = sequential_mean(x)
+        var = sequential_mean(np.square(x - mean))
+        ref.assert_same_bytes(bn.running_mean, mean)
+        ref.assert_same_bytes(bn.running_var, var)
+
     def test_rejects_3d(self):
         bn = BatchNorm(2)
         with pytest.raises(ValueError):
@@ -332,14 +357,14 @@ class TestLayerIdentity:
         ref.assert_same_bytes(new.running_var, old.running_var)
 
         # The NCHW formulation reduced channels-last activations (its
-        # im2col GEMM's output): the forward pass and running statistics
-        # are its bytes. A single channel reduces pairwise there.
+        # im2col GEMM's output); its statistics are each channel's row
+        # mean too, so the forward pass and running statistics are its
+        # bytes.
         out_nchw = ref.batchnorm_forward(
             nchw, ref.as_layout(ref.nchw(x), "nhwc"))
-        if channels > 1:
-            ref.assert_same_bytes(ref.nchw(out_new).copy(), out_nchw.copy())
-            ref.assert_same_bytes(new.running_mean, nchw.running_mean)
-            ref.assert_same_bytes(new.running_var, nchw.running_var)
+        ref.assert_same_bytes(ref.nchw(out_new).copy(), out_nchw.copy())
+        ref.assert_same_bytes(new.running_mean, nchw.running_mean)
+        ref.assert_same_bytes(new.running_var, nchw.running_var)
         ref.assert_close(ref.nchw(out_new), out_nchw)
         ref.assert_close(ref.nchw(grad_new),
                          ref.batchnorm_backward(nchw, ref.nchw(grad_out)))
